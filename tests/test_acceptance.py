@@ -366,6 +366,8 @@ def test_criterion_09_graph_golden_reports(tmp_path):
 
 
 def test_criterion_10_repeated_runs_are_byte_identical(tmp_path):
+    # each first run must also match its frozen report in tests/golden,
+    # named <fixture>_<command>.json
     plans = {
         "finset_i1.ws": [
             ["validate"],
@@ -415,5 +417,7 @@ def test_criterion_10_repeated_runs_are_byte_identical(tmp_path):
             code_b = cli.run(argv + ["--out", str(second)])
             assert code_a == code_b
             assert first.read_bytes() == second.read_bytes(), (name, command)
+            golden = f"{name[:-3]}_{command[0].replace('-', '_')}.json"
+            assert first.read_bytes() == (GOLDEN / golden).read_bytes(), golden
             runs += 1
     assert runs == 30
