@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .colimits import coproduct, initial_map, pushout
 from .errors import FuelExhausted, ValidationError
@@ -24,13 +24,13 @@ from .presheaf import (
     BaseCategory,
     Presheaf,
     PresheafMap,
-    _enumerate_components,
+    _first_map,
+    _pin,
     compose,
     find_retraction,
     hom_enumerate,
     is_retract_of,
 )
-from .lifting import _upper_seeds
 
 
 @dataclass(frozen=True)
@@ -48,20 +48,62 @@ class VerdictReport:
         return self.verdict is Verdict.YES
 
 
-def _combine(check: str, parameters: dict, subchecks: list[VerdictReport]) -> VerdictReport:
-    verdict = Verdict.YES
-    counterexample = None
-    for sub in subchecks:
-        if sub.verdict is Verdict.NO:
-            verdict = Verdict.NO
-            counterexample = sub.counterexample
-            break
+def _report(
+    check: str,
+    parameters: dict,
+    failure: dict | None = None,
+    undecided: int = 0,
+    diagnostics: dict | None = None,
+    witnesses: tuple = (),
+    subchecks: tuple[VerdictReport, ...] = (),
+) -> VerdictReport:
+    """NO with `failure` as counterexample, else INCONCLUSIVE when anything
+    stayed undecided, else YES."""
+    if failure is not None:
+        verdict = Verdict.NO
     else:
-        if any(s.verdict is Verdict.INCONCLUSIVE for s in subchecks):
-            verdict = Verdict.INCONCLUSIVE
+        verdict = Verdict.INCONCLUSIVE if undecided else Verdict.YES
     return VerdictReport(
-        check, verdict, parameters, counterexample, subchecks=tuple(subchecks)
+        check, verdict, parameters, failure, witnesses, diagnostics or {}, subchecks
     )
+
+
+def _out_of_fuel(check: str, parameters: dict, stop: FuelExhausted) -> VerdictReport:
+    return _report(check, parameters, undecided=1, diagnostics={"fuel": str(stop)})
+
+
+Outcome = dict | Verdict
+
+
+def _first_failure(candidates: Iterable[Outcome]) -> tuple[dict | None, int, int]:
+    """Walk candidates up to the first failure.
+
+    Each candidate yields Verdict.YES, Verdict.INCONCLUSIVE, or the
+    counterexample of a failure.  Returns that counterexample (None when
+    nothing fails), the number of candidates walked, and how many of them
+    were inconclusive.
+    """
+    # enum members are looked up once: this loop runs once per candidate
+    yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
+    walked = undecided = 0
+    for outcome in candidates:
+        walked += 1
+        if outcome is yes:
+            continue
+        if outcome is not inconclusive:
+            return outcome, walked, undecided
+        undecided += 1
+    return None, walked, undecided
+
+
+def _combine(check: str, parameters: dict, subchecks: list[VerdictReport]) -> VerdictReport:
+    """The first failing subcheck's counterexample, else INCONCLUSIVE when
+    any subcheck is, else YES."""
+    failure = next(
+        (s.counterexample for s in subchecks if s.verdict is Verdict.NO), None
+    )
+    undecided = sum(s.verdict is Verdict.INCONCLUSIVE for s in subchecks)
+    return _report(check, parameters, failure, undecided, subchecks=tuple(subchecks))
 
 
 class BoundedUniverse:
@@ -146,10 +188,13 @@ class BoundedUniverse:
             self._hom[key] = got
         return got
 
+    def maps_from(self, X: Presheaf) -> Iterator[PresheafMap]:
+        for Y in self.objects:
+            yield from self.hom(X, Y)
+
     def all_maps(self) -> Iterator[PresheafMap]:
         for X in self.objects:
-            for Y in self.objects:
-                yield from self.hom(X, Y)
+            yield from self.maps_from(X)
 
     def is_cof(self, f: PresheafMap) -> Verdict:
         got = self._cof.get(f)
@@ -161,36 +206,37 @@ class BoundedUniverse:
     def is_triv_fib(self, f: PresheafMap) -> bool:
         return in_inj(f, self.generators, memo=self._rlp_memo)
 
+    def _cofibrations_among(
+        self, maps: Iterable[PresheafMap]
+    ) -> tuple[tuple[PresheafMap, ...], int]:
+        """The maps decided to be cofibrations, and how many stayed undecided."""
+        verdicts = [(f, self.is_cof(f)) for f in maps]
+        keep = tuple(f for f, v in verdicts if v is Verdict.YES)
+        return keep, sum(v is Verdict.INCONCLUSIVE for _, v in verdicts)
+
     @property
     def cofibrant(self) -> tuple[Presheaf, ...]:
         if self._cofibrant is None:
-            keep = []
-            undecided = 0
-            for X in self.objects:
-                v = self.is_cof(initial_map(X))
-                if v is Verdict.YES:
-                    keep.append(X)
-                elif v is Verdict.INCONCLUSIVE:
-                    undecided += 1
-            self._cofibrant = tuple(keep)
-            self.undecided_cofibrancy = undecided
+            keep, self.undecided_cofibrancy = self._cofibrations_among(
+                initial_map(X) for X in self.objects
+            )
+            self._cofibrant = tuple(i.target for i in keep)
         return self._cofibrant
+
+    def _maps_between_cofibrant(self) -> Iterator[PresheafMap]:
+        for A in self.cofibrant:
+            for B in self.cofibrant:
+                yield from self.hom(A, B)
 
     def cofibrations_between_cofibrant(self) -> tuple[PresheafMap, ...]:
         if self._cbc is None:
-            keep = []
-            undecided = 0
-            for A in self.cofibrant:
-                for B in self.cofibrant:
-                    for i in self.hom(A, B):
-                        v = self.is_cof(i)
-                        if v is Verdict.YES:
-                            keep.append(i)
-                        elif v is Verdict.INCONCLUSIVE:
-                            undecided += 1
-            self._cbc = tuple(keep)
-            self.undecided_cofibrations = undecided
+            self._cbc, self.undecided_cofibrations = self._cofibrations_among(
+                self._maps_between_cofibrant()
+            )
         return self._cbc
+
+    def trivial_fibrations_between_cofibrant(self) -> Iterator[PresheafMap]:
+        return filter(self.is_triv_fib, self._maps_between_cofibrant())
 
     def factors_through(self, i: PresheafMap, X: Presheaf) -> frozenset[PresheafMap]:
         """The maps i.source -> X that extend along i."""
@@ -221,17 +267,7 @@ class BoundedUniverse:
         return self.undecided_cofibrancy + self.undecided_cofibrations
 
 
-def _first_extension(i: PresheafMap, w: PresheafMap) -> PresheafMap | None:
-    """First v: i.target -> w.target with v after i = w."""
-    seeds = _upper_seeds(i, w)
-    if seeds is None:
-        return None
-    for comp in _enumerate_components(i.target, w.target, seeds=seeds):
-        return PresheafMap._make(i.target, w.target, comp)
-    return None
-
-
-def is_pure(f: PresheafMap, U: BoundedUniverse, fuel: int | None = None) -> VerdictReport:
+def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
     """Purity of f: in every commuting square against a cofibration between
     cofibrant objects of U, the top map extends along the cofibration.
 
@@ -248,21 +284,16 @@ def is_pure(f: PresheafMap, U: BoundedUniverse, fuel: int | None = None) -> Verd
             checked += 1
             if u in factorable:
                 continue
-            v = _first_extension(i, compose(u, f))
+            w = compose(u, f)
+            v = _first_map(i.target, w.target, _pin((i._comp, w._comp)))
             if v is not None:
-                return VerdictReport(
-                    "pure",
-                    Verdict.NO,
-                    params,
-                    {"cofibration": i, "top": u, "bottom": v},
-                )
+                failure = {"cofibration": i, "top": u, "bottom": v}
+                return _report("pure", params, failure)
     undecided = U.all_undecided()
-    verdict = Verdict.INCONCLUSIVE if undecided else Verdict.YES
-    return VerdictReport(
+    return _report(
         "pure",
-        verdict,
         params,
-        None,
+        undecided=undecided,
         diagnostics={"squares_considered": checked, "undecided_membership": undecided},
     )
 
@@ -281,26 +312,12 @@ def is_weak_equivalence(
         for k, i in enumerate(I.maps):
             bad = find_unliftable_square_up_to(i, f, ctx.oracle(i))
             if bad is not None:
-                return VerdictReport(
-                    "weak-equivalence",
-                    Verdict.NO,
-                    params,
-                    {"generator": k, "top": bad[0], "bottom": bad[1]},
-                )
+                failure = {"generator": k, "top": bad[0], "bottom": bad[1]}
+                return _report("weak-equivalence", params, failure)
     except FuelExhausted as stop:
-        return VerdictReport(
-            "weak-equivalence",
-            Verdict.INCONCLUSIVE,
-            params,
-            None,
-            diagnostics={"fuel": str(stop)},
-        )
-    return VerdictReport(
-        "weak-equivalence",
-        Verdict.YES,
-        params,
-        None,
-        diagnostics={"generators_checked": len(I.maps)},
+        return _out_of_fuel("weak-equivalence", params, stop)
+    return _report(
+        "weak-equivalence", params, diagnostics={"generators_checked": len(I.maps)}
     )
 
 
@@ -353,100 +370,73 @@ def build_jset(
 
 
 def _object_square_failure(
-    g: PresheafMap, V: Presheaf, ctx: HomotopyContext
-) -> tuple[PresheafMap, PresheafMap] | None:
-    """First square over the empty map into V with no lift up to absolute
-    homotopy against g, memoized on the context."""
-    left = initial_map(V)
-    key = (left, g)
-    if key in ctx.square_memo:
-        return ctx.square_memo[key]
-    got = find_unliftable_square_up_to(left, g, ctx.oracle(left))
-    ctx.square_memo[key] = got
-    return got
+    g: PresheafMap, objects: Iterable[Presheaf], ctx: HomotopyContext
+) -> dict | None:
+    """The first V in `objects` with a square over the empty map into V that
+    has no lift up to absolute homotopy against g, as counterexample
+    entries; each search is memoized on the context."""
+    for V in objects:
+        left = initial_map(V)
+        key = (left, g)
+        if key not in ctx.square_memo:
+            ctx.square_memo[key] = find_unliftable_square_up_to(
+                left, g, ctx.oracle(left)
+            )
+        bad = ctx.square_memo[key]
+        if bad is not None:
+            return {"against": V, "top": bad[0], "bottom": bad[1]}
+    return None
 
 
 def check_appropriate(
     I: GeneratingSet,
     U: BoundedUniverse,
-    fuel: int | None = None,
     ctx: HomotopyContext | None = None,
 ) -> VerdictReport:
     """Pushouts of trivial fibrations between cofibrant objects along
     cofibrations stay pure and keep RLP up to homotopy against every
     cofibrant object of U."""
-    if fuel is None:
-        fuel = U.fuel
     if ctx is None:
-        ctx = HomotopyContext(I, fuel)
+        ctx = HomotopyContext(I, U.fuel)
     params = {"generators": I.label, **U.describe()}
     pushouts_checked = 0
     inconclusive = 0
     settled: set[PresheafMap] = set()
     try:
         cofibrant = U.cofibrant
-        for A in cofibrant:
-            for B in cofibrant:
-                for t in U.hom(A, B):
-                    if not U.is_triv_fib(t):
-                        continue
-                    for C in U.objects:
-                        for c in U.hom(A, C):
-                            vc = U.is_cof(c)
-                            if vc is Verdict.INCONCLUSIVE:
-                                inconclusive += 1
-                            if vc is not Verdict.YES:
-                                continue
-                            comparison = pushout(t, c).right
-                            pushouts_checked += 1
-                            if comparison in settled:
-                                continue
-                            purity = is_pure(comparison, U, fuel)
-                            if purity.verdict is Verdict.NO:
-                                return VerdictReport(
-                                    "appropriate",
-                                    Verdict.NO,
-                                    params,
-                                    {
-                                        "trivial-fibration": t,
-                                        "cofibration": c,
-                                        "comparison": comparison,
-                                        "purity": purity.counterexample,
-                                    },
-                                )
-                            if purity.verdict is Verdict.INCONCLUSIVE:
-                                inconclusive += 1
-                            for V in cofibrant:
-                                bad = _object_square_failure(comparison, V, ctx)
-                                if bad is not None:
-                                    return VerdictReport(
-                                        "appropriate",
-                                        Verdict.NO,
-                                        params,
-                                        {
-                                            "trivial-fibration": t,
-                                            "cofibration": c,
-                                            "comparison": comparison,
-                                            "against": V,
-                                            "top": bad[0],
-                                            "bottom": bad[1],
-                                        },
-                                    )
-                            settled.add(comparison)
+        for t in U.trivial_fibrations_between_cofibrant():
+            for c in U.maps_from(t.source):
+                vc = U.is_cof(c)
+                if vc is Verdict.INCONCLUSIVE:
+                    inconclusive += 1
+                if vc is not Verdict.YES:
+                    continue
+                comparison = pushout(t, c).right
+                pushouts_checked += 1
+                if comparison in settled:
+                    continue
+                failure = {
+                    "trivial-fibration": t,
+                    "cofibration": c,
+                    "comparison": comparison,
+                }
+                purity = is_pure(comparison, U)
+                if purity.verdict is Verdict.NO:
+                    failure["purity"] = purity.counterexample
+                    return _report("appropriate", params, failure)
+                if purity.verdict is Verdict.INCONCLUSIVE:
+                    inconclusive += 1
+                bad = _object_square_failure(comparison, cofibrant, ctx)
+                if bad is not None:
+                    return _report("appropriate", params, {**failure, **bad})
+                settled.add(comparison)
     except FuelExhausted as stop:
-        return VerdictReport(
-            "appropriate",
-            Verdict.INCONCLUSIVE,
-            params,
-            None,
-            diagnostics={"fuel": str(stop)},
-        )
+        return _out_of_fuel("appropriate", params, stop)
     undecided = U.all_undecided() + inconclusive
-    return VerdictReport(
+    return _report(
         "appropriate",
-        Verdict.INCONCLUSIVE if undecided else Verdict.YES,
         params,
-        None,
+        undecided=undecided,
         diagnostics={
             "pushouts_checked": pushouts_checked,
             "undecided_membership": undecided,
@@ -457,7 +447,6 @@ def check_appropriate(
 def check_main_condition(
     I: GeneratingSet,
     U: BoundedUniverse,
-    fuel: int | None = None,
     ctx: HomotopyContext | None = None,
 ) -> VerdictReport:
     """Appropriateness plus: pushouts of the canonical trivial cofibrations
@@ -466,185 +455,100 @@ def check_main_condition(
     Finite generator sources make pushouts of J-maps stand in for all of
     J-cell here; each attachment stage is itself such a pushout.
     """
-    if fuel is None:
-        fuel = U.fuel
     if ctx is None:
-        ctx = HomotopyContext(I, fuel)
+        ctx = HomotopyContext(I, U.fuel)
     params = {"generators": I.label, **U.describe()}
-    appropriate = check_appropriate(I, U, fuel, ctx)
-    try:
-        J = build_jset(I, fuel, ctx)
-    except FuelExhausted as stop:
-        cell = VerdictReport(
-            "jcell-rlp",
-            Verdict.INCONCLUSIVE,
-            params,
-            None,
-            diagnostics={"fuel": str(stop)},
-        )
-        return _combine("main-condition", params, [appropriate, cell])
-
+    appropriate = check_appropriate(I, U, ctx)
     domains = []
     for i in I.maps:
         if i.source not in domains:
             domains.append(i.source)
-    checked = 0
-    inconclusive = 0
-    cell = None
     settled: set[PresheafMap] = set()
-    try:
+
+    def pushed_out(J: GeneratingSet) -> Iterator[Outcome]:
         for jk, j in enumerate(J.maps):
-            for X in U.objects:
-                for u in U.hom(j.source, X):
-                    pushed = pushout(j, u).right
-                    checked += 1
-                    if pushed in settled:
-                        continue
-                    for D in domains:
-                        bad = _object_square_failure(pushed, D, ctx)
-                        if bad is not None:
-                            cell = VerdictReport(
-                                "jcell-rlp",
-                                Verdict.NO,
-                                params,
-                                {
-                                    "j-generator": jk,
-                                    "along": u,
-                                    "pushed": pushed,
-                                    "against": D,
-                                    "top": bad[0],
-                                    "bottom": bad[1],
-                                },
-                            )
-                            break
-                    if cell is not None:
-                        break
+            for u in U.maps_from(j.source):
+                pushed = pushout(j, u).right
+                bad = None
+                if pushed not in settled:
+                    bad = _object_square_failure(pushed, domains, ctx)
+                if bad is not None:
+                    yield {"j-generator": jk, "along": u, "pushed": pushed, **bad}
+                else:
                     settled.add(pushed)
-                if cell is not None:
-                    break
-            if cell is not None:
-                break
+                    yield Verdict.YES
+
+    try:
+        failure, checked, _ = _first_failure(pushed_out(build_jset(I, U.fuel, ctx)))
     except FuelExhausted as stop:
-        cell = VerdictReport(
-            "jcell-rlp",
-            Verdict.INCONCLUSIVE,
-            params,
-            None,
-            diagnostics={"fuel": str(stop)},
-        )
-    if cell is None:
-        cell = VerdictReport(
-            "jcell-rlp",
-            Verdict.INCONCLUSIVE if inconclusive else Verdict.YES,
-            params,
-            None,
-            diagnostics={"pushouts_checked": checked},
-        )
+        cell = _out_of_fuel("jcell-rlp", params, stop)
+    else:
+        diagnostics = None if failure else {"pushouts_checked": checked}
+        cell = _report("jcell-rlp", params, failure, diagnostics=diagnostics)
     return _combine("main-condition", params, [appropriate, cell])
 
 
 def check_properness_condition(
     I: GeneratingSet,
     U: BoundedUniverse,
-    fuel: int | None = None,
     ctx: HomotopyContext | None = None,
 ) -> VerdictReport:
     """Coproduct closure of trivial fibrations between cofibrant objects,
     and weak-equivalence of the comparison maps between pushouts along
     the generators."""
-    if fuel is None:
-        fuel = U.fuel
     if ctx is None:
-        ctx = HomotopyContext(I, fuel)
+        ctx = HomotopyContext(I, U.fuel)
     params = {"generators": I.label, **U.describe()}
-    we = WeClass.from_generators(I, fuel, ctx)
+    we = WeClass.from_generators(I, U.fuel, ctx)
+    tfibs = list(U.trivial_fibrations_between_cofibrant())
 
-    cofibrant = U.cofibrant
-    tfibs = [
-        t
-        for A in cofibrant
-        for B in cofibrant
-        for t in U.hom(A, B)
-        if U.is_triv_fib(t)
-    ]
-    coproducts = None
-    checked = 0
-    for t1 in tfibs:
-        for t2 in tfibs:
-            sources = coproduct(t1.source, t2.source)
-            targets = coproduct(t1.target, t2.target)
-            both = sources.mediator(
-                compose(t1, targets.left), compose(t2, targets.right)
-            )
-            checked += 1
-            if not in_inj(both, I, memo=U._rlp_memo):
-                coproducts = VerdictReport(
-                    "tfib-coproducts",
-                    Verdict.NO,
-                    params,
-                    {"first": t1, "second": t2, "coproduct": both},
+    def coproducts() -> Iterator[Outcome]:
+        for t1 in tfibs:
+            for t2 in tfibs:
+                sources = coproduct(t1.source, t2.source)
+                targets = coproduct(t1.target, t2.target)
+                both = sources.mediator(
+                    compose(t1, targets.left), compose(t2, targets.right)
                 )
-                break
-        if coproducts is not None:
-            break
-    if coproducts is None:
-        coproducts = VerdictReport(
+                if in_inj(both, I, memo=U._rlp_memo):
+                    yield Verdict.YES
+                else:
+                    yield {"first": t1, "second": t2, "coproduct": both}
+
+    def comparisons() -> Iterator[Outcome]:
+        for k, i in enumerate(I.maps):
+            for u in U.maps_from(i.source):
+                po1 = pushout(u, i)
+                for g in U.maps_from(u.target):
+                    if not U.is_triv_fib(g):
+                        continue
+                    po2 = pushout(compose(u, g), i)
+                    induced = po1.mediator(compose(g, po2.left), po2.right)
+                    v = we(induced)
+                    if v is Verdict.NO:
+                        yield {
+                            "generator": k,
+                            "attach": u,
+                            "trivial-fibration": g,
+                            "comparison": induced,
+                        }
+                    else:
+                        yield v
+
+    failure, checked, _ = _first_failure(coproducts())
+    if failure:
+        closed = _report("tfib-coproducts", params, failure)
+    else:
+        closed = _report(
             "tfib-coproducts",
-            Verdict.YES if not U.all_undecided() else Verdict.INCONCLUSIVE,
             params,
-            None,
+            undecided=U.all_undecided(),
             diagnostics={"pairs_checked": checked},
         )
-
-    comparisons = None
-    checked = 0
-    inconclusive = 0
-    for k, i in enumerate(I.maps):
-        for X in U.objects:
-            for u in U.hom(i.source, X):
-                po1 = pushout(u, i)
-                for Y in U.objects:
-                    for g in U.hom(X, Y):
-                        if not U.is_triv_fib(g):
-                            continue
-                        po2 = pushout(compose(u, g), i)
-                        induced = po1.mediator(
-                            compose(g, po2.left), po2.right
-                        )
-                        checked += 1
-                        v = we(induced)
-                        if v is Verdict.NO:
-                            comparisons = VerdictReport(
-                                "pushout-comparisons",
-                                Verdict.NO,
-                                params,
-                                {
-                                    "generator": k,
-                                    "attach": u,
-                                    "trivial-fibration": g,
-                                    "comparison": induced,
-                                },
-                            )
-                            break
-                        if v is Verdict.INCONCLUSIVE:
-                            inconclusive += 1
-                    if comparisons is not None:
-                        break
-                if comparisons is not None:
-                    break
-            if comparisons is not None:
-                break
-        if comparisons is not None:
-            break
-    if comparisons is None:
-        comparisons = VerdictReport(
-            "pushout-comparisons",
-            Verdict.INCONCLUSIVE if inconclusive else Verdict.YES,
-            params,
-            None,
-            diagnostics={"comparisons_checked": checked},
-        )
-    return _combine("properness-condition", params, [coproducts, comparisons])
+    failure, checked, undecided = _first_failure(comparisons())
+    diagnostics = None if failure else {"comparisons_checked": checked}
+    compared = _report("pushout-comparisons", params, failure, undecided, diagnostics)
+    return _combine("properness-condition", params, [closed, compared])
 
 
 def _conj(a: Verdict, b: Verdict) -> Verdict:
@@ -660,200 +564,144 @@ def verify_axioms(
     J: GeneratingSet,
     we: WeClass,
     U: BoundedUniverse,
-    fuel: int | None = None,
-    ctx: HomotopyContext | None = None,
 ) -> VerdictReport:
     """Bounded run over the five closure conditions a minimal structure
     needs.  A1 is a finiteness note; the rest quantify over U."""
-    if fuel is None:
-        fuel = U.fuel
-    if ctx is None:
-        ctx = HomotopyContext(I, fuel)
     params = {
         "generators": I.label,
         "trivial-generators": J.label,
         "weak-equivalences": we.label,
         **U.describe(),
     }
+    note = "finite carriers; every factorization run is fuel-guarded"
     subchecks = [
-        VerdictReport(
-            "A1-permits-factorizations",
-            Verdict.YES,
-            params,
-            None,
-            diagnostics={
-                "note": "finite carriers; every factorization run is fuel-guarded"
-            },
-        )
+        _report("A1-permits-factorizations", params, diagnostics={"note": note})
     ]
 
     # A2: two-out-of-three
-    failure = None
-    skipped = 0
-    pairs = 0
-    for X in U.objects:
-        for Y in U.objects:
-            for f in U.hom(X, Y):
-                vf = we(f)
-                for Z in U.objects:
-                    for g in U.hom(Y, Z):
-                        pairs += 1
-                        vg = we(g)
-                        h = compose(f, g)
-                        vh = we(h)
-                        trio = (vf, vg, vh)
-                        if Verdict.INCONCLUSIVE in trio:
-                            skipped += 1
-                            continue
-                        if sum(v is Verdict.YES for v in trio) == 2:
-                            failure = {
-                                "first": f,
-                                "second": g,
-                                "composite": h,
-                                "memberships": [v.name for v in trio],
-                            }
-                            break
-                    if failure:
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-        if failure:
-            break
+    def composable_pairs() -> Iterator[Outcome]:
+        for f in U.all_maps():
+            vf = we(f)
+            for g in U.maps_from(f.target):
+                vg = we(g)
+                h = compose(f, g)
+                trio = (vf, vg, we(h))
+                if Verdict.INCONCLUSIVE in trio:
+                    yield Verdict.INCONCLUSIVE
+                elif sum(v is Verdict.YES for v in trio) == 2:
+                    yield {
+                        "first": f,
+                        "second": g,
+                        "composite": h,
+                        "memberships": [v.name for v in trio],
+                    }
+                else:
+                    yield Verdict.YES
+
+    failure, pairs, skipped = _first_failure(composable_pairs())
     subchecks.append(
-        VerdictReport(
+        _report(
             "A2-two-out-of-three",
-            Verdict.NO
-            if failure
-            else (Verdict.INCONCLUSIVE if skipped else Verdict.YES),
             params,
             failure,
-            diagnostics={"composable_pairs": pairs, "skipped": skipped},
+            skipped,
+            {"composable_pairs": pairs, "skipped": skipped},
         )
     )
 
     # A2: retract closure.  Only a pair with g in the class and f outside
     # it can violate closure, so the retract search runs on those pairs.
-    failure = None
-    skipped = 0
-    searched = 0
     verdicts = [(f, we(f)) for f in U.all_maps()]
-    skipped += sum(v is Verdict.INCONCLUSIVE for _, v in verdicts)
-    for f, vf in verdicts:
-        if vf is not Verdict.NO:
-            continue
-        for g, vg in verdicts:
-            if vg is not Verdict.YES:
+    skipped = sum(v is Verdict.INCONCLUSIVE for _, v in verdicts)
+
+    def retract_candidates() -> Iterator[Outcome]:
+        for f, vf in verdicts:
+            if vf is not Verdict.NO:
                 continue
-            if not U.is_object_retract(f.source, g.source):
-                continue
-            if not U.is_object_retract(f.target, g.target):
-                continue
-            searched += 1
-            witness = is_retract_of(f, g)
-            if witness is not None:
-                failure = {"map": f, "of": g}
-                break
-        if failure:
-            break
+            for g, vg in verdicts:
+                if (
+                    vg is Verdict.YES
+                    and U.is_object_retract(f.source, g.source)
+                    and U.is_object_retract(f.target, g.target)
+                ):
+                    if is_retract_of(f, g) is None:
+                        yield Verdict.YES
+                    else:
+                        yield {"map": f, "of": g}
+
+    failure, searched, _ = _first_failure(retract_candidates())
     subchecks.append(
-        VerdictReport(
+        _report(
             "A2-retracts",
-            Verdict.NO
-            if failure
-            else (Verdict.INCONCLUSIVE if skipped else Verdict.YES),
             params,
             failure,
-            diagnostics={"pairs_searched": searched, "skipped": skipped},
+            skipped,
+            {"pairs_searched": searched, "skipped": skipped},
         )
     )
 
     # A3: trivial fibrations are weak equivalences
-    failure = None
-    skipped = 0
-    count = 0
-    for f in U.all_maps():
-        if not U.is_triv_fib(f):
-            continue
-        count += 1
-        v = we(f)
-        if v is Verdict.NO:
-            failure = {"map": f}
-            break
-        if v is Verdict.INCONCLUSIVE:
-            skipped += 1
+    def trivial_fibrations() -> Iterator[Outcome]:
+        for f in U.all_maps():
+            if U.is_triv_fib(f):
+                v = we(f)
+                yield {"map": f} if v is Verdict.NO else v
+
+    failure, count, skipped = _first_failure(trivial_fibrations())
     subchecks.append(
-        VerdictReport(
+        _report(
             "A3-trivial-fibrations",
-            Verdict.NO
-            if failure
-            else (Verdict.INCONCLUSIVE if skipped else Verdict.YES),
             params,
             failure,
-            diagnostics={"trivial_fibrations": count, "skipped": skipped},
+            skipped,
+            {"trivial_fibrations": count, "skipped": skipped},
         )
     )
 
     # A4: pushouts of J-maps are trivial cofibrations
-    failure = None
-    skipped = 0
-    count = 0
-    for jk, j in enumerate(J.maps):
-        for X in U.objects:
-            for u in U.hom(j.source, X):
+    def pushouts_of_j() -> Iterator[Outcome]:
+        for jk, j in enumerate(J.maps):
+            for u in U.maps_from(j.source):
                 pushed = pushout(j, u).right
-                count += 1
                 v = _conj(we(pushed), U.is_cof(pushed))
                 if v is Verdict.NO:
-                    failure = {"j-generator": jk, "along": u, "pushed": pushed}
-                    break
-                if v is Verdict.INCONCLUSIVE:
-                    skipped += 1
-            if failure:
-                break
-        if failure:
-            break
+                    yield {"j-generator": jk, "along": u, "pushed": pushed}
+                else:
+                    yield v
+
+    failure, count, skipped = _first_failure(pushouts_of_j())
     subchecks.append(
-        VerdictReport(
+        _report(
             "A4-pushouts-of-j",
-            Verdict.NO
-            if failure
-            else (Verdict.INCONCLUSIVE if skipped else Verdict.YES),
             params,
             failure,
-            diagnostics={"pushouts_checked": count, "skipped": skipped},
+            skipped,
+            {"pushouts_checked": count, "skipped": skipped},
         )
     )
 
     # A5, first disjunct: J-injective weak equivalences are I-injective.
     # The other disjunct needs I-cof inter we inside J-cof; not evaluated.
-    failure = None
-    skipped = 0
-    count = 0
-    for f in U.all_maps():
-        if not has_rlp(f, J.maps, memo=U._rlp_memo):
-            continue
-        v = we(f)
-        if v is Verdict.INCONCLUSIVE:
-            skipped += 1
-            continue
-        if v is not Verdict.YES:
-            continue
-        count += 1
-        if not U.is_triv_fib(f):
-            failure = {"map": f}
-            break
+    def jinjective_weak_equivalences() -> Iterator[Outcome]:
+        for f in U.all_maps():
+            if not has_rlp(f, J.maps, memo=U._rlp_memo):
+                continue
+            v = we(f)
+            if v is Verdict.YES:
+                yield Verdict.YES if U.is_triv_fib(f) else {"map": f}
+            elif v is Verdict.INCONCLUSIVE:
+                yield v
+
+    failure, walked, skipped = _first_failure(jinjective_weak_equivalences())
     subchecks.append(
-        VerdictReport(
+        _report(
             "A5-first-disjunct",
-            Verdict.NO
-            if failure
-            else (Verdict.INCONCLUSIVE if skipped else Verdict.YES),
             params,
             failure,
-            diagnostics={
-                "jinj_weak_equivalences": count,
+            skipped,
+            {
+                # only the YES weak equivalences count
+                "jinj_weak_equivalences": walked - skipped,
                 "skipped": skipped,
                 "second-disjunct": "not-evaluated",
             },
@@ -893,13 +741,11 @@ def classify_map(
     f: PresheafMap,
     I: GeneratingSet,
     U: BoundedUniverse,
-    fuel: int | None = None,
     ctx: HomotopyContext | None = None,
 ) -> MapClassification:
     """All membership verdicts for one map, with the trivial-cofibration
     versus strong-deformation-retract cross-check."""
-    if fuel is None:
-        fuel = U.fuel
+    fuel = U.fuel
     if ctx is None:
         ctx = HomotopyContext(I, fuel)
     cof = U.is_cof(f)
@@ -914,7 +760,7 @@ def classify_map(
         sdr = is_strong_deformation_retract(f, I, fuel).verdict
     except FuelExhausted:
         sdr = Verdict.INCONCLUSIVE
-    pure = is_pure(f, U, fuel).verdict
+    pure = is_pure(f, U).verdict
     tcof = _conj(cof, weq)
     if cof is Verdict.YES and Verdict.INCONCLUSIVE not in (tcof, sdr):
         consistent = tcof is sdr
@@ -926,16 +772,11 @@ def classify_map(
 def enumerate_weak_equivalences(
     I: GeneratingSet,
     U: BoundedUniverse,
-    fuel: int | None = None,
     ctx: HomotopyContext | None = None,
 ) -> VerdictReport:
     """Every map between universe objects in the decided class, as
     witnesses, in enumeration order."""
-    if fuel is None:
-        fuel = U.fuel
-    if ctx is None:
-        ctx = HomotopyContext(I, fuel)
-    we = WeClass.from_generators(I, fuel, ctx)
+    we = WeClass.from_generators(I, U.fuel, ctx)
     params = {"generators": I.label, **U.describe()}
     found = []
     undecided = 0
@@ -947,11 +788,10 @@ def enumerate_weak_equivalences(
             found.append(f)
         elif v is Verdict.INCONCLUSIVE:
             undecided += 1
-    return VerdictReport(
+    return _report(
         "enumerate-we",
-        Verdict.INCONCLUSIVE if undecided else Verdict.YES,
         params,
-        None,
-        witnesses=tuple(found),
+        undecided=undecided,
         diagnostics={"maps_considered": total, "undecided": undecided},
+        witnesses=tuple(found),
     )

@@ -18,6 +18,10 @@ Commands:
     verify-axioms GENSET
     enumerate-we GENSET
 
+--bound (and the workspace's `bound:`) is one integer for every base
+object, or NAME=N assignments that name every base object exactly once and
+nothing else; every value must be at least 0.
+
 Every run writes one JSON report (stdout, or --out PATH) and exits with
 0 = pass, 1 = fail, 2 = inconclusive, 3 = usage or parse error.  Reports
 are byte-identical across repeated runs on identical inputs: keys are
@@ -45,7 +49,7 @@ from .analyzer import (
     enumerate_weak_equivalences,
     verify_axioms,
 )
-from .errors import EngineError, FuelExhausted, ParseError, ValidationError
+from .errors import EngineError, FuelExhausted, ValidationError
 from .factorization import Attachment, CellFactorization, Status, Verdict, soa_factorize
 from .homotopy import (
     CylinderObject,
@@ -58,7 +62,7 @@ from .homotopy import (
     homotopic_cross_check,
 )
 from .presheaf import Presheaf, PresheafMap
-from .workspace import map_data, parse_bound, parse_workspace, presheaf_data
+from .workspace import check_bound, map_data, parse_bound, parse_workspace, presheaf_data
 
 _VERDICT = {
     Verdict.YES: "pass",
@@ -163,19 +167,20 @@ def _split_flags(tokens):
     return args, flags
 
 
-def _settings(ws_config, flags):
+def _settings(ws, flags):
     try:
-        fuel = int(flags["fuel"]) if "fuel" in flags else ws_config.fuel
+        fuel = int(flags["fuel"]) if "fuel" in flags else ws.config.fuel
     except ValueError:
         raise UsageError(f"--fuel expects an integer, got {flags['fuel']!r}")
     if "bound" in flags:
         try:
             bound = parse_bound(flags["bound"])
+            check_bound(bound, ws.base.objects)
         except ValueError as bad:
             raise UsageError(f"--bound: {bad}")
     else:
-        bound = ws_config.bound
-    cross = bool(flags.get("cross-check", ws_config.cross_check))
+        bound = ws.config.bound
+    cross = bool(flags.get("cross-check", ws.config.cross_check))
     return fuel, bound, cross
 
 
@@ -196,7 +201,7 @@ class _Run:
     def load(self):
         self.workspace = parse_workspace(self.path)
         self.fuel, self.bound, self.cross_check = _settings(
-            self.workspace.config, self.flags
+            self.workspace, self.flags
         )
         return self.workspace
 
@@ -247,12 +252,15 @@ def _cmd_validate(run):
     return run.report("pass", details=summary)
 
 
-def _cmd_factor(run):
+def _map_and_genset(run):
     ws = run.load()
     if len(run.arguments) != 2:
-        raise UsageError("factor takes MAP GENSET")
-    f = ws.map(run.arguments[0])
-    I = ws.genset(run.arguments[1])
+        raise UsageError(f"{run.command} takes MAP GENSET")
+    return ws.map(run.arguments[0]), ws.genset(run.arguments[1])
+
+
+def _cmd_factor(run):
+    f, I = _map_and_genset(run)
     fact = soa_factorize(f, I, run.fuel)
     verdict = "pass" if fact.status is Status.COMPLETE else "inconclusive"
     return run.report(
@@ -264,18 +272,8 @@ def _cmd_factor(run):
 
 
 def _cmd_cylinder(run):
-    ws = run.load()
-    if len(run.arguments) != 2:
-        raise UsageError("cylinder takes MAP GENSET")
-    i = ws.map(run.arguments[0])
-    I = ws.genset(run.arguments[1])
-    try:
-        cyl = cylinder(i, I, run.fuel)
-    except FuelExhausted as err:
-        return run.report(
-            "inconclusive",
-            counterexample={"error": "FuelExhausted", "detail": str(err)},
-        )
+    i, I = _map_and_genset(run)
+    cyl = cylinder(i, I, run.fuel)
     return run.report(
         "pass",
         witnesses=[cyl.incl0, cyl.incl1, cyl.collapse],
@@ -296,22 +294,16 @@ def _cmd_homotopic(run):
         I = ws.genset(args[4])
     else:
         raise UsageError("homotopic takes MAP MAP [rel MAP] GENSET")
-    try:
-        if run.cross_check:
-            witness, agree = homotopic_cross_check(f0, f1, rel, I, run.fuel)
-            if not agree:
-                return run.report(
-                    "inconclusive",
-                    counterexample={"error": "cross-check disagreement"},
-                    details={"cylinder-order-agreement": False},
-                )
-        else:
-            witness = homotopic(f0, f1, rel, I, run.fuel)
-    except FuelExhausted as err:
-        return run.report(
-            "inconclusive",
-            counterexample={"error": "FuelExhausted", "detail": str(err)},
-        )
+    if run.cross_check:
+        witness, agree = homotopic_cross_check(f0, f1, rel, I, run.fuel)
+        if not agree:
+            return run.report(
+                "inconclusive",
+                counterexample={"error": "cross-check disagreement"},
+                details={"cylinder-order-agreement": False},
+            )
+    else:
+        witness = homotopic(f0, f1, rel, I, run.fuel)
     if witness is None:
         return run.report("fail", details={"homotopic": False})
     return run.report("pass", witnesses=[witness.map], details=witness)
@@ -324,13 +316,9 @@ def _universe(run, I):
 
 
 def _cmd_classify(run):
-    ws = run.load()
-    if len(run.arguments) != 2:
-        raise UsageError("classify takes MAP GENSET")
-    f = ws.map(run.arguments[0])
-    I = ws.genset(run.arguments[1])
+    f, I = _map_and_genset(run)
     U, ctx = _universe(run, I)
-    result = classify_map(f, I, U, run.fuel, ctx)
+    result = classify_map(f, I, U, ctx)
     parts = result.as_dict()
     del parts["sdr-consistent"]
     if result.consistent is False:
@@ -357,17 +345,11 @@ def _cmd_checker(run):
     I = ws.genset(run.arguments[0])
     U, ctx = _universe(run, I)
     if run.command == "verify-axioms":
-        try:
-            J = build_jset(I, run.fuel, ctx)
-        except FuelExhausted as err:
-            return run.report(
-                "inconclusive",
-                counterexample={"error": "FuelExhausted", "detail": str(err)},
-            )
+        J = build_jset(I, run.fuel, ctx)
         we = WeClass.from_generators(I, run.fuel, ctx)
-        outcome = verify_axioms(I, J, we, U, run.fuel, ctx)
+        outcome = verify_axioms(I, J, we, U)
     else:
-        outcome = _CHECKERS[run.command](I, U, run.fuel, ctx)
+        outcome = _CHECKERS[run.command](I, U, ctx)
     return run.report(
         _VERDICT[outcome.verdict],
         witnesses=outcome.witnesses,
@@ -407,7 +389,14 @@ def run(argv=None) -> int:
         if not rest:
             raise UsageError("missing workspace path")
         runner = _Run(command, rest[0], rest[1:], flags)
-        report, code = _COMMANDS[command](runner)
+        try:
+            report, code = _COMMANDS[command](runner)
+        except FuelExhausted as err:
+            # a guarded construction ran dry: the question stays open
+            report, code = runner.report(
+                "inconclusive",
+                counterexample={"error": "FuelExhausted", "detail": str(err)},
+            )
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         print(_usage_text(), file=sys.stderr)

@@ -79,9 +79,5 @@ class ParseError(EngineError):
         super().__init__(message)
 
 
-class UnknownCommand(EngineError):
-    """The CLI was asked to run a command it does not define."""
-
-
 class UnknownName(EngineError):
     """A command referenced a workspace entity that does not exist."""

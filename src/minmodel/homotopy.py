@@ -21,8 +21,11 @@ from .lifting import RelationOracle
 from .presheaf import (
     Presheaf,
     PresheafMap,
-    Seeds,
     _enumerate_components,
+    _fibres,
+    _first_map,
+    _identity_values,
+    _pin,
     compose,
     identity_map,
 )
@@ -74,22 +77,6 @@ def _require_parallel(f0: PresheafMap, f1: PresheafMap) -> None:
         raise NonComposable("homotopy needs parallel maps")
 
 
-def _end_seeds(
-    cyl: CylinderObject, f0: PresheafMap, f1: PresheafMap
-) -> Seeds | None:
-    seeds: Seeds = {}
-    for incl, f in ((cyl.incl0, f0), (cyl.incl1, f1)):
-        for o, col in enumerate(incl._comp):
-            fcol = f._comp[o]
-            for y, w in enumerate(col):
-                want = fcol[y]
-                prev = seeds.get((o, w))
-                if prev is not None and prev != want:
-                    return None
-                seeds[(o, w)] = want
-    return seeds
-
-
 def homotopic(
     f0: PresheafMap,
     f1: PresheafMap,
@@ -114,13 +101,9 @@ def homotopic(
         )
     if cyl is None:
         cyl = cylinder(rel, I, fuel)
-    seeds = _end_seeds(cyl, f0, f1)
-    if seeds is None:
-        return None
-    Z = f0.target
-    for comp in _enumerate_components(cyl.apex, Z, seeds=seeds):
-        return HomotopyWitness(cyl, PresheafMap._make(cyl.apex, Z, comp))
-    return None
+    seeds = _pin((cyl.incl0._comp, f0._comp), (cyl.incl1._comp, f1._comp))
+    h = _first_map(cyl.apex, f0.target, seeds)
+    return None if h is None else HomotopyWitness(cyl, h)
 
 
 def homotopic_cross_check(
@@ -202,9 +185,7 @@ def _deformation_retract(
     fuel: int | None,
     rel: PresheafMap | None,
 ) -> DeformationRetractResult:
-    from .presheaf import _retraction_seeds
-
-    seeds = _retraction_seeds(f)
+    seeds = _pin((f._comp, _identity_values(f._comp)))
     if seeds is None:
         return DeformationRetractResult(Verdict.NO, None, None)
     Y, X = f.target, f.source
@@ -296,29 +277,10 @@ def right_homotopic(
     if path is None:
         path = path_object(Z, J, fuel)
     # per-slot values must project to f0 and f1
-    allowed = []
-    for o in range(len(Y.carriers)):
-        p0, p1 = path.proj0._comp[o], path.proj1._comp[o]
-        buckets: dict[tuple[int, int], set[int]] = {}
-        for w in range(len(path.apex.carriers[o])):
-            buckets.setdefault((p0[w], p1[w]), set()).add(w)
-        allowed.append(
-            [
-                frozenset(
-                    buckets.get((f0._comp[o][y], f1._comp[o][y]), ())
-                )
-                for y in range(len(Y.carriers[o]))
-            ]
-        )
+    allowed = _fibres(
+        (zip(p0, p1) for p0, p1 in zip(path.proj0._comp, path.proj1._comp)),
+        (zip(a, b) for a, b in zip(f0._comp, f1._comp)),
+    )
     constant = compose(rel, compose(f0, path.into))
-    seeds: Seeds = {}
-    for o, col in enumerate(rel._comp):
-        for x, y in enumerate(col):
-            want = constant._comp[o][x]
-            prev = seeds.get((o, y))
-            if prev is not None and prev != want:
-                return None
-            seeds[(o, y)] = want
-    for comp in _enumerate_components(Y, path.apex, seeds=seeds, allowed=allowed):
-        return RightHomotopyWitness(path, PresheafMap._make(Y, path.apex, comp))
-    return None
+    h = _first_map(Y, path.apex, _pin((rel._comp, constant._comp)), allowed)
+    return None if h is None else RightHomotopyWitness(path, h)

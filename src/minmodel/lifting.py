@@ -7,16 +7,17 @@ and only asks the lower one to hold up to a caller-supplied relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from .colimits import initial_map
 from .errors import NonComposable, NonCommutingSquare
 from .presheaf import (
     Presheaf,
     PresheafMap,
-    Seeds,
     _enumerate_components,
+    _fibres,
+    _pin,
     compose,
     hom_enumerate,
 )
@@ -68,40 +69,14 @@ class RelationOracle:
         )
 
 
-def _upper_seeds(left: PresheafMap, top: PresheafMap) -> Seeds | None:
-    """Slots forced by h after left = top, or None when inconsistent."""
-    seeds: Seeds = {}
-    for o, col in enumerate(left._comp):
-        tcol = top._comp[o]
-        for x, fx in enumerate(col):
-            want = tcol[x]
-            prev = seeds.get((o, fx))
-            if prev is not None and prev != want:
-                return None
-            seeds[(o, fx)] = want
-    return seeds
-
-
-def _lower_allowed(right: PresheafMap, bottom: PresheafMap):
-    """Per-slot value sets forced by right after h = bottom."""
-    allowed = []
-    for o, bcol in enumerate(bottom._comp):
-        buckets: dict[int, set[int]] = {}
-        for c, d in enumerate(right._comp[o]):
-            buckets.setdefault(d, set()).add(c)
-        allowed.append(
-            [frozenset(buckets.get(d, ())) for d in bcol]
-        )
-    return allowed
-
-
 def solve_lifting(problem: LiftingProblem) -> PresheafMap | None:
     """First diagonal solving the square strictly, or None."""
     STATS["solver_calls"] += 1
-    seeds = _upper_seeds(problem.left, problem.top)
+    seeds = _pin((problem.left._comp, problem.top._comp))
     if seeds is None:
         return None
-    allowed = _lower_allowed(problem.right, problem.bottom)
+    # values of h allowed by right after h = bottom
+    allowed = _fibres(problem.right._comp, problem.bottom._comp)
     B, C = problem.left.target, problem.right.source
     for comp in _enumerate_components(B, C, seeds=seeds, allowed=allowed):
         return PresheafMap._make(B, C, comp)
@@ -114,7 +89,7 @@ def solve_lifting_up_to(
     """First diagonal whose upper triangle is strict and whose lower
     triangle holds up to `relation`, together with the relation witness."""
     STATS["solver_calls"] += 1
-    seeds = _upper_seeds(problem.left, problem.top)
+    seeds = _pin((problem.left._comp, problem.top._comp))
     if seeds is None:
         return None
     B, C = problem.left.target, problem.right.source
@@ -136,19 +111,8 @@ def square_enumerate(
     after the fact.
     """
     for top in hom_enumerate(left.source, right.source):
-        seeds: Seeds = {}
-        ok = True
-        for o, col in enumerate(left._comp):
-            for x, fx in enumerate(col):
-                want = right._comp[o][top._comp[o][x]]
-                prev = seeds.get((o, fx))
-                if prev is not None and prev != want:
-                    ok = False
-                    break
-                seeds[(o, fx)] = want
-            if not ok:
-                break
-        if not ok:
+        seeds = _pin((left._comp, top._comp), then=right._comp)
+        if seeds is None:
             continue
         for comp in _enumerate_components(left.target, right.target, seeds=seeds):
             yield top, PresheafMap._make(left.target, right.target, comp)
@@ -163,47 +127,48 @@ def unsolvable_squares(
             yield top, bottom
 
 
-Memo = dict
+def _lifts_against(
+    pairs: Iterable[tuple[PresheafMap, PresheafMap]],
+    memo: dict | None,
+    relation: RelationOracle | None = None,
+) -> bool:
+    """Whether every square over each (left, right) pair has a diagonal,
+    strict or, given `relation`, with the lower triangle up to it.
+
+    Verdicts are memoized under (left, right, relation tag or None).
+    """
+    tag = None if relation is None else relation.tag
+    for left, right in pairs:
+        key = (left, right, tag)
+        ok = None if memo is None else memo.get(key)
+        if ok is None:
+            if relation is None:
+                ok = next(unsolvable_squares(left, right), None) is None
+            else:
+                ok = find_unliftable_square_up_to(left, right, relation) is None
+            if memo is not None:
+                memo[key] = ok
+        if not ok:
+            return False
+    return True
 
 
 def has_rlp(
     g: PresheafMap,
     maps: Iterable[PresheafMap],
-    memo: Memo | None = None,
+    memo: dict | None = None,
 ) -> bool:
     """Right lifting property of g against every map in `maps`."""
-    for s in maps:
-        key = (s, g, None)
-        if memo is not None and key in memo:
-            if not memo[key]:
-                return False
-            continue
-        ok = next(unsolvable_squares(s, g), None) is None
-        if memo is not None:
-            memo[key] = ok
-        if not ok:
-            return False
-    return True
+    return _lifts_against(((s, g) for s in maps), memo)
 
 
 def has_llp(
     f: PresheafMap,
     maps: Iterable[PresheafMap],
-    memo: Memo | None = None,
+    memo: dict | None = None,
 ) -> bool:
     """Left lifting property of f against every map in `maps`."""
-    for s in maps:
-        key = (f, s, None)
-        if memo is not None and key in memo:
-            if not memo[key]:
-                return False
-            continue
-        ok = next(unsolvable_squares(f, s), None) is None
-        if memo is not None:
-            memo[key] = ok
-        if not ok:
-            return False
-    return True
+    return _lifts_against(((f, s) for s in maps), memo)
 
 
 def find_unliftable_square_up_to(
@@ -229,31 +194,20 @@ def has_rlp_up_to(
     g: PresheafMap,
     maps: Iterable[PresheafMap],
     relation: RelationOracle,
-    memo: Memo | None = None,
+    memo: dict | None = None,
 ) -> bool:
     """RLP of g against `maps`, with lower triangles up to `relation`.
 
     With the equality oracle this agrees with `has_rlp`.
     """
-    for s in maps:
-        key = (s, g, relation.tag)
-        if memo is not None and key in memo:
-            if not memo[key]:
-                return False
-            continue
-        ok = find_unliftable_square_up_to(s, g, relation) is None
-        if memo is not None:
-            memo[key] = ok
-        if not ok:
-            return False
-    return True
+    return _lifts_against(((s, g) for s in maps), memo, relation)
 
 
 def has_rlp_up_to_object(
     g: PresheafMap,
     V: Presheaf,
     relation: RelationOracle,
-    memo: Memo | None = None,
+    memo: dict | None = None,
 ) -> bool:
     """RLP up to `relation` against the map from the empty presheaf to V."""
     return has_rlp_up_to(g, [initial_map(V)], relation, memo=memo)

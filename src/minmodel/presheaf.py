@@ -8,7 +8,7 @@ package is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AssociativityViolation,
@@ -376,15 +376,6 @@ def _build_presheaf_data(
     return tuple(cols), act
 
 
-def validate_presheaf(
-    base: BaseCategory,
-    carriers: Mapping[str, Sequence[str]],
-    actions: Mapping[str, Mapping[str, str]],
-) -> Presheaf:
-    """Validate raw carrier and action data and return the presheaf."""
-    return Presheaf(base, carriers, actions)
-
-
 class PresheafMap:
     """A natural transformation between presheaves over one base."""
 
@@ -497,8 +488,43 @@ def compose(f: PresheafMap, g: PresheafMap) -> PresheafMap:
     return PresheafMap._make(f.source, g.target, comp)
 
 
+Table = Sequence[Sequence[int]]
 Seeds = dict[tuple[int, int], int]
 Allowed = list[list[frozenset[int] | None]]
+
+
+def _pin(*pairs: tuple[Table, Table], then: Table | None = None) -> Seeds | None:
+    """Slots of a map h pinned by h after `along` = `values` (followed by
+    `then` when given), for every (along, values) pair of component
+    tables; None when two pins conflict."""
+    seeds: Seeds = {}
+    for along, values in pairs:
+        for o, acol in enumerate(along):
+            vcol, tcol = values[o], None if then is None else then[o]
+            for x, a in enumerate(acol):
+                v = vcol[x] if tcol is None else tcol[vcol[x]]
+                prev = seeds.get((o, a))
+                if prev is not None and prev != v:
+                    return None
+                seeds[(o, a)] = v
+    return seeds
+
+
+def _fibres(keys: Iterable[Iterable], wanted: Iterable[Iterable]) -> Allowed:
+    """Per-slot value sets: the values whose key in `keys` equals the slot's
+    entry in `wanted`, column by column."""
+    allowed = []
+    for kcol, wcol in zip(keys, wanted):
+        buckets: dict[object, set[int]] = {}
+        for c, k in enumerate(kcol):
+            buckets.setdefault(k, set()).add(c)
+        allowed.append([frozenset(buckets.get(w, ())) for w in wcol])
+    return allowed
+
+
+def _identity_values(table: Table) -> list[range]:
+    """Component values of the identity on the source of `table`."""
+    return [range(len(col)) for col in table]
 
 
 def _enumerate_components(
@@ -580,6 +606,18 @@ def hom_enumerate(X: Presheaf, Y: Presheaf) -> Iterator[PresheafMap]:
         yield PresheafMap._make(X, Y, comp)
 
 
+def _first_map(
+    X: Presheaf, Y: Presheaf, seeds: Seeds | None, allowed: Allowed | None = None
+) -> PresheafMap | None:
+    """First map X -> Y extending `seeds` within `allowed`; None when there
+    is none or the seeds already conflict."""
+    if seeds is None:
+        return None
+    for comp in _enumerate_components(X, Y, seeds=seeds, allowed=allowed):
+        return PresheafMap._make(X, Y, comp)
+    return None
+
+
 def is_mono(f: PresheafMap) -> bool:
     """Componentwise injectivity."""
     for col in f._comp:
@@ -588,26 +626,9 @@ def is_mono(f: PresheafMap) -> bool:
     return True
 
 
-def _retraction_seeds(f: PresheafMap) -> Seeds | None:
-    """Slots of a retraction g with g(f(x)) = x, or None if inconsistent."""
-    seeds: Seeds = {}
-    for o, col in enumerate(f._comp):
-        for x, fx in enumerate(col):
-            prev = seeds.get((o, fx))
-            if prev is not None and prev != x:
-                return None
-            seeds[(o, fx)] = x
-    return seeds
-
-
 def find_retraction(f: PresheafMap) -> PresheafMap | None:
     """First g with g  after f = identity, in enumeration order."""
-    seeds = _retraction_seeds(f)
-    if seeds is None:
-        return None
-    for comp in _enumerate_components(f.target, f.source, seeds=seeds):
-        return PresheafMap._make(f.target, f.source, comp)
-    return None
+    return _first_map(f.target, f.source, _pin((f._comp, _identity_values(f._comp))))
 
 
 def is_split_mono(f: PresheafMap) -> bool:
@@ -636,76 +657,32 @@ def is_retract_of(f: PresheafMap, g: PresheafMap) -> MorphismRetraction | None:
         raise BaseMismatch("retract search needs a shared base")
     A, B = f.source, f.target
     C, D = g.source, g.target
-    for ca, cc in zip(A.carriers, C.carriers):
-        if len(ca) > len(cc):
-            return None
-    for cb, cd in zip(B.carriers, D.carriers):
-        if len(cb) > len(cd):
-            return None
+    inner = A.carriers + B.carriers
+    if any(len(x) > len(y) for x, y in zip(inner, C.carriers + D.carriers)):
+        return None
     for st_comp in _enumerate_components(A, C):
         # bottom section forced on the image of f by the commuting condition
-        sb_seeds: Seeds = {}
-        ok = True
-        for o, col in enumerate(f._comp):
-            for x, fx in enumerate(col):
-                want = g._comp[o][st_comp[o][x]]
-                prev = sb_seeds.get((o, fx))
-                if prev is not None and prev != want:
-                    ok = False
-                    break
-                sb_seeds[(o, fx)] = want
-            if not ok:
-                break
-        if not ok:
+        sb_seeds = _pin((f._comp, st_comp), then=g._comp)
+        if sb_seeds is None:
             continue
-        rt_seeds: Seeds = {}
-        for o, col in enumerate(st_comp):
-            bad = False
-            for x, sx in enumerate(col):
-                prev = rt_seeds.get((o, sx))
-                if prev is not None and prev != x:
-                    bad = True
-                    break
-                rt_seeds[(o, sx)] = x
-            if bad:
-                ok = False
-                break
-        if not ok:
+        rt_seeds = _pin((st_comp, _identity_values(st_comp)))
+        if rt_seeds is None:
             continue
         for sb_comp in _enumerate_components(B, D, seeds=sb_seeds):
+            # no bottom retraction undoes a non-injective bottom section
+            undo_sb = (sb_comp, _identity_values(sb_comp))
+            if _pin(undo_sb) is None:
+                continue
             for rt_comp in _enumerate_components(C, A, seeds=rt_seeds):
-                rb_seeds: Seeds = {}
-                good = True
-                for o, col in enumerate(sb_comp):
-                    for x, sx in enumerate(col):
-                        prev = rb_seeds.get((o, sx))
-                        if prev is not None and prev != x:
-                            good = False
-                            break
-                        rb_seeds[(o, sx)] = x
-                    if not good:
-                        break
-                if not good:
-                    continue
-                for o, col in enumerate(g._comp):
-                    for c, gc in enumerate(col):
-                        want = f._comp[o][rt_comp[o][c]]
-                        prev = rb_seeds.get((o, gc))
-                        if prev is not None and prev != want:
-                            good = False
-                            break
-                        rb_seeds[(o, gc)] = want
-                    if not good:
-                        break
-                if not good:
-                    continue
-                for rb_comp in _enumerate_components(D, B, seeds=rb_seeds):
+                rt = PresheafMap._make(C, A, rt_comp)
+                rb = _first_map(D, B, _pin(undo_sb, (g._comp, compose(rt, f)._comp)))
+                if rb is not None:
                     return MorphismRetraction(
                         inner=f,
                         outer=g,
                         section_top=PresheafMap._make(A, C, st_comp),
                         section_bottom=PresheafMap._make(B, D, sb_comp),
-                        retraction_top=PresheafMap._make(C, A, rt_comp),
-                        retraction_bottom=PresheafMap._make(D, B, rb_comp),
+                        retraction_top=rt,
+                        retraction_bottom=rb,
                     )
     return None

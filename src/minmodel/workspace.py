@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import DuplicateName, ParseError, UnknownName
 from .factorization import GeneratingSet
@@ -89,8 +90,23 @@ def parse_bound(text: str) -> dict[str, int] | int:
         obj, _, num = part.partition("=")
         if not obj or not num:
             raise ValueError(f"bad bound entry {part!r}")
+        if obj in out:
+            raise ValueError(f"bound names {obj!r} twice")
         out[obj] = int(num)
     return out
+
+
+def check_bound(bound: dict[str, int] | int, objects: Sequence[str]) -> None:
+    """Raise ValueError unless every value is at least 0 and a per-object
+    bound names exactly the base objects."""
+    per_object = bound if isinstance(bound, dict) else dict.fromkeys(objects, bound)
+    if sorted(per_object) != sorted(objects):
+        raise ValueError(
+            f"bound must name each base object once ({' '.join(objects)}), "
+            f"got {' '.join(per_object)}"
+        )
+    if any(n < 0 for n in per_object.values()):
+        raise ValueError("bound values must be at least 0")
 
 
 def _split_sections(text: str):
@@ -140,6 +156,7 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
 
     seen_base = False
     base_numbers: list[int] = []
+    bound_line = None
     for header, start, body in _split_sections(text):
         if header == "config":
             for n, line in body:
@@ -148,12 +165,18 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
                 if not sep or not value:
                     raise ParseError(f"expected key: value, got {line!r}", line=n)
                 if key == "fuel":
-                    config.fuel = int(value)
+                    try:
+                        config.fuel = int(value)
+                    except ValueError:
+                        raise ParseError(
+                            f"fuel must be an integer, got {value!r}", line=n
+                        )
                 elif key == "bound":
                     try:
                         config.bound = parse_bound(value)
                     except ValueError as bad:
                         raise ParseError(str(bad), line=n)
+                    bound_line = n
                 elif key == "cross-check":
                     if value not in ("on", "off", "true", "false"):
                         raise ParseError(
@@ -192,6 +215,11 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
         if err.line is not None and 1 <= err.line <= len(base_numbers):
             raise ParseError(str(err).partition(": ")[2], line=base_numbers[err.line - 1])
         raise
+    if bound_line is not None:
+        try:
+            check_bound(config.bound, base.objects)
+        except ValueError as bad:
+            raise ParseError(str(bad), line=bound_line)
 
     presheaves: dict[str, Presheaf] = {}
     for pname, start, body in presheaf_sections:
@@ -270,10 +298,14 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
 
 
 def parse_workspace(path: str) -> Workspace:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    name = os.path.basename(path)
-    return parse_workspace_text(text, name)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        line = data.count(b"\n", 0, bad.start) + 1
+        raise ParseError(f"byte {data[bad.start]:#04x} is not UTF-8 text", line=line)
+    return parse_workspace_text(text, os.path.basename(path))
 
 
 def _bound_text(bound: dict[str, int] | int) -> str:

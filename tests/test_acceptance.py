@@ -99,16 +99,16 @@ def test_criterion_02_finset_i2_bijections_and_axioms():
     start = time.monotonic()
     U = universe(WS_I2, I2)
     ctx = HomotopyContext(I2, WS_I2.config.fuel)
-    report = enumerate_weak_equivalences(I2, U, WS_I2.config.fuel, ctx)
+    report = enumerate_weak_equivalences(I2, U, ctx)
     assert report.passed
     got = set(report.witnesses)
     want = {f for f in U.all_maps() if is_bijective(f)}
     assert got == want
     assert len(got) == 10
-    assert check_main_condition(I2, U, WS_I2.config.fuel, ctx).passed
+    assert check_main_condition(I2, U, ctx).passed
     J = build_jset(I2, WS_I2.config.fuel, ctx)
     we = WeClass.from_generators(I2, WS_I2.config.fuel, ctx)
-    outcome = verify_axioms(I2, J, we, U, WS_I2.config.fuel, ctx)
+    outcome = verify_axioms(I2, J, we, U)
     assert outcome.passed
     assert len(outcome.subchecks) == 6
     assert all(sub.verdict is Verdict.YES for sub in outcome.subchecks)
@@ -120,12 +120,12 @@ def test_criterion_03_main_condition_implies_axioms():
     for ws, I in FIXTURES:
         U = universe(ws, I)
         ctx = HomotopyContext(I, ws.config.fuel)
-        main = check_main_condition(I, U, ws.config.fuel, ctx)
+        main = check_main_condition(I, U, ctx)
         if not main.passed:
             continue
         J = build_jset(I, ws.config.fuel, ctx)
         we = WeClass.from_generators(I, ws.config.fuel, ctx)
-        assert verify_axioms(I, J, we, U, ws.config.fuel, ctx).passed, I.label
+        assert verify_axioms(I, J, we, U).passed, I.label
         exercised += 1
     assert exercised >= 2
 
@@ -134,7 +134,7 @@ def test_criterion_04_trivial_cofibration_iff_strong_deformation_retract():
     for ws, I in ((WS_I1, I1), (WS_I2, I2)):
         U = universe(ws, I)
         ctx = HomotopyContext(I, ws.config.fuel)
-        assert check_main_condition(I, U, ws.config.fuel, ctx).passed
+        assert check_main_condition(I, U, ctx).passed
         we = WeClass.from_generators(I, ws.config.fuel, ctx)
         cofs = 0
         for f in U.all_maps():
@@ -260,7 +260,7 @@ def test_criterion_06_homotopy_relation_laws():
         fuel = ws.config.fuel
         U = universe(ws, I)
         ctx = HomotopyContext(I, fuel)
-        if not check_appropriate(I, U, fuel, ctx).passed:
+        if not check_appropriate(I, U, ctx).passed:
             continue
         exercised += 1
         rels = cofibrations_by_target(U)
@@ -312,7 +312,7 @@ def test_criterion_08_trivial_fibration_and_purity_propositions():
         for f in U.all_maps():
             fib = has_rlp(f, J.maps)
             weq = is_weak_equivalence(f, I, fuel, ctx).verdict
-            pure = is_pure(f, U, fuel).verdict
+            pure = is_pure(f, U).verdict
             assert weq in (Verdict.YES, Verdict.NO)
             assert pure in (Verdict.YES, Verdict.NO)
             iinj = in_inj(f, I)

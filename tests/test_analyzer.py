@@ -206,7 +206,7 @@ def test_axioms_pass_on_finite_sets():
         ctx = HomotopyContext(gens, 1024)
         J = build_jset(gens, ctx=ctx)
         we = WeClass.from_generators(gens, ctx=ctx)
-        report = verify_axioms(gens, J, we, U, ctx=ctx)
+        report = verify_axioms(gens, J, we, U)
         assert report.verdict is Verdict.YES, gens.label
         assert [s.check for s in report.subchecks] == [
             "A1-permits-factorizations",
@@ -224,7 +224,7 @@ def test_axioms_fail_on_graphs_with_a_real_counterexample():
     ctx = HomotopyContext(IG, 1024)
     J = build_jset(IG, ctx=ctx)
     we = WeClass.from_generators(IG, ctx=ctx)
-    report = verify_axioms(IG, J, we, U, ctx=ctx)
+    report = verify_axioms(IG, J, we, U)
     assert report.verdict is Verdict.NO
     by_name = {s.check: s for s in report.subchecks}
     two_three = by_name["A2-two-out-of-three"]

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from minmodel.analyzer import BoundedUniverse
 from minmodel.errors import (
     DuplicateName,
     FunctorialityViolation,
@@ -13,6 +14,7 @@ from minmodel.errors import (
     SizeLimitExceeded,
     ValidationError,
 )
+from minmodel.factorization import GeneratingSet
 from minmodel.presheaf import (
     Presheaf,
     PresheafMap,
@@ -180,6 +182,64 @@ def test_retract_diagrams():
     # monos are closed under retracts, so a mono is never a retract of a
     # non-mono
     assert is_retract_of(iota, fsmap(2, 1, (0, 0))) is None
+
+
+def _brute_retraction(f):
+    """First g with g after f = identity, straight from the definition."""
+    for g in hom_enumerate(f.target, f.source):
+        if compose(f, g).is_identity():
+            return g
+    return None
+
+
+def _brute_retract(f, g):
+    """First (section top, section bottom, retraction top, retraction
+    bottom) exhibiting f as a retract of g, in enumeration order."""
+    A, B, C, D = f.source, f.target, g.source, g.target
+    for st in hom_enumerate(A, C):
+        for sb in hom_enumerate(B, D):
+            if compose(f, sb) != compose(st, g):
+                continue
+            for rt in hom_enumerate(C, A):
+                if not compose(st, rt).is_identity():
+                    continue
+                for rb in hom_enumerate(D, B):
+                    if not compose(sb, rb).is_identity():
+                        continue
+                    if compose(g, rb) == compose(rt, f):
+                        return st, sb, rt, rb
+    return None
+
+
+def _small_maps():
+    finset = [
+        fsmap(m, n, imgs)
+        for m in range(3)
+        for n in range(3)
+        for imgs in itertools.product(range(n), repeat=m)
+    ]
+    graphs = BoundedUniverse(GPH_BASE, {"v": 1, "e": 1}, GeneratingSet("none", ()))
+    return finset, list(graphs.all_maps())
+
+
+def test_retract_searches_match_the_definition():
+    for maps in _small_maps():
+        for f in maps:
+            assert find_retraction(f) == _brute_retraction(f)
+            for g in maps:
+                got = is_retract_of(f, g)
+                want = _brute_retract(f, g)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None
+                    assert (got.inner, got.outer) == (f, g)
+                    assert (
+                        got.section_top,
+                        got.section_bottom,
+                        got.retraction_top,
+                        got.retraction_bottom,
+                    ) == want
 
 
 _SMALL = [

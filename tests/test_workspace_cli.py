@@ -7,6 +7,7 @@ import pytest
 from minmodel import cli
 from minmodel.errors import ParseError, UnknownName, ValidationError
 from minmodel.workspace import (
+    check_bound,
     map_data,
     parse_bound,
     parse_workspace,
@@ -142,9 +143,14 @@ def test_bound_spellings():
     assert parse_bound("3") == 3
     assert parse_bound("v=2 e=2") == {"v": 2, "e": 2}
     assert parse_bound("v=2,e=1") == {"v": 2, "e": 1}
-    for bad in ("", "v=", "v=x", "three"):
+    for bad in ("", "v=", "v=x", "three", "v=1 v=2"):
         with pytest.raises(ValueError):
             parse_bound(bad)
+    check_bound(0, ("v", "e"))
+    check_bound({"e": 1, "v": 2}, ("v", "e"))
+    for bad in (-1, {"v": 2}, {"v": 2, "e": 2, "x": 1}, {"v": 2, "e": -1}):
+        with pytest.raises(ValueError):
+            check_bound(bad, ("v", "e"))
 
 
 def test_round_trip_through_the_serializer():
@@ -221,6 +227,20 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
     assert cli.run(["classify", FI1, "missing", "I1"]) == 3
     err = capsys.readouterr().err
     assert "usage" in err.lower() or "error" in err.lower()
+    # a --bound must name every base object once, nothing else, all >= 0
+    for spec in ("y=2", "x=1,zz=4", "x=1,x=2", "-1", "x=-1"):
+        assert cli.run(["enumerate-we", FI1, "I1", "--bound", spec]) == 3, spec
+        assert "error: --bound: " in capsys.readouterr().err, spec
+    # workspace faults come back with their line numbers
+    for name, data, line in (
+        ("fuel.ws", b"[config]\nfuel: abc\n[base]\nobjects: x\n", 2),
+        ("bound.ws", b"[base]\nobjects: x\n[config]\nbound: y=2\n", 4),
+        ("bytes.ws", b"[base]\nobjects: x\n# caf\xe9\n", 3),
+    ):
+        ws = tmp_path / name
+        ws.write_bytes(data)
+        assert cli.run(["validate", str(ws)]) == 3, name
+        assert f"line {line}:" in capsys.readouterr().err, name
 
 
 def test_factor_command(tmp_path):
@@ -242,6 +262,15 @@ def test_factor_without_fuel_is_inconclusive(tmp_path):
     assert report["verdict"] == "inconclusive"
     assert report["details"]["status"] == "fuel-exhausted"
     assert report["parameters"]["fuel"] == 0
+    # constructions that raise when fuel runs out report it the same way
+    for args in (
+        ["cylinder", FI2, "i01", "I2"],
+        ["homotopic", FI2, "iota0", "iota1", "I2"],
+        ["verify-axioms", FI2, "I2"],
+    ):
+        code, report, _ = run_cli(args + ["--fuel", "0"], tmp_path)
+        assert code == 2, args
+        assert report["counterexample"]["error"] == "FuelExhausted", args
 
 
 def test_cylinder_command(tmp_path):
