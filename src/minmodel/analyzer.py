@@ -30,6 +30,7 @@ from .presheaf import (
     find_retraction,
     hom_enumerate,
     is_retract_of,
+    iso_key,
 )
 
 
@@ -112,8 +113,10 @@ class BoundedUniverse:
 
     Enumeration order is fixed: size vectors run in base-object order,
     action tables lexicographically; elements are named by their index.
-    Isomorphic duplicates are kept on purpose (renaming invariance comes
-    for free as a consistency check).  Objects whose cofibrancy cannot be
+    Isomorphic duplicates are kept, so every check walks them in that
+    order; the coproduct sweep of `check_properness_condition` computes
+    one verdict per pair of isomorphism classes (`iso_key`) and shares it
+    among the pairs of that class.  Objects whose cofibrancy cannot be
     decided within fuel are left out of the cofibrant family and counted.
     """
 
@@ -488,6 +491,38 @@ def check_main_condition(
     return _combine("main-condition", params, [appropriate, cell])
 
 
+def _coproduct_map(t1: PresheafMap, t2: PresheafMap) -> PresheafMap:
+    """t1 + t2, from the coproduct of the sources to that of the targets."""
+    sources = coproduct(t1.source, t2.source)
+    targets = coproduct(t1.target, t2.target)
+    return sources.mediator(compose(t1, targets.left), compose(t2, targets.right))
+
+
+def _coproduct_outcomes(
+    maps: list[PresheafMap], I: GeneratingSet, memo: dict
+) -> Iterator[Outcome]:
+    """Whether t1 + t2 is I-injective, for every ordered pair of `maps` in
+    order: Verdict.YES, or the pair and its sum as counterexample.
+
+    t1 + t2 is isomorphic to t2 + t1 and to s1 + s2 for any arrows s1, s2
+    isomorphic to t1, t2, and lifting is invariant under isomorphism, so
+    one verdict per unordered pair of iso classes serves every pair.
+    """
+    classes: dict[tuple, int] = {}
+    kinds = [classes.setdefault(iso_key(t), len(classes)) for t in maps]
+    lifts: dict[tuple[int, int], bool] = {}
+    for t1, k1 in zip(maps, kinds):
+        for t2, k2 in zip(maps, kinds):
+            pair = (k1, k2) if k1 <= k2 else (k2, k1)
+            ok = lifts.get(pair)
+            if ok is None:
+                ok = lifts[pair] = in_inj(_coproduct_map(t1, t2), I, memo=memo)
+            if ok:
+                yield Verdict.YES
+            else:
+                yield {"first": t1, "second": t2, "coproduct": _coproduct_map(t1, t2)}
+
+
 def check_properness_condition(
     I: GeneratingSet,
     U: BoundedUniverse,
@@ -501,19 +536,6 @@ def check_properness_condition(
     params = {"generators": I.label, **U.describe()}
     we = WeClass.from_generators(I, U.fuel, ctx)
     tfibs = list(U.trivial_fibrations_between_cofibrant())
-
-    def coproducts() -> Iterator[Outcome]:
-        for t1 in tfibs:
-            for t2 in tfibs:
-                sources = coproduct(t1.source, t2.source)
-                targets = coproduct(t1.target, t2.target)
-                both = sources.mediator(
-                    compose(t1, targets.left), compose(t2, targets.right)
-                )
-                if in_inj(both, I, memo=U._rlp_memo):
-                    yield Verdict.YES
-                else:
-                    yield {"first": t1, "second": t2, "coproduct": both}
 
     def comparisons() -> Iterator[Outcome]:
         for k, i in enumerate(I.maps):
@@ -535,7 +557,7 @@ def check_properness_condition(
                     else:
                         yield v
 
-    failure, checked, _ = _first_failure(coproducts())
+    failure, checked, _ = _first_failure(_coproduct_outcomes(tfibs, I, U._rlp_memo))
     if failure:
         closed = _report("tfib-coproducts", params, failure)
     else:

@@ -20,7 +20,8 @@ Commands:
 
 --bound (and the workspace's `bound:`) is one integer for every base
 object, or NAME=N assignments that name every base object exactly once and
-nothing else; every value must be at least 0.
+nothing else; every value must be at least 0.  --fuel (and `fuel:`) is an
+integer that is at least 0.
 
 Every run writes one JSON report (stdout, or --out PATH) and exits with
 0 = pass, 1 = fail, 2 = inconclusive, 3 = usage or parse error.  Reports
@@ -62,7 +63,14 @@ from .homotopy import (
     homotopic_cross_check,
 )
 from .presheaf import Presheaf, PresheafMap
-from .workspace import check_bound, map_data, parse_bound, parse_workspace, presheaf_data
+from .workspace import (
+    check_bound,
+    map_data,
+    parse_bound,
+    parse_fuel,
+    parse_workspace,
+    presheaf_data,
+)
 
 _VERDICT = {
     Verdict.YES: "pass",
@@ -169,9 +177,9 @@ def _split_flags(tokens):
 
 def _settings(ws, flags):
     try:
-        fuel = int(flags["fuel"]) if "fuel" in flags else ws.config.fuel
-    except ValueError:
-        raise UsageError(f"--fuel expects an integer, got {flags['fuel']!r}")
+        fuel = parse_fuel(flags["fuel"]) if "fuel" in flags else ws.config.fuel
+    except ValueError as bad:
+        raise UsageError(f"--fuel {bad}")
     if "bound" in flags:
         try:
             bound = parse_bound(flags["bound"])

@@ -50,6 +50,19 @@ class LiftingProblem:
         if compose(self.top, self.right) != compose(self.left, self.bottom):
             raise NonCommutingSquare("lifting problem does not commute")
 
+    @classmethod
+    def _unchecked(
+        cls,
+        left: PresheafMap,
+        right: PresheafMap,
+        top: PresheafMap,
+        bottom: PresheafMap,
+    ) -> "LiftingProblem":
+        """A square that `square_enumerate` built commuting; not re-checked."""
+        problem = cls.__new__(cls)
+        problem.__dict__.update(left=left, right=right, top=top, bottom=bottom)
+        return problem
+
 
 @dataclass(frozen=True)
 class RelationOracle:
@@ -123,7 +136,7 @@ def unsolvable_squares(
 ) -> Iterator[tuple[PresheafMap, PresheafMap]]:
     """Commuting squares with no strict diagonal, in enumeration order."""
     for top, bottom in square_enumerate(left, right):
-        if solve_lifting(LiftingProblem(left, right, top, bottom)) is None:
+        if solve_lifting(LiftingProblem._unchecked(left, right, top, bottom)) is None:
             yield top, bottom
 
 
@@ -181,7 +194,7 @@ def find_unliftable_square_up_to(
     the common case away from the relation search.
     """
     for top, bottom in square_enumerate(left, right):
-        problem = LiftingProblem(left, right, top, bottom)
+        problem = LiftingProblem._unchecked(left, right, top, bottom)
         h = solve_lifting(problem)
         if h is not None and relation.decide(compose(h, right), bottom) is not None:
             continue

@@ -686,3 +686,135 @@ def is_retract_of(f: PresheafMap, g: PresheafMap) -> MorphismRetraction | None:
                         retraction_bottom=rb,
                     )
     return None
+
+
+def iso_key(f: PresheafMap) -> tuple:
+    """A canonical relabelling of f: two maps get equal keys exactly when
+    they are isomorphic in the arrow category, that is, related by natural
+    isomorphisms of the sources and of the targets that commute with them.
+
+    The elements of source and target are the vertices; actions and
+    components are labelled edges, one out of each element per label.
+    Colour refinement splits the elements by isomorphism-invariant
+    signatures.  A search then individualizes each element of the first
+    cell with more than one element and refines again, as in McKay's
+    canonical labelling (Practical Graph Isomorphism, 1981).  Each leaf
+    orders every element; the key is the least relabelled edge table over
+    the leaves.  Two leaves with equal tables differ by an automorphism,
+    and subtrees an automorphism maps onto each other are walked once, so
+    a symmetric map costs a few leaves, not every permutation of a cell.
+    """
+    base = f.source.base
+    sides = (f.source, f.target)
+    nobj = len(base.objects)
+    # sort s * nobj + o holds the elements of sides[s] at object o
+    sizes = tuple(len(c) for X in sides for c in X.carriers)
+    start = [sum(sizes[:k]) for k in range(len(sizes))]
+    outs: list[list[int]] = [[] for _ in range(sum(sizes))]
+    ins: list[list[list[int]]] = [[] for _ in outs]
+
+    def label(src: int, dst: int, table: Sequence[int]) -> None:
+        for y in range(sizes[dst]):
+            ins[start[dst] + y].append([])
+        for x, y in enumerate(table):
+            outs[start[src] + x].append(start[dst] + y)
+            ins[start[dst] + y][-1].append(start[src] + x)
+
+    for m in base.nonidentity:
+        for s, X in enumerate(sides):
+            label(s * nobj + base._cod[m], s * nobj + base._dom[m], X._act[m])
+    for o, table in enumerate(f._comp):
+        label(o, nobj + o, table)
+
+    def refine(colours: list[int]) -> list[int]:
+        """Split colours by the colours along and against each label until
+        nothing splits; new colours are ranks of sorted signatures, which
+        keeps them canonical and each cell's parts in the cell's place."""
+        count = len(set(colours))
+        while True:
+            sigs = [
+                (
+                    c,
+                    tuple([colours[y] for y in out]),
+                    tuple([tuple(sorted([colours[x] for x in xs])) for xs in inn]),
+                )
+                for c, out, inn in zip(colours, outs, ins)
+            ]
+            rank = {sig: k for k, sig in enumerate(sorted(set(sigs)))}
+            colours = [rank[sig] for sig in sigs]
+            if len(rank) == count:
+                return colours
+            count = len(rank)
+
+    first = best = None  # (table, order) of the first and the least leaf
+    first_path: list[int] = []
+    path: list[int] = []  # the elements individualized so far
+    automorphisms: list[list[int]] = []
+
+    def leaf(colours: list[int]) -> int | None:
+        nonlocal first, best
+        order = sorted(range(len(colours)), key=colours.__getitem__)
+        table = tuple(tuple(colours[y] for y in outs[x]) for x in order)
+        if first is None:
+            first = best = (table, order)
+            first_path[:] = path
+            return None
+        for seen in (first, best):
+            if table == seen[0]:
+                gamma = [0] * len(order)
+                for x, y in zip(seen[1], order):
+                    gamma[x] = y
+                automorphisms.append(gamma)
+                if seen is first:
+                    # gamma fixes the paths' common prefix and maps the
+                    # first path's subtree below it onto this one
+                    return next(
+                        k for k, (x, y) in enumerate(zip(first_path, path)) if x != y
+                    )
+                return None
+        if table < best[0]:
+            best = (table, order)
+        return None
+
+    def visit(colours: list[int]) -> int | None:
+        """Search below one node.  Returns the depth to unwind to when a
+        leaf below matched the first leaf: the subtree the path enters at
+        that depth then repeats the first path's."""
+        colours = refine(colours)
+        ordered = sorted(colours)
+        cell = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
+        if cell is None:
+            return leaf(colours)
+        depth = len(path)
+        tried: list[int] = []
+        for x, c in enumerate(colours):
+            if c != cell or tried and _in_orbit(x, tried, path, automorphisms):
+                continue
+            path.append(x)
+            # x takes the lower half of its cell's colour, the rest the upper
+            split = [2 * d + (d == cell and y != x) for y, d in enumerate(colours)]
+            jump = visit(split)
+            path.pop()
+            tried.append(x)
+            if jump is not None and jump < depth:
+                return jump
+        return None
+
+    visit([k for k, n in enumerate(sizes) for _ in range(n)])
+    return base, sizes, best[0]
+
+
+def _in_orbit(
+    x: int, tried: list[int], fixed: list[int], automorphisms: list[list[int]]
+) -> bool:
+    """Whether x is in the orbit of `tried` under the automorphisms that
+    fix every element of `fixed`."""
+    group = [g for g in automorphisms if all(g[p] == p for p in fixed)]
+    orbit, frontier = set(tried), list(tried)
+    while frontier:
+        y = frontier.pop()
+        for g in group:
+            if g[y] not in orbit:
+                orbit.add(g[y])
+                frontier.append(g[y])
+    return x in orbit

@@ -96,6 +96,17 @@ def parse_bound(text: str) -> dict[str, int] | int:
     return out
 
 
+def parse_fuel(text: str) -> int:
+    """A fuel budget: an integer that is at least 0."""
+    try:
+        fuel = int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+    if fuel < 0:
+        raise ValueError(f"must be at least 0, got {fuel}")
+    return fuel
+
+
 def check_bound(bound: dict[str, int] | int, objects: Sequence[str]) -> None:
     """Raise ValueError unless every value is at least 0 and a per-object
     bound names exactly the base objects."""
@@ -166,11 +177,9 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
                     raise ParseError(f"expected key: value, got {line!r}", line=n)
                 if key == "fuel":
                     try:
-                        config.fuel = int(value)
-                    except ValueError:
-                        raise ParseError(
-                            f"fuel must be an integer, got {value!r}", line=n
-                        )
+                        config.fuel = parse_fuel(value)
+                    except ValueError as bad:
+                        raise ParseError(f"fuel {bad}", line=n)
                 elif key == "bound":
                     try:
                         config.bound = parse_bound(value)

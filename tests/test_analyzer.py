@@ -7,6 +7,8 @@ import pytest
 from minmodel.analyzer import (
     BoundedUniverse,
     WeClass,
+    _coproduct_map,
+    _coproduct_outcomes,
     build_jset,
     check_appropriate,
     check_main_condition,
@@ -18,7 +20,7 @@ from minmodel.analyzer import (
     verify_axioms,
 )
 from minmodel.colimits import initial_map
-from minmodel.factorization import GeneratingSet, Verdict
+from minmodel.factorization import GeneratingSet, Verdict, in_inj
 from minmodel.homotopy import HomotopyContext
 from minmodel.presheaf import compose, is_mono
 
@@ -178,6 +180,27 @@ def test_main_condition_verdicts():
     assert [s.check for s in report.subchecks] == ["appropriate", "jcell-rlp"]
     assert check_main_condition(I2, finset_universe(I2)).verdict is Verdict.YES
     assert check_main_condition(IG, gph_universe()).verdict is Verdict.NO
+
+
+def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
+    # every map of the universe, not only the trivial fibrations, so that
+    # failing sums and their counterexamples are compared too
+    for gens, U in (
+        (I2, finset_universe(I2)),
+        (IG, BoundedUniverse(IG.base_of(), {"v": 2, "e": 1}, IG, 1024)),
+    ):
+        maps = list(U.all_maps())
+        unshared = []
+        for t1 in maps:
+            for t2 in maps:
+                both = _coproduct_map(t1, t2)
+                if in_inj(both, gens):
+                    unshared.append(Verdict.YES)
+                else:
+                    unshared.append({"first": t1, "second": t2, "coproduct": both})
+        assert Verdict.YES in unshared
+        assert any(outcome is not Verdict.YES for outcome in unshared)
+        assert list(_coproduct_outcomes(maps, gens, {})) == unshared
 
 
 def test_properness_condition_verdicts():

@@ -1,6 +1,7 @@
 """Presheaves, natural transformations, and their validators."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,10 +26,12 @@ from minmodel.presheaf import (
     is_mono,
     is_retract_of,
     is_split_mono,
+    iso_key,
     load_base,
 )
 
-from helpers import FS_BASE, GPH_BASE, fs, fsmap, gph
+import oracle_gph as og
+from helpers import FS_BASE, GPH_BASE, fs, fs_to_oracle, fsmap, gph, gph_to_oracle
 
 P = gph(1, [])
 DA = gph(2, [])
@@ -265,3 +268,114 @@ def test_renaming_preserves_hom_counts_and_mono(names):
     f = PresheafMap(X, Y, {"x": {names[0]: names[1], names[1]: names[2]}})
     assert is_mono(f)
     assert is_split_mono(f)
+
+
+def _maps(base, bound):
+    return list(BoundedUniverse(base, bound, GeneratingSet("none", ())).all_maps())
+
+
+def _relabelled(f: PresheafMap, rng: random.Random) -> PresheafMap:
+    """f with every carrier of its source and target in a random order."""
+
+    def shuffled(X):
+        carriers = {
+            o: rng.sample(X.carrier(o), len(X.carrier(o))) for o in X.base.objects
+        }
+        actions = {m: X.action(m) for m in X.base.nonidentity}
+        return Presheaf(X.base, carriers, actions)
+
+    components = {o: f.component(o) for o in f.source.base.objects}
+    return PresheafMap(shuffled(f.source), shuffled(f.target), components)
+
+
+def _brute_iso_class(sizes, relabel):
+    """The least relabelling of a tuple-encoded map over every permutation
+    of each of its carriers; `relabel` applies one tuple of permutations."""
+    perms = [itertools.permutations(range(n)) for n in sizes]
+    return min(relabel(*ps) for ps in itertools.product(*perms))
+
+
+def _finset_iso_class(f):
+    m, n, imgs = f
+
+    def relabel(p, q):
+        out = [0] * m
+        for x, y in enumerate(imgs):
+            out[p[x]] = q[y]
+        return tuple(out)
+
+    return (m, n, _brute_iso_class((m, n), relabel))
+
+
+def _graph_iso_class(f):
+    (nv, ge), (nw, he), vmap, emap = f
+
+    def relabel(pv, pe, qv, qe):
+        g_edges, h_edges = [None] * len(ge), [None] * len(he)
+        for k, (s, t) in enumerate(ge):
+            g_edges[pe[k]] = (pv[s], pv[t])
+        for k, (s, t) in enumerate(he):
+            h_edges[qe[k]] = (qv[s], qv[t])
+        vs, es = [0] * nv, [0] * len(ge)
+        for x, y in enumerate(vmap):
+            vs[pv[x]] = qv[y]
+        for k, y in enumerate(emap):
+            es[pe[k]] = qe[y]
+        return tuple(g_edges), tuple(h_edges), tuple(vs), tuple(es)
+
+    return (nv, nw, _brute_iso_class((nv, len(ge), nw, len(he)), relabel))
+
+
+def test_iso_key_is_invariant_under_relabelling():
+    rng = random.Random(3)
+    for f in _maps(GPH_BASE, {"v": 2, "e": 2}) + _maps(FS_BASE, 3):
+        key = iso_key(f)
+        for _ in range(3):
+            g = _relabelled(f, rng)
+            assert iso_key(g) == key, f
+
+
+def test_iso_key_classes_are_the_isomorphism_classes():
+    # equal keys exactly when a brute-force search over every carrier
+    # permutation finds the tuple encodings isomorphic
+    graph_maps = _maps(GPH_BASE, {"v": 2, "e": 2})
+    encoded = [gph_to_oracle(f) for f in graph_maps]
+    assert sorted(encoded) == sorted(og.universe_maps(2, 2))
+    assert len({_graph_iso_class(f) for f in og.universe_maps(2, 2)}) == 168
+    set_maps = _maps(FS_BASE, 3)
+    for maps, classes in (
+        (graph_maps, [_graph_iso_class(f) for f in encoded]),
+        (set_maps, [_finset_iso_class(fs_to_oracle(f)) for f in set_maps]),
+    ):
+        keys = [iso_key(f) for f in maps]
+        assert len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes)))
+
+
+def _cycles(*lengths):
+    """Disjoint directed cycles of the given lengths."""
+    edges, start = [], 0
+    for n in lengths:
+        edges += [(start + k, start + (k + 1) % n) for k in range(n)]
+        start += n
+    return gph(start, edges)
+
+
+def test_iso_key_beyond_colour_refinement():
+    # every vertex of a union of directed cycles has one edge in and one
+    # out, so colour refinement alone cannot tell 6 from 3 + 3, nor order
+    # the vertices; the individualizing search has to
+    shapes = [(6,), (3, 3), (2, 4), (2, 2, 2), (4, 2)]
+    maps = [identity_map(_cycles(*shape)) for shape in shapes]
+    maps += [next(hom_enumerate(_cycles(*shape), _cycles(1))) for shape in shapes]
+    maps += list(hom_enumerate(_cycles(2, 4), _cycles(2, 2)))
+    rng = random.Random(5)
+    keys = [iso_key(f) for f in maps]
+    for f, key in zip(maps, keys):
+        for _ in range(10):
+            assert iso_key(_relabelled(f, rng)) == key
+    # 2 + 4 and 4 + 2 are one shape; the others are told apart
+    assert keys[2] == keys[4] and keys[7] == keys[9]
+    assert len(set(keys[:10])) == 8
+    # a map from 2 + 4 onto 2 + 2 sends both cycles to one target cycle
+    # or to different ones, whatever the rotations
+    assert len(keys[10:]) == 16 and len(set(keys[10:])) == 2

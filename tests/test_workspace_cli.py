@@ -222,6 +222,7 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
     assert cli.run(["factor", FI1, "collapse"]) == 3
     assert cli.run(["factor", FI1, "collapse", "I1", "--bound"]) == 3
     assert cli.run(["factor", FI1, "collapse", "I1", "--fuel", "lots"]) == 3
+    assert cli.run(["factor", FI1, "i01", "I1", "--fuel", "-5"]) == 3
     assert cli.run(["factor", FI1, "collapse", "I1", "-x"]) == 3
     assert cli.run(["homotopic", FI1, "iota0", "I1"]) == 3
     assert cli.run(["classify", FI1, "missing", "I1"]) == 3
@@ -234,6 +235,7 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
     # workspace faults come back with their line numbers
     for name, data, line in (
         ("fuel.ws", b"[config]\nfuel: abc\n[base]\nobjects: x\n", 2),
+        ("negfuel.ws", b"[base]\nobjects: x\n[config]\nfuel: -5\n", 4),
         ("bound.ws", b"[base]\nobjects: x\n[config]\nbound: y=2\n", 4),
         ("bytes.ws", b"[base]\nobjects: x\n# caf\xe9\n", 3),
     ):
