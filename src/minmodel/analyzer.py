@@ -2,7 +2,9 @@
 
 Quantifiers like "every cofibrant object" or "every cofibration" are cut
 down to a BoundedUniverse: the deterministically enumerated family of all
-presheaves whose carriers stay within a per-object size bound.  Verdicts
+presheaves whose carriers stay within a per-object size bound.  The
+universe owns the generating set, the fuel and the one HomotopyContext of
+the question, so each checker takes the universe alone.  Verdicts
 are three-valued.  A Pass means "holds within the bound", never an
 unconditional theorem; a Fail carries a counterexample bundle complete
 enough to re-validate standalone; Inconclusive reports what could not be
@@ -11,6 +13,7 @@ decided (fuel exhaustion, undecided cofibrancy) and how much.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -19,7 +22,7 @@ from .colimits import coproduct, initial_map, pushout
 from .errors import FuelExhausted, ValidationError
 from .factorization import GeneratingSet, Verdict, in_cof, in_inj
 from .homotopy import HomotopyContext, is_strong_deformation_retract
-from .lifting import find_unliftable_square_up_to, has_rlp
+from .lifting import has_rlp
 from .presheaf import (
     BaseCategory,
     Presheaf,
@@ -118,6 +121,9 @@ class BoundedUniverse:
     one verdict per pair of isomorphism classes (`iso_key`) and shares it
     among the pairs of that class.  Objects whose cofibrancy cannot be
     decided within fuel are left out of the cofibrant family and counted.
+
+    The universe owns the context of its question: the generating set, the
+    fuel and `ctx`, the one HomotopyContext that every check on it shares.
     """
 
     def __init__(
@@ -134,17 +140,14 @@ class BoundedUniverse:
             self.bound = {o: bound[o] for o in base.objects}
         self.generators = generators
         self.fuel = fuel
+        self.ctx = HomotopyContext(generators, fuel)
         self.objects: tuple[Presheaf, ...] = tuple(self._enumerate())
         self._index = {X: k for k, X in enumerate(self.objects)}
-        self._hom: dict = {}
-        self._cof: dict[PresheafMap, Verdict] = {}
         self._rlp_memo: dict = {}
-        self._factor_through: dict = {}
-        self._retract_pairs: dict = {}
-        self._cofibrant: tuple[Presheaf, ...] | None = None
-        self._cbc: tuple[PresheafMap, ...] | None = None
-        self.undecided_cofibrancy = 0
-        self.undecided_cofibrations = 0
+        # memos on the instance, so that they end with the universe
+        for name in ("hom", "is_cof", "factors_through", "is_object_retract",
+                     "cofibrations_between_cofibrant"):
+            setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
         base = self.base
@@ -184,12 +187,7 @@ class BoundedUniverse:
         return self._index.get(X)
 
     def hom(self, X: Presheaf, Y: Presheaf) -> tuple[PresheafMap, ...]:
-        key = (X, Y)
-        got = self._hom.get(key)
-        if got is None:
-            got = tuple(hom_enumerate(X, Y))
-            self._hom[key] = got
-        return got
+        return tuple(hom_enumerate(X, Y))
 
     def maps_from(self, X: Presheaf) -> Iterator[PresheafMap]:
         for Y in self.objects:
@@ -200,14 +198,14 @@ class BoundedUniverse:
             yield from self.maps_from(X)
 
     def is_cof(self, f: PresheafMap) -> Verdict:
-        got = self._cof.get(f)
-        if got is None:
-            got = in_cof(f, self.generators, self.fuel)
-            self._cof[f] = got
-        return got
+        return in_cof(f, self.generators, self.fuel)
 
     def is_triv_fib(self, f: PresheafMap) -> bool:
         return in_inj(f, self.generators, memo=self._rlp_memo)
+
+    def is_fib(self, f: PresheafMap, J: GeneratingSet) -> bool:
+        """Whether f is a J-fibration: RLP against every map of J."""
+        return has_rlp(f, J.maps, memo=self._rlp_memo)
 
     def _cofibrations_among(
         self, maps: Iterable[PresheafMap]
@@ -217,14 +215,12 @@ class BoundedUniverse:
         keep = tuple(f for f, v in verdicts if v is Verdict.YES)
         return keep, sum(v is Verdict.INCONCLUSIVE for _, v in verdicts)
 
-    @property
+    @functools.cached_property
     def cofibrant(self) -> tuple[Presheaf, ...]:
-        if self._cofibrant is None:
-            keep, self.undecided_cofibrancy = self._cofibrations_among(
-                initial_map(X) for X in self.objects
-            )
-            self._cofibrant = tuple(i.target for i in keep)
-        return self._cofibrant
+        keep, self.undecided_cofibrancy = self._cofibrations_among(
+            initial_map(X) for X in self.objects
+        )
+        return tuple(i.target for i in keep)
 
     def _maps_between_cofibrant(self) -> Iterator[PresheafMap]:
         for A in self.cofibrant:
@@ -232,38 +228,22 @@ class BoundedUniverse:
                 yield from self.hom(A, B)
 
     def cofibrations_between_cofibrant(self) -> tuple[PresheafMap, ...]:
-        if self._cbc is None:
-            self._cbc, self.undecided_cofibrations = self._cofibrations_among(
-                self._maps_between_cofibrant()
-            )
-        return self._cbc
+        keep, self.undecided_cofibrations = self._cofibrations_among(
+            self._maps_between_cofibrant()
+        )
+        return keep
 
     def trivial_fibrations_between_cofibrant(self) -> Iterator[PresheafMap]:
         return filter(self.is_triv_fib, self._maps_between_cofibrant())
 
     def factors_through(self, i: PresheafMap, X: Presheaf) -> frozenset[PresheafMap]:
         """The maps i.source -> X that extend along i."""
-        key = (i, X)
-        got = self._factor_through.get(key)
-        if got is None:
-            got = frozenset(compose(i, w) for w in self.hom(i.target, X))
-            self._factor_through[key] = got
-        return got
+        return frozenset(compose(i, w) for w in self.hom(i.target, X))
 
     def is_object_retract(self, X: Presheaf, A: Presheaf) -> bool:
-        key = (X, A)
-        got = self._retract_pairs.get(key)
-        if got is None:
-            got = False
-            if all(
-                len(cx) <= len(ca) for cx, ca in zip(X.carriers, A.carriers)
-            ):
-                for s in self.hom(X, A):
-                    if find_retraction(s) is not None:
-                        got = True
-                        break
-            self._retract_pairs[key] = got
-        return got
+        return all(
+            len(cx) <= len(ca) for cx, ca in zip(X.carriers, A.carriers)
+        ) and any(find_retraction(s) is not None for s in self.hom(X, A))
 
     def all_undecided(self) -> int:
         self.cofibrations_between_cofibrant()
@@ -301,19 +281,13 @@ def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
     )
 
 
-def is_weak_equivalence(
-    f: PresheafMap,
-    I: GeneratingSet,
-    fuel: int | None = None,
-    ctx: HomotopyContext | None = None,
-) -> VerdictReport:
+def is_weak_equivalence(f: PresheafMap, ctx: HomotopyContext) -> VerdictReport:
     """RLP up to homotopy-rel-i with respect to every generator i."""
-    if ctx is None:
-        ctx = HomotopyContext(I, fuel)
+    I = ctx.generators
     params = {"generators": I.label}
     try:
         for k, i in enumerate(I.maps):
-            bad = find_unliftable_square_up_to(i, f, ctx.oracle(i))
+            bad = ctx.unliftable_square(i, f)
             if bad is not None:
                 failure = {"generator": k, "top": bad[0], "bottom": bad[1]}
                 return _report("weak-equivalence", params, failure)
@@ -333,40 +307,21 @@ class WeClass:
 
     def __init__(self, label: str, predicate: Callable[[PresheafMap], Verdict]):
         self.label = label
-        self._predicate = predicate
-        self._memo: dict[PresheafMap, Verdict] = {}
+        self._verdict = functools.cache(predicate)
 
     def __call__(self, f: PresheafMap) -> Verdict:
-        got = self._memo.get(f)
-        if got is None:
-            got = self._predicate(f)
-            self._memo[f] = got
-        return got
+        return self._verdict(f)
 
     @classmethod
-    def from_generators(
-        cls,
-        I: GeneratingSet,
-        fuel: int | None = None,
-        ctx: HomotopyContext | None = None,
-    ) -> "WeClass":
-        context = ctx if ctx is not None else HomotopyContext(I, fuel)
-
-        def predicate(f: PresheafMap) -> Verdict:
-            return is_weak_equivalence(f, I, fuel, context).verdict
-
-        return cls(f"rlp-up-to-homotopy({I.label})", predicate)
+    def from_generators(cls, ctx: HomotopyContext) -> "WeClass":
+        label = f"rlp-up-to-homotopy({ctx.generators.label})"
+        return cls(label, lambda f: is_weak_equivalence(f, ctx).verdict)
 
 
-def build_jset(
-    I: GeneratingSet,
-    fuel: int | None = None,
-    ctx: HomotopyContext | None = None,
-) -> GeneratingSet:
+def build_jset(ctx: HomotopyContext) -> GeneratingSet:
     """One generating trivial cofibration per generator: the end inclusion
     of the canonical cylinder over it."""
-    if ctx is None:
-        ctx = HomotopyContext(I, fuel)
+    I = ctx.generators
     return GeneratingSet(
         f"J({I.label})", tuple(ctx.cylinder(i).incl0 for i in I.maps)
     )
@@ -379,29 +334,17 @@ def _object_square_failure(
     has no lift up to absolute homotopy against g, as counterexample
     entries; each search is memoized on the context."""
     for V in objects:
-        left = initial_map(V)
-        key = (left, g)
-        if key not in ctx.square_memo:
-            ctx.square_memo[key] = find_unliftable_square_up_to(
-                left, g, ctx.oracle(left)
-            )
-        bad = ctx.square_memo[key]
+        bad = ctx.unliftable_square(initial_map(V), g)
         if bad is not None:
             return {"against": V, "top": bad[0], "bottom": bad[1]}
     return None
 
 
-def check_appropriate(
-    I: GeneratingSet,
-    U: BoundedUniverse,
-    ctx: HomotopyContext | None = None,
-) -> VerdictReport:
+def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     """Pushouts of trivial fibrations between cofibrant objects along
     cofibrations stay pure and keep RLP up to homotopy against every
     cofibrant object of U."""
-    if ctx is None:
-        ctx = HomotopyContext(I, U.fuel)
-    params = {"generators": I.label, **U.describe()}
+    params = {"generators": U.generators.label, **U.describe()}
     pushouts_checked = 0
     inconclusive = 0
     settled: set[PresheafMap] = set()
@@ -429,7 +372,7 @@ def check_appropriate(
                     return _report("appropriate", params, failure)
                 if purity.verdict is Verdict.INCONCLUSIVE:
                     inconclusive += 1
-                bad = _object_square_failure(comparison, cofibrant, ctx)
+                bad = _object_square_failure(comparison, cofibrant, U.ctx)
                 if bad is not None:
                     return _report("appropriate", params, {**failure, **bad})
                 settled.add(comparison)
@@ -447,25 +390,17 @@ def check_appropriate(
     )
 
 
-def check_main_condition(
-    I: GeneratingSet,
-    U: BoundedUniverse,
-    ctx: HomotopyContext | None = None,
-) -> VerdictReport:
+def check_main_condition(U: BoundedUniverse) -> VerdictReport:
     """Appropriateness plus: pushouts of the canonical trivial cofibrations
     keep RLP up to homotopy against the generator domains.
 
     Finite generator sources make pushouts of J-maps stand in for all of
     J-cell here; each attachment stage is itself such a pushout.
     """
-    if ctx is None:
-        ctx = HomotopyContext(I, U.fuel)
+    I = U.generators
     params = {"generators": I.label, **U.describe()}
-    appropriate = check_appropriate(I, U, ctx)
-    domains = []
-    for i in I.maps:
-        if i.source not in domains:
-            domains.append(i.source)
+    appropriate = check_appropriate(U)
+    domains = list(dict.fromkeys(i.source for i in I.maps))
     settled: set[PresheafMap] = set()
 
     def pushed_out(J: GeneratingSet) -> Iterator[Outcome]:
@@ -474,7 +409,7 @@ def check_main_condition(
                 pushed = pushout(j, u).right
                 bad = None
                 if pushed not in settled:
-                    bad = _object_square_failure(pushed, domains, ctx)
+                    bad = _object_square_failure(pushed, domains, U.ctx)
                 if bad is not None:
                     yield {"j-generator": jk, "along": u, "pushed": pushed, **bad}
                 else:
@@ -482,7 +417,7 @@ def check_main_condition(
                     yield Verdict.YES
 
     try:
-        failure, checked, _ = _first_failure(pushed_out(build_jset(I, U.fuel, ctx)))
+        failure, checked, _ = _first_failure(pushed_out(build_jset(U.ctx)))
     except FuelExhausted as stop:
         cell = _out_of_fuel("jcell-rlp", params, stop)
     else:
@@ -499,9 +434,9 @@ def _coproduct_map(t1: PresheafMap, t2: PresheafMap) -> PresheafMap:
 
 
 def _coproduct_outcomes(
-    maps: list[PresheafMap], I: GeneratingSet, memo: dict
+    maps: list[PresheafMap], U: BoundedUniverse
 ) -> Iterator[Outcome]:
-    """Whether t1 + t2 is I-injective, for every ordered pair of `maps` in
+    """Whether t1 + t2 is a trivial fibration of U, for every ordered pair of `maps` in
     order: Verdict.YES, or the pair and its sum as counterexample.
 
     t1 + t2 is isomorphic to t2 + t1 and to s1 + s2 for any arrows s1, s2
@@ -516,25 +451,20 @@ def _coproduct_outcomes(
             pair = (k1, k2) if k1 <= k2 else (k2, k1)
             ok = lifts.get(pair)
             if ok is None:
-                ok = lifts[pair] = in_inj(_coproduct_map(t1, t2), I, memo=memo)
+                ok = lifts[pair] = U.is_triv_fib(_coproduct_map(t1, t2))
             if ok:
                 yield Verdict.YES
             else:
                 yield {"first": t1, "second": t2, "coproduct": _coproduct_map(t1, t2)}
 
 
-def check_properness_condition(
-    I: GeneratingSet,
-    U: BoundedUniverse,
-    ctx: HomotopyContext | None = None,
-) -> VerdictReport:
+def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     """Coproduct closure of trivial fibrations between cofibrant objects,
     and weak-equivalence of the comparison maps between pushouts along
     the generators."""
-    if ctx is None:
-        ctx = HomotopyContext(I, U.fuel)
+    I = U.generators
     params = {"generators": I.label, **U.describe()}
-    we = WeClass.from_generators(I, U.fuel, ctx)
+    we = WeClass.from_generators(U.ctx)
     tfibs = list(U.trivial_fibrations_between_cofibrant())
 
     def comparisons() -> Iterator[Outcome]:
@@ -557,7 +487,7 @@ def check_properness_condition(
                     else:
                         yield v
 
-    failure, checked, _ = _first_failure(_coproduct_outcomes(tfibs, I, U._rlp_memo))
+    failure, checked, _ = _first_failure(_coproduct_outcomes(tfibs, U))
     if failure:
         closed = _report("tfib-coproducts", params, failure)
     else:
@@ -581,16 +511,11 @@ def _conj(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-def verify_axioms(
-    I: GeneratingSet,
-    J: GeneratingSet,
-    we: WeClass,
-    U: BoundedUniverse,
-) -> VerdictReport:
+def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictReport:
     """Bounded run over the five closure conditions a minimal structure
     needs.  A1 is a finiteness note; the rest quantify over U."""
     params = {
-        "generators": I.label,
+        "generators": U.generators.label,
         "trivial-generators": J.label,
         "weak-equivalences": we.label,
         **U.describe(),
@@ -706,7 +631,7 @@ def verify_axioms(
     # The other disjunct needs I-cof inter we inside J-cof; not evaluated.
     def jinjective_weak_equivalences() -> Iterator[Outcome]:
         for f in U.all_maps():
-            if not has_rlp(f, J.maps, memo=U._rlp_memo):
+            if not U.is_fib(f, J):
                 continue
             v = we(f)
             if v is Verdict.YES:
@@ -759,27 +684,18 @@ class MapClassification:
         }
 
 
-def classify_map(
-    f: PresheafMap,
-    I: GeneratingSet,
-    U: BoundedUniverse,
-    ctx: HomotopyContext | None = None,
-) -> MapClassification:
+def classify_map(f: PresheafMap, U: BoundedUniverse) -> MapClassification:
     """All membership verdicts for one map, with the trivial-cofibration
     versus strong-deformation-retract cross-check."""
-    fuel = U.fuel
-    if ctx is None:
-        ctx = HomotopyContext(I, fuel)
     cof = U.is_cof(f)
-    weq = is_weak_equivalence(f, I, fuel, ctx).verdict
+    weq = is_weak_equivalence(f, U.ctx).verdict
     tfib = Verdict.YES if U.is_triv_fib(f) else Verdict.NO
     try:
-        J = build_jset(I, fuel, ctx)
-        fib = Verdict.YES if has_rlp(f, J.maps, memo=U._rlp_memo) else Verdict.NO
+        fib = Verdict.YES if U.is_fib(f, build_jset(U.ctx)) else Verdict.NO
     except FuelExhausted:
         fib = Verdict.INCONCLUSIVE
     try:
-        sdr = is_strong_deformation_retract(f, I, fuel).verdict
+        sdr = is_strong_deformation_retract(f, U.ctx).verdict
     except FuelExhausted:
         sdr = Verdict.INCONCLUSIVE
     pure = is_pure(f, U).verdict
@@ -791,15 +707,11 @@ def classify_map(
     return MapClassification(f, cof, fib, weq, tcof, tfib, pure, sdr, consistent)
 
 
-def enumerate_weak_equivalences(
-    I: GeneratingSet,
-    U: BoundedUniverse,
-    ctx: HomotopyContext | None = None,
-) -> VerdictReport:
+def enumerate_weak_equivalences(U: BoundedUniverse) -> VerdictReport:
     """Every map between universe objects in the decided class, as
     witnesses, in enumeration order."""
-    we = WeClass.from_generators(I, U.fuel, ctx)
-    params = {"generators": I.label, **U.describe()}
+    we = WeClass.from_generators(U.ctx)
+    params = {"generators": U.generators.label, **U.describe()}
     found = []
     undecided = 0
     total = 0

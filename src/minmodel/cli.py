@@ -54,7 +54,6 @@ from .errors import EngineError, FuelExhausted, ValidationError
 from .factorization import Attachment, CellFactorization, Status, Verdict, soa_factorize
 from .homotopy import (
     CylinderObject,
-    HomotopyContext,
     HomotopyWitness,
     PathObject,
     RightHomotopyWitness,
@@ -320,13 +319,12 @@ def _cmd_homotopic(run):
 def _universe(run, I):
     U = BoundedUniverse(run.workspace.base, run.bound, I, run.fuel)
     run.bounds = {"bound": render(run.bound), "objects": len(U.objects)}
-    return U, HomotopyContext(I, run.fuel)
+    return U
 
 
 def _cmd_classify(run):
     f, I = _map_and_genset(run)
-    U, ctx = _universe(run, I)
-    result = classify_map(f, I, U, ctx)
+    result = classify_map(f, _universe(run, I))
     parts = result.as_dict()
     del parts["sdr-consistent"]
     if result.consistent is False:
@@ -350,14 +348,12 @@ def _cmd_checker(run):
     ws = run.load()
     if len(run.arguments) != 1:
         raise UsageError(f"{run.command} takes GENSET")
-    I = ws.genset(run.arguments[0])
-    U, ctx = _universe(run, I)
+    U = _universe(run, ws.genset(run.arguments[0]))
     if run.command == "verify-axioms":
-        J = build_jset(I, run.fuel, ctx)
-        we = WeClass.from_generators(I, run.fuel, ctx)
-        outcome = verify_axioms(I, J, we, U)
+        J, we = build_jset(U.ctx), WeClass.from_generators(U.ctx)
+        outcome = verify_axioms(J, we, U)
     else:
-        outcome = _CHECKERS[run.command](I, U, ctx)
+        outcome = _CHECKERS[run.command](U)
     return run.report(
         _VERDICT[outcome.verdict],
         witnesses=outcome.witnesses,
@@ -405,24 +401,30 @@ def run(argv=None) -> int:
                 "inconclusive",
                 counterexample={"error": "FuelExhausted", "detail": str(err)},
             )
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        out = flags.get("out")
+        if out:
+            tmp = out + ".tmp"
+            handle = open(tmp, "w", encoding="utf-8")
+            try:
+                with handle:
+                    handle.write(text)
+                os.replace(tmp, out)
+            except OSError:
+                os.remove(tmp)
+                raise
+        else:
+            sys.stdout.write(text)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         print(_usage_text(), file=sys.stderr)
         return 3
     except (EngineError, OSError) as err:
-        # covers unreadable files, parse errors, bad names, and semantic
-        # validation failures outside the validate command
+        # covers unreadable files, parse errors, bad names, semantic
+        # validation failures outside the validate command, and a report
+        # that cannot be written: none of them is the "fail" of exit 1
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    out = flags.get("out")
-    if out:
-        tmp = out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, out)
-    else:
-        sys.stdout.write(text)
     return code
 
 

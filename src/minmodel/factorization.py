@@ -121,10 +121,9 @@ def soa_factorize(
         for gi, top, bottom in frontier:
             gen = I.maps[gi]
             cur_top = compose(top, incl)
-            if (
-                solve_lifting(LiftingProblem(gen, p, cur_top, bottom))
-                is not None
-            ):
+            # commutes: top;incl;p = gen;bottom by the mediator that made p
+            square = LiftingProblem._unchecked(gen, p, cur_top, bottom)
+            if solve_lifting(square) is not None:
                 continue
             if used >= fuel:
                 exhausted = True
@@ -159,9 +158,8 @@ def in_cof(
     fact = soa_factorize(f, I, fuel)
     if fact.status is not Status.COMPLETE:
         return Verdict.INCONCLUSIVE
-    lift = solve_lifting(
-        LiftingProblem(f, fact.right, fact.left, identity_map(f.target))
-    )
+    square = LiftingProblem._unchecked(f, fact.right, fact.left, identity_map(f.target))
+    lift = solve_lifting(square)
     return Verdict.YES if lift is not None else Verdict.NO
 
 

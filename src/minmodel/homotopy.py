@@ -12,12 +12,13 @@ in practice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .colimits import initial_map, product, pushout
 from .errors import FuelExhausted, IncompatibleOnRelativePart, NonComposable
 from .factorization import CellFactorization, GeneratingSet, Status, Verdict, soa_factorize
-from .lifting import RelationOracle
+from .lifting import RelationOracle, find_unliftable_square_up_to
 from .presheaf import (
     Presheaf,
     PresheafMap,
@@ -123,38 +124,36 @@ def homotopic_cross_check(
 
 
 class HomotopyContext:
-    """Shared cylinder and decision caches for one generating set.
+    """Cylinders, homotopy decisions and up-to-homotopy lifting verdicts
+    for one generating set and fuel, each cached on the instance.
 
     Decisions are deterministic, so caching cannot change any verdict; it
-    only avoids rebuilding cylinders per query.
+    only avoids rebuilding cylinders and re-running searches per query.
     """
 
     def __init__(self, I: GeneratingSet, fuel: int | None = None):
         self.generators = I
         self.fuel = fuel
-        self._cylinders: dict[PresheafMap, CylinderObject] = {}
-        self._verdicts: dict = {}
-        # (left, right) -> first square with no up-to-homotopy lift, or None
-        self.square_memo: dict = {}
+        self.cylinder = functools.cache(self.cylinder)
+        self.homotopic = functools.cache(self.homotopic)
+        self.unliftable_square = functools.cache(self.unliftable_square)
 
     def cylinder(self, rel: PresheafMap) -> CylinderObject:
-        got = self._cylinders.get(rel)
-        if got is None:
-            got = cylinder(rel, self.generators, self.fuel)
-            self._cylinders[rel] = got
-        return got
+        return cylinder(rel, self.generators, self.fuel)
 
     def homotopic(
         self, f0: PresheafMap, f1: PresheafMap, rel: PresheafMap | None = None
     ) -> HomotopyWitness | None:
         if rel is None:
             rel = initial_map(f0.source)
-        key = (rel, f0, f1)
-        if key in self._verdicts:
-            return self._verdicts[key]
-        got = homotopic(f0, f1, rel, self.generators, self.fuel, cyl=self.cylinder(rel))
-        self._verdicts[key] = got
-        return got
+        return homotopic(f0, f1, rel, self.generators, self.fuel, self.cylinder(rel))
+
+    def unliftable_square(
+        self, left: PresheafMap, right: PresheafMap
+    ) -> tuple[PresheafMap, PresheafMap] | None:
+        """First commuting square over (left, right) with no lift whose
+        lower triangle holds up to homotopy rel `left`, or None."""
+        return find_unliftable_square_up_to(left, right, self.oracle(left))
 
     def oracle(self, rel: PresheafMap) -> RelationOracle:
         """Homotopy rel `rel` as a total relation on parallel maps."""
@@ -180,10 +179,7 @@ class DeformationRetractResult:
 
 
 def _deformation_retract(
-    f: PresheafMap,
-    I: GeneratingSet,
-    fuel: int | None,
-    rel: PresheafMap | None,
+    f: PresheafMap, ctx: HomotopyContext, rel: PresheafMap | None
 ) -> DeformationRetractResult:
     seeds = _pin((f._comp, _identity_values(f._comp)))
     if seeds is None:
@@ -191,7 +187,6 @@ def _deformation_retract(
     Y, X = f.target, f.source
     ident = identity_map(Y)
     try:
-        ctx = HomotopyContext(I, fuel)
         for comp in _enumerate_components(Y, X, seeds=seeds):
             g = PresheafMap._make(Y, X, comp)
             witness = ctx.homotopic(compose(g, f), ident, rel)
@@ -203,17 +198,17 @@ def _deformation_retract(
 
 
 def is_deformation_retract(
-    f: PresheafMap, I: GeneratingSet, fuel: int | None = None
+    f: PresheafMap, ctx: HomotopyContext
 ) -> DeformationRetractResult:
     """Search a retraction g with f after g homotopic to the identity."""
-    return _deformation_retract(f, I, fuel, rel=None)
+    return _deformation_retract(f, ctx, rel=None)
 
 
 def is_strong_deformation_retract(
-    f: PresheafMap, I: GeneratingSet, fuel: int | None = None
+    f: PresheafMap, ctx: HomotopyContext
 ) -> DeformationRetractResult:
     """As `is_deformation_retract`, with the homotopy taken rel f."""
-    return _deformation_retract(f, I, fuel, rel=f)
+    return _deformation_retract(f, ctx, rel=f)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,9 @@ class LiftingProblem:
         top: PresheafMap,
         bottom: PresheafMap,
     ) -> "LiftingProblem":
-        """A square that `square_enumerate` built commuting; not re-checked."""
+        """A square the engine built commuting, not re-checked: the squares
+        of `square_enumerate`, the frontier recheck of `soa_factorize` and
+        the retract square of `in_cof`."""
         problem = cls.__new__(cls)
         problem.__dict__.update(left=left, right=right, top=top, bottom=bottom)
         return problem

@@ -86,7 +86,7 @@ def test_criterion_01_finset_i1_weak_equivalence_oracle_agreement():
     ctx = HomotopyContext(I1, WS_I1.config.fuel)
     checked = 0
     for f in finset_maps(3):
-        engine = is_weak_equivalence(f, I1, WS_I1.config.fuel, ctx).verdict
+        engine = is_weak_equivalence(f, ctx).verdict
         assert engine in (Verdict.YES, Verdict.NO)
         oracle = of.weak_equivalence(fs_to_oracle(f), I1_GENS)
         assert (engine is Verdict.YES) == oracle, fs_to_oracle(f)
@@ -98,17 +98,16 @@ def test_criterion_01_finset_i1_weak_equivalence_oracle_agreement():
 def test_criterion_02_finset_i2_bijections_and_axioms():
     start = time.monotonic()
     U = universe(WS_I2, I2)
-    ctx = HomotopyContext(I2, WS_I2.config.fuel)
-    report = enumerate_weak_equivalences(I2, U, ctx)
+    report = enumerate_weak_equivalences(U)
     assert report.passed
     got = set(report.witnesses)
     want = {f for f in U.all_maps() if is_bijective(f)}
     assert got == want
     assert len(got) == 10
-    assert check_main_condition(I2, U, ctx).passed
-    J = build_jset(I2, WS_I2.config.fuel, ctx)
-    we = WeClass.from_generators(I2, WS_I2.config.fuel, ctx)
-    outcome = verify_axioms(I2, J, we, U)
+    assert check_main_condition(U).passed
+    J = build_jset(U.ctx)
+    we = WeClass.from_generators(U.ctx)
+    outcome = verify_axioms(J, we, U)
     assert outcome.passed
     assert len(outcome.subchecks) == 6
     assert all(sub.verdict is Verdict.YES for sub in outcome.subchecks)
@@ -119,13 +118,12 @@ def test_criterion_03_main_condition_implies_axioms():
     exercised = 0
     for ws, I in FIXTURES:
         U = universe(ws, I)
-        ctx = HomotopyContext(I, ws.config.fuel)
-        main = check_main_condition(I, U, ctx)
+        main = check_main_condition(U)
         if not main.passed:
             continue
-        J = build_jset(I, ws.config.fuel, ctx)
-        we = WeClass.from_generators(I, ws.config.fuel, ctx)
-        assert verify_axioms(I, J, we, U).passed, I.label
+        J = build_jset(U.ctx)
+        we = WeClass.from_generators(U.ctx)
+        assert verify_axioms(J, we, U).passed, I.label
         exercised += 1
     assert exercised >= 2
 
@@ -133,15 +131,14 @@ def test_criterion_03_main_condition_implies_axioms():
 def test_criterion_04_trivial_cofibration_iff_strong_deformation_retract():
     for ws, I in ((WS_I1, I1), (WS_I2, I2)):
         U = universe(ws, I)
-        ctx = HomotopyContext(I, ws.config.fuel)
-        assert check_main_condition(I, U, ctx).passed
-        we = WeClass.from_generators(I, ws.config.fuel, ctx)
+        assert check_main_condition(U).passed
+        we = WeClass.from_generators(U.ctx)
         cofs = 0
         for f in U.all_maps():
             if U.is_cof(f) is not Verdict.YES:
                 continue
             tcof = we(f)
-            sdr = is_strong_deformation_retract(f, I, ws.config.fuel).verdict
+            sdr = is_strong_deformation_retract(f, U.ctx).verdict
             assert tcof in (Verdict.YES, Verdict.NO)
             assert tcof is sdr, (I.label, fs_to_oracle(f))
             cofs += 1
@@ -154,7 +151,7 @@ def test_criterion_05_left_and_right_homotopy_agree():
         fuel = ws.config.fuel
         U = universe(ws, I, bound=2)
         ctx = HomotopyContext(I, fuel)
-        J = build_jset(I, fuel, ctx)
+        J = build_jset(ctx)
         rels = cofibrations_by_target(U)
         paths = {}
         checked = 0
@@ -257,10 +254,9 @@ def test_criterion_06_homotopy_relation_laws():
     # on the fixtures whose appropriateness check passes
     exercised = 0
     for ws, I in FIXTURES:
-        fuel = ws.config.fuel
         U = universe(ws, I)
-        ctx = HomotopyContext(I, fuel)
-        if not check_appropriate(I, U, ctx).passed:
+        ctx = U.ctx
+        if not check_appropriate(U).passed:
             continue
         exercised += 1
         rels = cofibrations_by_target(U)
@@ -306,12 +302,12 @@ def test_criterion_08_trivial_fibration_and_purity_propositions():
         fuel = ws.config.fuel
         U = universe(ws, I, bound=2)
         ctx = HomotopyContext(I, fuel)
-        J = build_jset(I, fuel, ctx)
+        J = build_jset(ctx)
         glued = [pushout(i, i).apex for i in I.maps]
         tfibs = weqs = pures = 0
         for f in U.all_maps():
             fib = has_rlp(f, J.maps)
-            weq = is_weak_equivalence(f, I, fuel, ctx).verdict
+            weq = is_weak_equivalence(f, ctx).verdict
             pure = is_pure(f, U).verdict
             assert weq in (Verdict.YES, Verdict.NO)
             assert pure in (Verdict.YES, Verdict.NO)

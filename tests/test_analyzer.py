@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
+from minmodel import lifting
 from minmodel.analyzer import (
     BoundedUniverse,
     WeClass,
     _coproduct_map,
     _coproduct_outcomes,
+    _object_square_failure,
     build_jset,
     check_appropriate,
     check_main_condition,
@@ -21,7 +23,7 @@ from minmodel.analyzer import (
 )
 from minmodel.colimits import initial_map
 from minmodel.factorization import GeneratingSet, Verdict, in_inj
-from minmodel.homotopy import HomotopyContext
+from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
 from minmodel.presheaf import compose, is_mono
 
 import oracle_finset as of
@@ -110,24 +112,25 @@ def test_purity_verdicts():
 
 
 def test_weak_equivalence_verdicts_and_fuel():
-    assert is_weak_equivalence(fsmap(2, 1, (0, 0)), I1).verdict is Verdict.YES
-    report = is_weak_equivalence(fsmap(0, 1, ()), I1)
+    ctx = HomotopyContext(I1)
+    assert is_weak_equivalence(fsmap(2, 1, (0, 0)), ctx).verdict is Verdict.YES
+    report = is_weak_equivalence(fsmap(0, 1, ()), ctx)
     assert report.verdict is Verdict.NO
     assert report.counterexample["generator"] == 0
     assert not report.passed
-    starved = is_weak_equivalence(fsmap(1, 2, (0,)), I2, fuel=0)
+    starved = is_weak_equivalence(fsmap(1, 2, (0,)), HomotopyContext(I2, 0))
     assert starved.verdict is Verdict.INCONCLUSIVE
 
 
 def test_jset_shapes():
-    J1 = build_jset(I1)
+    J1 = build_jset(HomotopyContext(I1))
     assert J1.label == "J(I1)"
     (j,) = J1.maps
     assert j.source.total_size() == 1 and j.target.total_size() == 2
     assert is_mono(j)
-    J2 = build_jset(I2)
+    J2 = build_jset(HomotopyContext(I2))
     assert [m.target.total_size() for m in J2.maps] == [1, 1]
-    JG = build_jset(IG)
+    JG = build_jset(HomotopyContext(IG))
     sizes = [
         (len(m.target.carrier("v")), len(m.target.carrier("e")))
         for m in JG.maps
@@ -147,7 +150,7 @@ def test_we_class_memoizes():
     assert wc(f) is Verdict.YES
     assert wc(f) is Verdict.YES
     assert len(calls) == 1
-    canonical = WeClass.from_generators(I1)
+    canonical = WeClass.from_generators(HomotopyContext(I1))
     assert canonical.label == "rlp-up-to-homotopy(I1)"
     assert canonical(fsmap(0, 1, ())) is Verdict.NO
 
@@ -155,14 +158,14 @@ def test_we_class_memoizes():
 def test_appropriateness_passes_on_finite_sets():
     for gens in (I1, I2):
         U = finset_universe(gens)
-        report = check_appropriate(gens, U)
+        report = check_appropriate(U)
         assert report.verdict is Verdict.YES, gens.label
         assert report.diagnostics["pushouts_checked"] > 0
 
 
 def test_appropriateness_fails_on_graphs_and_matches_the_oracle():
     U = gph_universe()
-    report = check_appropriate(IG, U)
+    report = check_appropriate(U)
     assert report.verdict is Verdict.NO
     ce = report.counterexample
     t = gph_to_oracle(ce["trivial-fibration"])
@@ -174,12 +177,11 @@ def test_appropriateness_fails_on_graphs_and_matches_the_oracle():
 
 
 def test_main_condition_verdicts():
-    ctx = HomotopyContext(I1, 1024)
-    report = check_main_condition(I1, finset_universe(I1), ctx=ctx)
+    report = check_main_condition(finset_universe(I1))
     assert report.verdict is Verdict.YES
     assert [s.check for s in report.subchecks] == ["appropriate", "jcell-rlp"]
-    assert check_main_condition(I2, finset_universe(I2)).verdict is Verdict.YES
-    assert check_main_condition(IG, gph_universe()).verdict is Verdict.NO
+    assert check_main_condition(finset_universe(I2)).verdict is Verdict.YES
+    assert check_main_condition(gph_universe()).verdict is Verdict.NO
 
 
 def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
@@ -200,19 +202,19 @@ def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
                     unshared.append({"first": t1, "second": t2, "coproduct": both})
         assert Verdict.YES in unshared
         assert any(outcome is not Verdict.YES for outcome in unshared)
-        assert list(_coproduct_outcomes(maps, gens, {})) == unshared
+        assert list(_coproduct_outcomes(maps, U)) == unshared
 
 
 def test_properness_condition_verdicts():
     assert (
-        check_properness_condition(I1, finset_universe(I1)).verdict
+        check_properness_condition(finset_universe(I1)).verdict
         is Verdict.YES
     )
     assert (
-        check_properness_condition(I2, finset_universe(I2)).verdict
+        check_properness_condition(finset_universe(I2)).verdict
         is Verdict.YES
     )
-    report = check_properness_condition(IG, gph_universe())
+    report = check_properness_condition(gph_universe())
     assert report.verdict is Verdict.NO
     ce = report.counterexample
     # the pushed-out comparison leaves the weak equivalences while the
@@ -226,10 +228,9 @@ def test_properness_condition_verdicts():
 def test_axioms_pass_on_finite_sets():
     for gens in (I1, I2):
         U = finset_universe(gens)
-        ctx = HomotopyContext(gens, 1024)
-        J = build_jset(gens, ctx=ctx)
-        we = WeClass.from_generators(gens, ctx=ctx)
-        report = verify_axioms(gens, J, we, U)
+        J = build_jset(U.ctx)
+        we = WeClass.from_generators(U.ctx)
+        report = verify_axioms(J, we, U)
         assert report.verdict is Verdict.YES, gens.label
         assert [s.check for s in report.subchecks] == [
             "A1-permits-factorizations",
@@ -244,10 +245,9 @@ def test_axioms_pass_on_finite_sets():
 
 def test_axioms_fail_on_graphs_with_a_real_counterexample():
     U = gph_universe()
-    ctx = HomotopyContext(IG, 1024)
-    J = build_jset(IG, ctx=ctx)
-    we = WeClass.from_generators(IG, ctx=ctx)
-    report = verify_axioms(IG, J, we, U)
+    J = build_jset(U.ctx)
+    we = WeClass.from_generators(U.ctx)
+    report = verify_axioms(J, we, U)
     assert report.verdict is Verdict.NO
     by_name = {s.check: s for s in report.subchecks}
     two_three = by_name["A2-two-out-of-three"]
@@ -263,9 +263,10 @@ def test_axiom_five_fails_when_every_map_is_declared_invertible():
     # widening the weak equivalences to everything breaks the first
     # disjunct: some J-injective map is not a trivial fibration
     U = finset_universe(I1)
-    J = build_jset(I1)
+    ctx = HomotopyContext(I1)
+    J = build_jset(ctx)
     everything = WeClass("all", lambda f: Verdict.YES)
-    report = verify_axioms(I1, J, everything, U)
+    report = verify_axioms(J, everything, U)
     assert report.verdict is Verdict.NO
     by_name = {s.check: s for s in report.subchecks}
     assert by_name["A5-first-disjunct"].verdict is Verdict.NO
@@ -275,41 +276,67 @@ def test_axiom_five_fails_when_every_map_is_declared_invertible():
     assert has_rlp(bad, J.maps)
     assert not U.is_triv_fib(bad)
     # and the canonical class is untouched by the probe
-    assert is_weak_equivalence(bad, I1).verdict in (Verdict.YES, Verdict.NO)
+    assert is_weak_equivalence(bad, ctx).verdict in (Verdict.YES, Verdict.NO)
 
 
 def test_classification_of_the_point_inclusion():
     U = finset_universe(I1)
-    got = classify_map(fsmap(1, 2, (0,)), I1, U).as_dict()
+    got = classify_map(fsmap(1, 2, (0,)), U).as_dict()
     assert got["cofibration"] is Verdict.YES
     assert got["weak-equivalence"] is Verdict.YES
     assert got["trivial-cofibration"] is Verdict.YES
     assert got["strong-deformation-retract"] is Verdict.YES
     assert got["trivial-fibration"] is Verdict.NO
     assert got["sdr-consistent"] is True
-    empty = classify_map(fsmap(0, 1, ()), I1, U).as_dict()
+    empty = classify_map(fsmap(0, 1, ()), U).as_dict()
     assert empty["cofibration"] is Verdict.YES
     assert empty["weak-equivalence"] is Verdict.NO
     assert empty["pure"] is Verdict.NO
     assert empty["sdr-consistent"] is True
 
 
+def test_classify_leaves_its_homotopy_work_on_the_universe_context():
+    # a split mono, so the strong deformation retract search builds the
+    # cylinder rel f; a fresh context has to build it again
+    U = finset_universe(I1)
+    f = fsmap(1, 2, (0,))
+    assert classify_map(f, U).strong_deformation_retract is Verdict.YES
+    before = lifting.STATS["solver_calls"]
+    assert is_strong_deformation_retract(f, U.ctx).verdict is Verdict.YES
+    assert lifting.STATS["solver_calls"] == before
+    is_strong_deformation_retract(f, HomotopyContext(I1, 1024))
+    assert lifting.STATS["solver_calls"] > before
+
+
+def test_weak_equivalence_and_object_squares_share_one_memo():
+    U = finset_universe(I1)
+    (point,) = I1.maps  # the map from the empty set to the point
+    g = fsmap(2, 1, (0, 0))
+    assert _object_square_failure(g, [point.target], U.ctx) is None
+    assert U.ctx.unliftable_square.cache_info().misses == 1
+    before = lifting.STATS["solver_calls"]
+    assert is_weak_equivalence(g, U.ctx).verdict is Verdict.YES
+    assert lifting.STATS["solver_calls"] == before
+    info = U.ctx.unliftable_square.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_weak_equivalence_enumeration_counts():
-    report = enumerate_weak_equivalences(I1, finset_universe(I1, bound=2))
+    report = enumerate_weak_equivalences(finset_universe(I1, bound=2))
     assert report.verdict is Verdict.YES
     assert len(report.witnesses) == 9
     assert report.diagnostics == {"maps_considered": 11, "undecided": 0}
-    full = enumerate_weak_equivalences(I1, finset_universe(I1))
+    full = enumerate_weak_equivalences(finset_universe(I1))
     got = {fs_to_oracle(f) for f in full.witnesses}
     assert got == set(of.weak_equivalences(of.I1, 3))
-    bij = enumerate_weak_equivalences(I2, finset_universe(I2))
+    bij = enumerate_weak_equivalences(finset_universe(I2))
     assert {fs_to_oracle(f) for f in bij.witnesses} == set(
         of.weak_equivalences(of.I2, 3)
     )
 
 
 def test_gph_weak_equivalence_enumeration_matches_the_oracle():
-    report = enumerate_weak_equivalences(IG, gph_universe())
+    report = enumerate_weak_equivalences(gph_universe())
     assert len(report.witnesses) == 217
     got = {gph_to_oracle(f) for f in report.witnesses}
     assert got == set(og.weak_equivalences(2, 2))
@@ -321,7 +348,7 @@ def test_empty_generating_set_is_vacuously_fine():
     # with nothing to lift against, the only cofibrations are the isos,
     # so the only cofibrant object is the empty one
     assert [X.total_size() for X in U.cofibrant] == [0]
-    report = check_main_condition(empty, U)
+    report = check_main_condition(U)
     assert report.verdict is Verdict.YES
-    everything = enumerate_weak_equivalences(empty, U)
+    everything = enumerate_weak_equivalences(U)
     assert len(everything.witnesses) == 11

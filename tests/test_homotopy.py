@@ -120,28 +120,28 @@ def test_cross_check_agrees_on_small_pairs():
 
 def test_point_inclusion_is_a_strong_deformation_retract():
     iota0 = fsmap(1, 2, (0,))
-    res = is_strong_deformation_retract(iota0, I1)
+    res = is_strong_deformation_retract(iota0, HomotopyContext(I1))
     assert res.verdict is Verdict.YES
     assert compose(iota0, res.retraction).is_identity()
     got = res.homotopy
     assert compose(got.cylinder.incl0, got.map) == compose(res.retraction, iota0)
     assert compose(got.cylinder.incl1, got.map).is_identity()
-    weak = is_deformation_retract(iota0, I1)
+    weak = is_deformation_retract(iota0, HomotopyContext(I1))
     assert weak.verdict is Verdict.YES
 
 
 def test_retract_searches_that_must_fail():
     # no retraction exists out of the empty source
-    res = is_deformation_retract(fsmap(0, 1, ()), I1)
+    res = is_deformation_retract(fsmap(0, 1, ()), HomotopyContext(I1))
     assert res.verdict is Verdict.NO and res.retraction is None
     # over the larger set the homotopy is equality, so a non-iso cannot
     # deformation retract
-    res = is_deformation_retract(fsmap(1, 2, (0,)), I2)
+    res = is_deformation_retract(fsmap(1, 2, (0,)), HomotopyContext(I2))
     assert res.verdict is Verdict.NO
 
 
 def test_path_object_over_the_point_is_trivial():
-    J1 = build_jset(I1)
+    J1 = build_jset(HomotopyContext(I1))
     path = path_object(fs(1), J1)
     assert path.apex.total_size() == 1
     assert compose(path.into, path.proj0).is_identity()
@@ -149,7 +149,7 @@ def test_path_object_over_the_point_is_trivial():
 
 
 def test_path_object_laws_on_the_two_point_set():
-    J1 = build_jset(I1)
+    J1 = build_jset(HomotopyContext(I1))
     path = path_object(fs(2), J1)
     assert compose(path.into, path.proj0).is_identity()
     assert compose(path.into, path.proj1).is_identity()
@@ -157,7 +157,7 @@ def test_path_object_laws_on_the_two_point_set():
 
 def test_right_homotopy_agrees_with_left_on_small_absolute_pairs():
     for gens in (I1, I2):
-        J = build_jset(gens)
+        J = build_jset(HomotopyContext(gens))
         paths = {}
         for f0 in POOL2:
             for f1 in POOL2:
@@ -174,7 +174,7 @@ def test_right_homotopy_agrees_with_left_on_small_absolute_pairs():
 
 
 def test_right_homotopy_witness_projects_to_the_ends():
-    J1 = build_jset(I1)
+    J1 = build_jset(HomotopyContext(I1))
     f0 = fsmap(1, 2, (0,))
     f1 = fsmap(1, 2, (1,))
     got = right_homotopic(f0, f1, None, J1)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minmodel import cli
 from minmodel.errors import ParseError, UnknownName, ValidationError
@@ -243,6 +244,61 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
         ws.write_bytes(data)
         assert cli.run(["validate", str(ws)]) == 3, name
         assert f"line {line}:" in capsys.readouterr().err, name
+    # a report that cannot be written is not a "fail", and leaves no temp file
+    missing = tmp_path / "nowhere" / "report.json"
+    assert cli.run(["validate", FI1, "--out", str(missing)]) == 3
+    assert "error: FileNotFoundError: " in capsys.readouterr().err
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert cli.run(["validate", FI1, "--out", str(folder)]) == 3
+    assert "error: IsADirectoryError: " in capsys.readouterr().err
+    assert not (tmp_path / "folder.tmp").exists()
+
+
+_MAP = st.sampled_from(["i01", "iota0", "iota1", "collapse", "fold"])
+_JUNK = st.sampled_from(
+    ["", "zz", "rel", "I3", "-x", "--cross-check", "--out", "--fuel", "\u00e9"]
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command and a finset fixture, then arguments of the command's
+    shape or a token soup, then --fuel / --bound pairs."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    workspace, genset = draw(
+        st.sampled_from([(FI1, "I1"), (FI2, "I2"), ("missing.ws", "I1")])
+    )
+    gen = st.just(genset)
+    if command == "validate":
+        shape = st.tuples()
+    elif command == "homotopic":
+        shape = st.tuples(_MAP, _MAP, gen) | st.tuples(
+            _MAP, _MAP, st.just("rel"), _MAP, gen
+        )
+    elif command in ("factor", "cylinder", "classify"):
+        shape = st.tuples(_MAP, gen)
+    else:
+        shape = st.tuples(gen)
+    argv = [command, workspace, *draw(shape | st.lists(_MAP | gen | _JUNK, max_size=5))]
+    for flag in draw(st.lists(st.sampled_from(["--fuel", "--bound"]), max_size=2)):
+        argv += [flag, draw(st.sampled_from(["-1", "0", "2", "abc", "x=1"]))]
+    return argv
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argv(), out=st.sampled_from(["file", "missing-dir", "dir"]))
+def test_every_argv_exits_with_a_contract_code(tmp_path, argv, out):
+    target = {
+        "file": tmp_path / "report.json",
+        "missing-dir": tmp_path / "nowhere" / "report.json",
+        "dir": tmp_path,
+    }[out]
+    assert cli.run(argv + ["--out", str(target)]) in (0, 1, 2, 3), argv
 
 
 def test_factor_command(tmp_path):
