@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .colimits import coproduct, initial_map, pushout
-from .errors import FuelExhausted, ValidationError
+from .errors import FuelExhausted, FunctorialityViolation
 from .factorization import GeneratingSet, Verdict, in_cof, in_inj
 from .homotopy import HomotopyContext, is_strong_deformation_retract
 from .lifting import has_rlp
@@ -124,6 +124,9 @@ class BoundedUniverse:
 
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
+    It caches its verdicts per instance (`hom`, `is_cof`, `is_triv_fib`,
+    `is_fib`, `factors_through`, `is_object_retract`,
+    `cofibrations_between_cofibrant`); each answers `cache_info()`.
     """
 
     def __init__(
@@ -143,10 +146,9 @@ class BoundedUniverse:
         self.ctx = HomotopyContext(generators, fuel)
         self.objects: tuple[Presheaf, ...] = tuple(self._enumerate())
         self._index = {X: k for k, X in enumerate(self.objects)}
-        self._rlp_memo: dict = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "is_cof", "factors_through", "is_object_retract",
-                     "cofibrations_between_cofibrant"):
+        for name in ("hom", "is_cof", "is_triv_fib", "is_fib", "factors_through",
+                     "is_object_retract", "cofibrations_between_cofibrant"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -177,7 +179,7 @@ class BoundedUniverse:
             for combo in itertools.product(*tables):
                 try:
                     yield Presheaf(base, carriers, dict(zip(nonid, combo)))
-                except ValidationError:
+                except FunctorialityViolation:
                     continue
 
     def describe(self) -> dict:
@@ -201,11 +203,12 @@ class BoundedUniverse:
         return in_cof(f, self.generators, self.fuel)
 
     def is_triv_fib(self, f: PresheafMap) -> bool:
-        return in_inj(f, self.generators, memo=self._rlp_memo)
+        return in_inj(f, self.generators)
 
     def is_fib(self, f: PresheafMap, J: GeneratingSet) -> bool:
-        """Whether f is a J-fibration: RLP against every map of J."""
-        return has_rlp(f, J.maps, memo=self._rlp_memo)
+        """Whether f is a J-fibration: RLP against every map of J.  Equal
+        generating sets hash alike, so a rebuilt J shares the cache."""
+        return has_rlp(f, J.maps)
 
     def _cofibrations_among(
         self, maps: Iterable[PresheafMap]

@@ -20,8 +20,8 @@ Commands:
 
 --bound (and the workspace's `bound:`) is one integer for every base
 object, or NAME=N assignments that name every base object exactly once and
-nothing else; every value must be at least 0.  --fuel (and `fuel:`) is an
-integer that is at least 0.
+nothing else; every value runs from 0 to 64.  --fuel (and `fuel:`) is an
+integer that is at least 0.  Each flag may be given once.
 
 Every run writes one JSON report (stdout, or --out PATH) and exits with
 0 = pass, 1 = fail, 2 = inconclusive, 3 = usage or parse error.  Reports
@@ -55,8 +55,6 @@ from .factorization import Attachment, CellFactorization, Status, Verdict, soa_f
 from .homotopy import (
     CylinderObject,
     HomotopyWitness,
-    PathObject,
-    RightHomotopyWitness,
     cylinder,
     homotopic,
     homotopic_cross_check,
@@ -122,16 +120,6 @@ def render(value):
         }
     if isinstance(value, HomotopyWitness):
         return {"cylinder": render(value.cylinder), "map": render(value.map)}
-    if isinstance(value, PathObject):
-        return {
-            "of": render(value.of),
-            "apex": render(value.apex),
-            "into": render(value.into),
-            "proj-0": render(value.proj0),
-            "proj-1": render(value.proj1),
-        }
-    if isinstance(value, RightHomotopyWitness):
-        return {"path": render(value.path), "map": render(value.map)}
     if isinstance(value, MapClassification):
         out = {"map": render(value.map)}
         out.update((k, render(v)) for k, v in value.as_dict().items())
@@ -158,6 +146,8 @@ def _split_flags(tokens):
     i = 0
     while i < len(tokens):
         t = tokens[i]
+        if t.startswith("--") and t[2:] in flags:
+            raise UsageError(f"{t} given twice")
         if t == "--cross-check":
             flags["cross-check"] = True
             i += 1

@@ -141,9 +141,9 @@ def soa_factorize(
     return CellFactorization(f, j, p, tuple(log), used, status)
 
 
-def in_inj(f: PresheafMap, I: GeneratingSet, memo: dict | None = None) -> bool:
+def in_inj(f: PresheafMap, I: GeneratingSet) -> bool:
     """Membership in the injectives: RLP against every generator."""
-    return has_rlp(f, I.maps, memo=memo)
+    return has_rlp(f, I.maps)
 
 
 def in_cof(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .colimits import initial_map, product, pushout
 from .errors import FuelExhausted, IncompatibleOnRelativePart, NonComposable
 from .factorization import CellFactorization, GeneratingSet, Status, Verdict, soa_factorize
-from .lifting import RelationOracle, find_unliftable_square_up_to
+from .lifting import Relation, find_unliftable_square_up_to
 from .presheaf import (
     Presheaf,
     PresheafMap,
@@ -155,7 +155,7 @@ class HomotopyContext:
         lower triangle holds up to homotopy rel `left`, or None."""
         return find_unliftable_square_up_to(left, right, self.oracle(left))
 
-    def oracle(self, rel: PresheafMap) -> RelationOracle:
+    def oracle(self, rel: PresheafMap) -> Relation:
         """Homotopy rel `rel` as a total relation on parallel maps."""
 
         def decide(a: PresheafMap, b: PresheafMap):
@@ -165,9 +165,9 @@ class HomotopyContext:
                 return None
             return self.homotopic(a, b, rel)
 
-        return RelationOracle("homotopy-rel-left", decide)
+        return decide
 
-    def absolute_oracle(self, Y: Presheaf) -> RelationOracle:
+    def absolute_oracle(self, Y: Presheaf) -> Relation:
         return self.oracle(initial_map(Y))
 
 

@@ -3,6 +3,10 @@
 A lifting problem is a commuting square; a solution is a diagonal making
 both triangles commute.  The relaxed variant keeps the upper triangle strict
 and only asks the lower one to hold up to a caller-supplied relation.
+
+The solver keeps no state: a lifting property is a pure relation between
+two maps, and every query here runs its search again.  The objects that own
+a question (`BoundedUniverse`, `HomotopyContext`) cache their verdicts.
 """
 
 from __future__ import annotations
@@ -66,22 +70,9 @@ class LiftingProblem:
         return problem
 
 
-@dataclass(frozen=True)
-class RelationOracle:
-    """A named, total decision procedure on parallel maps.
-
-    `decide` returns a witness object when the maps are related and None
-    otherwise.
-    """
-
-    tag: str
-    decide: Callable[[PresheafMap, PresheafMap], object | None]
-
-    @staticmethod
-    def equality() -> "RelationOracle":
-        return RelationOracle(
-            "equality", lambda a, b: "equal" if a == b else None
-        )
+#: A total decision procedure on parallel maps: a witness object when the
+#: maps are related, None otherwise.
+Relation = Callable[[PresheafMap, PresheafMap], object | None]
 
 
 def solve_lifting(problem: LiftingProblem) -> PresheafMap | None:
@@ -99,7 +90,7 @@ def solve_lifting(problem: LiftingProblem) -> PresheafMap | None:
 
 
 def solve_lifting_up_to(
-    problem: LiftingProblem, relation: RelationOracle
+    problem: LiftingProblem, relation: Relation
 ) -> tuple[PresheafMap, object] | None:
     """First diagonal whose upper triangle is strict and whose lower
     triangle holds up to `relation`, together with the relation witness."""
@@ -110,7 +101,7 @@ def solve_lifting_up_to(
     B, C = problem.left.target, problem.right.source
     for comp in _enumerate_components(B, C, seeds=seeds):
         h = PresheafMap._make(B, C, comp)
-        witness = relation.decide(compose(h, problem.right), problem.bottom)
+        witness = relation(compose(h, problem.right), problem.bottom)
         if witness is not None:
             return h, witness
     return None
@@ -142,52 +133,23 @@ def unsolvable_squares(
             yield top, bottom
 
 
-def _lifts_against(
-    pairs: Iterable[tuple[PresheafMap, PresheafMap]],
-    memo: dict | None,
-    relation: RelationOracle | None = None,
-) -> bool:
-    """Whether every square over each (left, right) pair has a diagonal,
-    strict or, given `relation`, with the lower triangle up to it.
-
-    Verdicts are memoized under (left, right, relation tag or None).
-    """
-    tag = None if relation is None else relation.tag
-    for left, right in pairs:
-        key = (left, right, tag)
-        ok = None if memo is None else memo.get(key)
-        if ok is None:
-            if relation is None:
-                ok = next(unsolvable_squares(left, right), None) is None
-            else:
-                ok = find_unliftable_square_up_to(left, right, relation) is None
-            if memo is not None:
-                memo[key] = ok
-        if not ok:
-            return False
-    return True
+def _lifts(left: PresheafMap, right: PresheafMap) -> bool:
+    """Whether every commuting square over (left, right) has a diagonal."""
+    return next(unsolvable_squares(left, right), None) is None
 
 
-def has_rlp(
-    g: PresheafMap,
-    maps: Iterable[PresheafMap],
-    memo: dict | None = None,
-) -> bool:
+def has_rlp(g: PresheafMap, maps: Iterable[PresheafMap]) -> bool:
     """Right lifting property of g against every map in `maps`."""
-    return _lifts_against(((s, g) for s in maps), memo)
+    return all(_lifts(s, g) for s in maps)
 
 
-def has_llp(
-    f: PresheafMap,
-    maps: Iterable[PresheafMap],
-    memo: dict | None = None,
-) -> bool:
+def has_llp(f: PresheafMap, maps: Iterable[PresheafMap]) -> bool:
     """Left lifting property of f against every map in `maps`."""
-    return _lifts_against(((f, s) for s in maps), memo)
+    return all(_lifts(f, s) for s in maps)
 
 
 def find_unliftable_square_up_to(
-    left: PresheafMap, right: PresheafMap, relation: RelationOracle
+    left: PresheafMap, right: PresheafMap, relation: Relation
 ) -> tuple[PresheafMap, PresheafMap] | None:
     """First commuting square with no up-to-relation diagonal, or None.
 
@@ -198,7 +160,7 @@ def find_unliftable_square_up_to(
     for top, bottom in square_enumerate(left, right):
         problem = LiftingProblem._unchecked(left, right, top, bottom)
         h = solve_lifting(problem)
-        if h is not None and relation.decide(compose(h, right), bottom) is not None:
+        if h is not None and relation(compose(h, right), bottom) is not None:
             continue
         if solve_lifting_up_to(problem, relation) is None:
             return top, bottom
@@ -206,23 +168,15 @@ def find_unliftable_square_up_to(
 
 
 def has_rlp_up_to(
-    g: PresheafMap,
-    maps: Iterable[PresheafMap],
-    relation: RelationOracle,
-    memo: dict | None = None,
+    g: PresheafMap, maps: Iterable[PresheafMap], relation: Relation
 ) -> bool:
     """RLP of g against `maps`, with lower triangles up to `relation`.
 
-    With the equality oracle this agrees with `has_rlp`.
+    With the equality relation this agrees with `has_rlp`.
     """
-    return _lifts_against(((s, g) for s in maps), memo, relation)
+    return all(find_unliftable_square_up_to(s, g, relation) is None for s in maps)
 
 
-def has_rlp_up_to_object(
-    g: PresheafMap,
-    V: Presheaf,
-    relation: RelationOracle,
-    memo: dict | None = None,
-) -> bool:
+def has_rlp_up_to_object(g: PresheafMap, V: Presheaf, relation: Relation) -> bool:
     """RLP up to `relation` against the map from the empty presheaf to V."""
-    return has_rlp_up_to(g, [initial_map(V)], relation, memo=memo)
+    return has_rlp_up_to(g, [initial_map(V)], relation)

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .errors import DuplicateName, ParseError, UnknownName
 from .factorization import GeneratingSet
-from .presheaf import BaseCategory, Presheaf, PresheafMap, load_base
+from .presheaf import MAX_CARRIER_SIZE, BaseCategory, Presheaf, PresheafMap, load_base
 
 
 @dataclass
@@ -108,16 +108,16 @@ def parse_fuel(text: str) -> int:
 
 
 def check_bound(bound: dict[str, int] | int, objects: Sequence[str]) -> None:
-    """Raise ValueError unless every value is at least 0 and a per-object
-    bound names exactly the base objects."""
+    """Raise ValueError unless every value runs from 0 to MAX_CARRIER_SIZE
+    and a per-object bound names exactly the base objects."""
     per_object = bound if isinstance(bound, dict) else dict.fromkeys(objects, bound)
     if sorted(per_object) != sorted(objects):
         raise ValueError(
             f"bound must name each base object once ({' '.join(objects)}), "
             f"got {' '.join(per_object)}"
         )
-    if any(n < 0 for n in per_object.values()):
-        raise ValueError("bound values must be at least 0")
+    if any(not 0 <= n <= MAX_CARRIER_SIZE for n in per_object.values()):
+        raise ValueError(f"bound values must run from 0 to {MAX_CARRIER_SIZE}")
 
 
 def _split_sections(text: str):

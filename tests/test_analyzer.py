@@ -22,6 +22,7 @@ from minmodel.analyzer import (
     verify_axioms,
 )
 from minmodel.colimits import initial_map
+from minmodel.errors import SizeLimitExceeded
 from minmodel.factorization import GeneratingSet, Verdict, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
 from minmodel.presheaf import compose, is_mono
@@ -319,6 +320,33 @@ def test_weak_equivalence_and_object_squares_share_one_memo():
     assert lifting.STATS["solver_calls"] == before
     info = U.ctx.unliftable_square.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_universe_caches_fibration_verdicts_and_lifting_keeps_none():
+    U = finset_universe(I1)
+    f = fsmap(2, 1, (0, 0))
+    assert U.is_triv_fib(f)
+    before = lifting.STATS["solver_calls"]
+    assert U.is_triv_fib(f)
+    assert lifting.STATS["solver_calls"] == before
+    assert U.is_triv_fib.cache_info().hits == 1
+    # equal generating sets hash alike, so a rebuilt J hits the same entry
+    assert U.is_fib(f, build_jset(U.ctx)) == U.is_fib(f, build_jset(U.ctx))
+    info = U.is_fib.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # the lifting layer itself remembers nothing: each query solves again
+    before = lifting.STATS["solver_calls"]
+    assert lifting.has_rlp(f, I1.maps)
+    once = lifting.STATS["solver_calls"] - before
+    assert lifting.has_rlp(f, I1.maps)
+    assert once > 0
+    assert lifting.STATS["solver_calls"] - before == 2 * once
+
+
+def test_universe_bound_above_the_carrier_limit_is_refused():
+    # a carrier of 65 elements is refused, not silently left out
+    with pytest.raises(SizeLimitExceeded):
+        finset_universe(I1, bound=65)
 
 
 def test_weak_equivalence_enumeration_counts():

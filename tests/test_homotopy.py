@@ -201,6 +201,6 @@ def test_context_caches_cylinders_and_verdicts():
     first = ctx.homotopic(f0, f1)
     assert first is ctx.homotopic(f0, f1)
     oracle = ctx.oracle(rel)
-    assert oracle.decide(f0, f1) is not None
-    assert oracle.decide(f0, fsmap(1, 3, (0,))) is None
-    assert ctx.absolute_oracle(fs(1)).decide(f0, f1) is not None
+    assert oracle(f0, f1) is not None
+    assert oracle(f0, fsmap(1, 3, (0,))) is None
+    assert ctx.absolute_oracle(fs(1))(f0, f1) is not None

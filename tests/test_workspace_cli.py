@@ -230,7 +230,7 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage" in err.lower() or "error" in err.lower()
     # a --bound must name every base object once, nothing else, all >= 0
-    for spec in ("y=2", "x=1,zz=4", "x=1,x=2", "-1", "x=-1"):
+    for spec in ("y=2", "x=1,zz=4", "x=1,x=2", "-1", "x=-1", "65", "x=65"):
         assert cli.run(["enumerate-we", FI1, "I1", "--bound", spec]) == 3, spec
         assert "error: --bound: " in capsys.readouterr().err, spec
     # workspace faults come back with their line numbers
@@ -238,12 +238,21 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
         ("fuel.ws", b"[config]\nfuel: abc\n[base]\nobjects: x\n", 2),
         ("negfuel.ws", b"[base]\nobjects: x\n[config]\nfuel: -5\n", 4),
         ("bound.ws", b"[base]\nobjects: x\n[config]\nbound: y=2\n", 4),
+        ("big.ws", b"[base]\nobjects: x\n[config]\nbound: 65\n", 4),
         ("bytes.ws", b"[base]\nobjects: x\n# caf\xe9\n", 3),
     ):
         ws = tmp_path / name
         ws.write_bytes(data)
         assert cli.run(["validate", str(ws)]) == 3, name
         assert f"line {line}:" in capsys.readouterr().err, name
+    # each flag may be given once
+    twice = ["factor", FI1, "collapse", "I1", "--fuel", "0", "--fuel", "1024"]
+    assert cli.run(twice) == 3
+    assert "error: --fuel given twice" in capsys.readouterr().err
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.run(["validate", FI1, "--out", str(first), "--out", str(second)]) == 3
+    assert "error: --out given twice" in capsys.readouterr().err
+    assert not first.exists() and not second.exists()
     # a report that cannot be written is not a "fail", and leaves no temp file
     missing = tmp_path / "nowhere" / "report.json"
     assert cli.run(["validate", FI1, "--out", str(missing)]) == 3
