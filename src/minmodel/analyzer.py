@@ -117,15 +117,23 @@ class BoundedUniverse:
     Enumeration order is fixed: size vectors run in base-object order,
     action tables lexicographically; elements are named by their index.
     Isomorphic duplicates are kept, so every check walks them in that
-    order; the coproduct sweep of `check_properness_condition` computes
-    one verdict per pair of isomorphism classes (`iso_key`) and shares it
-    among the pairs of that class.  Objects whose cofibrancy cannot be
-    decided within fuel are left out of the cofibrant family and counted.
+    order.  Objects whose cofibrancy cannot be decided within fuel are left
+    out of the cofibrant family and counted.
+
+    `iso_class(f)` numbers the isomorphism classes of arrows (`iso_key`)
+    densely in first-seen order.  Membership verdicts are invariant under
+    isomorphism, so a decided `is_cof` verdict serves every map of its
+    class, as do the appropriateness verdict of a comparison map and the
+    coproduct-sweep verdict of a pair of classes.  An INCONCLUSIVE `is_cof`
+    stays with its map: the fuel a factorization spends can differ between
+    isomorphic maps, and an isomorphic map still gets its own run.
+    `is_triv_fib`, `is_fib` and weak equivalence stay per map, because one
+    strict lifting sweep costs less than an `iso_key`.
 
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
-    It caches its verdicts per instance (`hom`, `is_cof`, `is_triv_fib`,
-    `is_fib`, `factors_through`, `is_object_retract`,
+    It caches its verdicts per instance (`hom`, `iso_class`, `is_cof`,
+    `is_triv_fib`, `is_fib`, `factors_through`, `is_object_retract`,
     `cofibrations_between_cofibrant`); each answers `cache_info()`.
     """
 
@@ -146,9 +154,13 @@ class BoundedUniverse:
         self.ctx = HomotopyContext(generators, fuel)
         self.objects: tuple[Presheaf, ...] = tuple(self._enumerate())
         self._index = {X: k for k, X in enumerate(self.objects)}
+        self._classes: dict[tuple, int] = {}
+        # decided cofibration verdicts per iso class; never INCONCLUSIVE
+        self._cof_by_class: dict[int, Verdict] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "is_cof", "is_triv_fib", "is_fib", "factors_through",
-                     "is_object_retract", "cofibrations_between_cofibrant"):
+        for name in ("hom", "iso_class", "is_cof", "is_triv_fib", "is_fib",
+                     "factors_through", "is_object_retract",
+                     "cofibrations_between_cofibrant"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -199,8 +211,18 @@ class BoundedUniverse:
         for X in self.objects:
             yield from self.maps_from(X)
 
+    def iso_class(self, f: PresheafMap) -> int:
+        """The index of f's isomorphism class of arrows, in first-seen order."""
+        return self._classes.setdefault(iso_key(f), len(self._classes))
+
     def is_cof(self, f: PresheafMap) -> Verdict:
-        return in_cof(f, self.generators, self.fuel)
+        k = self.iso_class(f)
+        verdict = self._cof_by_class.get(k)
+        if verdict is None:
+            verdict = in_cof(f, self.generators, self.fuel)
+            if verdict is not Verdict.INCONCLUSIVE:
+                self._cof_by_class[k] = verdict
+        return verdict
 
     def is_triv_fib(self, f: PresheafMap) -> bool:
         return in_inj(f, self.generators)
@@ -350,7 +372,11 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     params = {"generators": U.generators.label, **U.describe()}
     pushouts_checked = 0
     inconclusive = 0
-    settled: set[PresheafMap] = set()
+    # Both conditions are invariant under isomorphism, so a comparison map
+    # whose iso class passed them is settled.  Undecided purity is still
+    # counted once per distinct comparison map.
+    seen: set[PresheafMap] = set()
+    settled: dict[int, bool] = {}  # iso class -> whether purity was undecided
     try:
         cofibrant = U.cofibrant
         for t in U.trivial_fibrations_between_cofibrant():
@@ -362,7 +388,12 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
                     continue
                 comparison = pushout(t, c).right
                 pushouts_checked += 1
-                if comparison in settled:
+                if comparison in seen:
+                    continue
+                seen.add(comparison)
+                k = U.iso_class(comparison)
+                if k in settled:
+                    inconclusive += settled[k]
                     continue
                 failure = {
                     "trivial-fibration": t,
@@ -373,12 +404,12 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
                 if purity.verdict is Verdict.NO:
                     failure["purity"] = purity.counterexample
                     return _report("appropriate", params, failure)
-                if purity.verdict is Verdict.INCONCLUSIVE:
-                    inconclusive += 1
+                undecided = purity.verdict is Verdict.INCONCLUSIVE
+                inconclusive += undecided
                 bad = _object_square_failure(comparison, cofibrant, U.ctx)
                 if bad is not None:
                     return _report("appropriate", params, {**failure, **bad})
-                settled.add(comparison)
+                settled[k] = undecided
     except FuelExhausted as stop:
         return _out_of_fuel("appropriate", params, stop)
     undecided = U.all_undecided() + inconclusive
@@ -446,8 +477,7 @@ def _coproduct_outcomes(
     isomorphic to t1, t2, and lifting is invariant under isomorphism, so
     one verdict per unordered pair of iso classes serves every pair.
     """
-    classes: dict[tuple, int] = {}
-    kinds = [classes.setdefault(iso_key(t), len(classes)) for t in maps]
+    kinds = [U.iso_class(t) for t in maps]
     lifts: dict[tuple[int, int], bool] = {}
     for t1, k1 in zip(maps, kinds):
         for t2, k2 in zip(maps, kinds):

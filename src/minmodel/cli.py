@@ -50,6 +50,7 @@ from .analyzer import (
     enumerate_weak_equivalences,
     verify_axioms,
 )
+from .colimits import initial_map, pushout
 from .errors import EngineError, FuelExhausted, ValidationError
 from .factorization import Attachment, CellFactorization, Status, Verdict, soa_factorize
 from .homotopy import (
@@ -302,7 +303,14 @@ def _cmd_homotopic(run):
     else:
         witness = homotopic(f0, f1, rel, I, run.fuel)
     if witness is None:
-        return run.report("fail", details={"homotopic": False})
+        # the two ends as one map out of the end pushout of the cylinder
+        # over rel: it has no extension along the cylinder
+        if rel is None:
+            rel = initial_map(f0.source)
+        ends = pushout(rel, rel).mediator(f0, f1)
+        return run.report(
+            "fail", counterexample={"ends": ends}, details={"homotopic": False}
+        )
     return run.report("pass", witnesses=[witness.map], details=witness)
 
 
@@ -317,13 +325,19 @@ def _cmd_classify(run):
     result = classify_map(f, _universe(run, I))
     parts = result.as_dict()
     del parts["sdr-consistent"]
+    counterexample = None
     if result.consistent is False:
         verdict = "fail"
+        counterexample = {
+            "map": f,
+            "trivial-cofibration": result.trivial_cofibration,
+            "strong-deformation-retract": result.strong_deformation_retract,
+        }
     elif Verdict.INCONCLUSIVE in parts.values():
         verdict = "inconclusive"
     else:
         verdict = "pass"
-    return run.report(verdict, details=result)
+    return run.report(verdict, counterexample=counterexample, details=result)
 
 
 _CHECKERS = {

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from minmodel import lifting
+from minmodel import analyzer, lifting
 from minmodel.analyzer import (
     BoundedUniverse,
     WeClass,
@@ -23,7 +23,7 @@ from minmodel.analyzer import (
 )
 from minmodel.colimits import initial_map
 from minmodel.errors import SizeLimitExceeded
-from minmodel.factorization import GeneratingSet, Verdict, in_inj
+from minmodel.factorization import GeneratingSet, Verdict, in_cof, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
 from minmodel.presheaf import compose, is_mono
 
@@ -97,6 +97,84 @@ def test_cofibrant_families():
     assert all(is_mono(i) for i in cbc)
     V = finset_universe(I2)
     assert len(V.cofibrations_between_cofibrant()) == 60
+
+
+def test_iso_classes_are_dense_in_first_seen_order():
+    U = finset_universe(I1)
+    by_size = {X.total_size(): X for X in U.objects}
+    inclusions = U.hom(by_size[1], by_size[3])
+    folds = U.hom(by_size[2], by_size[1])
+    assert [U.iso_class(f) for f in inclusions] == [0, 0, 0]
+    assert [U.iso_class(f) for f in folds] == [1]
+    assert U.iso_class(inclusions[1]) == 0
+    assert U.iso_class.cache_info().misses == 4
+
+
+def test_an_inconclusive_cofibration_verdict_stays_with_its_map(monkeypatch):
+    # On the shipped fixtures isomorphic maps spend the same fuel, so one
+    # member of a class is made undecided by hand.
+    U = finset_universe(I1)
+    by_size = {X.total_size(): X for X in U.objects}
+    first, second, third = U.hom(by_size[1], by_size[3])
+    assert len({U.iso_class(f) for f in (first, second, third)}) == 1
+    calls = []
+
+    def starve_first(f, I, fuel=None):
+        calls.append(f)
+        return Verdict.INCONCLUSIVE if f == first else in_cof(f, I, fuel)
+
+    monkeypatch.setattr(analyzer, "in_cof", starve_first)
+    assert U.is_cof(first) is Verdict.INCONCLUSIVE
+    # the undecided verdict does not cross over: the next member runs
+    assert U.is_cof(second) is Verdict.YES
+    assert calls == [first, second]
+    # a decided verdict serves the rest of the class without a run
+    assert U.is_cof(third) is Verdict.YES
+    assert calls == [first, second]
+    # and the undecided map keeps its own verdict
+    assert U.is_cof(first) is Verdict.INCONCLUSIVE
+    assert calls == [first, second]
+    # decided first, the class verdict reaches the member that would be
+    # undecided on its own
+    V = finset_universe(I1)
+    assert V.is_cof(second) is Verdict.YES
+    assert V.is_cof(first) is Verdict.YES
+    assert calls == [first, second, second]
+
+
+def test_shared_cofibration_verdicts_agree_with_per_map_runs():
+    cases = ((FS_BASE, 3, I2), (IG.base_of(), {"v": 2, "e": 1}, IG))
+    for base, bound, gens in cases:
+        maps = list(BoundedUniverse(base, bound, gens).all_maps())
+        alone = {f: in_cof(f, gens) for f in maps}
+        assert Verdict.INCONCLUSIVE not in alone.values()
+        undecided = {}
+        for fuel in (0, 1, 2, 3, 4, 5, None):
+            U = BoundedUniverse(base, bound, gens, fuel)
+            undecided[fuel] = 0
+            for f in maps:
+                shared = U.is_cof(f)
+                if shared is Verdict.INCONCLUSIVE:
+                    undecided[fuel] += 1
+                    assert in_cof(f, gens, fuel) is Verdict.INCONCLUSIVE, fuel
+                else:
+                    assert shared is alone[f], fuel
+        # both branches are exercised
+        assert undecided[0] > 0 and undecided[None] == 0, undecided
+
+
+def test_cofibration_verdicts_match_the_oracles():
+    U = gph_universe()
+    maps = list(U.all_maps())
+    assert len(maps) == 929
+    for f in maps:
+        want = Verdict.YES if og.is_mono(gph_to_oracle(f)) else Verdict.NO
+        assert U.is_cof(f) is want
+    for gens, oracle_gens in ((I1, of.I1), (I2, of.I2)):
+        U = finset_universe(gens)
+        for f in U.all_maps():
+            want = Verdict.YES if of.in_cof(fs_to_oracle(f), oracle_gens) else Verdict.NO
+            assert U.is_cof(f) is want
 
 
 def test_purity_verdicts():
@@ -175,6 +253,17 @@ def test_appropriateness_fails_on_graphs_and_matches_the_oracle():
     assert og.is_inj(t)
     assert og.is_mono(c)
     assert og.purity_violation(comparison, 2, 2) is not None
+
+
+def test_starved_appropriateness_counts_undecided_purity_per_map():
+    # comparison maps of a settled iso class skip the purity run but still
+    # count as undecided once each; these are the per-map counts
+    counts = {}
+    for fuel in (1, 2, 3):
+        report = check_appropriate(BoundedUniverse(FS_BASE, 3, I2, fuel))
+        assert report.verdict is Verdict.INCONCLUSIVE
+        counts[fuel] = report.diagnostics["undecided_membership"]
+    assert counts == {1: 12, 2: 25, 3: 53}
 
 
 def test_main_condition_verdicts():

@@ -1,9 +1,13 @@
 """Workspace parsing, serialization, and the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from minmodel import cli
 from minmodel.errors import ParseError, UnknownName, ValidationError
@@ -301,13 +305,18 @@ def _argv(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(argv=_argv(), out=st.sampled_from(["file", "missing-dir", "dir"]))
+@example(argv=["homotopic", FI2, "iota0", "iota1", "I2"], out="file")
 def test_every_argv_exits_with_a_contract_code(tmp_path, argv, out):
     target = {
         "file": tmp_path / "report.json",
         "missing-dir": tmp_path / "nowhere" / "report.json",
         "dir": tmp_path,
     }[out]
-    assert cli.run(argv + ["--out", str(target)]) in (0, 1, 2, 3), argv
+    code = cli.run(argv + ["--out", str(target)])
+    assert code in (0, 1, 2, 3), argv
+    if code == 1 and out == "file":
+        # a genuine fail names what fails
+        assert json.loads(target.read_text())["counterexample"] is not None, argv
 
 
 def test_factor_command(tmp_path):
@@ -356,6 +365,11 @@ def test_homotopic_verdicts(tmp_path):
     code, report, _ = run_cli(["homotopic", FI2, "iota0", "iota1", "I2"], tmp_path)
     assert code == 1 and report["verdict"] == "fail"
     assert report["details"] == {"homotopic": False}
+    # both ends as one map out of 1 + 1, the end pushout of the absolute
+    # cylinder; it has no extension along the cylinder
+    ends = report["counterexample"]["ends"]
+    assert ends["source"]["carriers"] == {"x": ["l.a", "r.a"]}
+    assert ends["components"] == {"x": {"l.a": "a", "r.a": "b"}}
     code, report, _ = run_cli(
         ["homotopic", FI1, "iota0", "iota1", "rel", "i01", "I1"], tmp_path
     )
@@ -388,6 +402,44 @@ def test_classify_command(tmp_path):
     assert details["trivial-fibration"] == "fail"
     assert details["sdr-consistent"] is True
     assert report["bounds"] == {"bound": 3, "objects": 4}
+
+
+def test_classify_fail_reports_the_disagreeing_verdicts(tmp_path):
+    # a point sent to the isolated vertex beside a loop: a trivial
+    # cofibration that is not a strong deformation retract
+    ws = tmp_path / "loop.ws"
+    ws.write_text(
+        Path(GIG).read_text(encoding="utf-8")
+        + "\n[presheaf L]\nv: a b\ne: l\naction s: l->a\naction t: l->a\n"
+        + "\n[map m : P -> L]\ncomponent v: p->b\n",
+        encoding="utf-8",
+    )
+    code, report, _ = run_cli(
+        ["classify", str(ws), "m", "IG", "--bound", "v=2,e=1"], tmp_path
+    )
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["details"]["sdr-consistent"] is False
+    ce = report["counterexample"]
+    assert ce["map"] == report["details"]["map"]
+    assert ce["trivial-cofibration"] == "pass"
+    assert ce["strong-deformation-retract"] == "fail"
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "minmodel.cli", "check-appropriate", GIG, "IG",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert done.returncode == 1
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_checker_commands(tmp_path):
