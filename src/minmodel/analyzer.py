@@ -27,6 +27,7 @@ from .presheaf import (
     BaseCategory,
     Presheaf,
     PresheafMap,
+    _compose_tables,
     _first_map,
     _pin,
     compose,
@@ -133,8 +134,15 @@ class BoundedUniverse:
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
     It caches its verdicts per instance (`hom`, `iso_class`, `is_cof`,
-    `is_triv_fib`, `is_fib`, `factors_through`, `is_object_retract`,
+    `is_triv_fib`, `is_fib`, `factors_through`,
     `cofibrations_between_cofibrant`); each answers `cache_info()`.
+
+    The hot loops work on component tables, not on maps.  `factors_through`
+    returns the component tables of the extending maps, which `is_pure`
+    tests each top map's table against.  `all_maps()` runs hom-set by
+    hom-set, and every composite of universe maps is a universe map, so
+    `verify_axioms` reads A2's weak-equivalence verdicts from one table per
+    hom-set, keyed by component table.
     """
 
     def __init__(
@@ -159,8 +167,7 @@ class BoundedUniverse:
         self._cof_by_class: dict[int, Verdict] = {}
         # memos on the instance, so that they end with the universe
         for name in ("hom", "iso_class", "is_cof", "is_triv_fib", "is_fib",
-                     "factors_through", "is_object_retract",
-                     "cofibrations_between_cofibrant"):
+                     "factors_through", "cofibrations_between_cofibrant"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -261,9 +268,11 @@ class BoundedUniverse:
     def trivial_fibrations_between_cofibrant(self) -> Iterator[PresheafMap]:
         return filter(self.is_triv_fib, self._maps_between_cofibrant())
 
-    def factors_through(self, i: PresheafMap, X: Presheaf) -> frozenset[PresheafMap]:
-        """The maps i.source -> X that extend along i."""
-        return frozenset(compose(i, w) for w in self.hom(i.target, X))
+    def factors_through(self, i: PresheafMap, X: Presheaf) -> frozenset[tuple]:
+        """The component tables of the maps i.source -> X that extend along i."""
+        return frozenset(
+            _compose_tables(i._comp, w._comp) for w in self.hom(i.target, X)
+        )
 
     def is_object_retract(self, X: Presheaf, A: Presheaf) -> bool:
         return all(
@@ -290,10 +299,10 @@ def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
         factorable = U.factors_through(i, X)
         for u in U.hom(i.source, X):
             checked += 1
-            if u in factorable:
+            if u._comp in factorable:
                 continue
-            w = compose(u, f)
-            v = _first_map(i.target, w.target, _pin((i._comp, w._comp)))
+            w = _compose_tables(u._comp, f._comp)
+            v = _first_map(i.target, f.target, _pin((i._comp, w)))
             if v is not None:
                 failure = {"cofibration": i, "top": u, "bottom": v}
                 return _report("pure", params, failure)
@@ -546,7 +555,17 @@ def _conj(a: Verdict, b: Verdict) -> Verdict:
 
 def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictReport:
     """Bounded run over the five closure conditions a minimal structure
-    needs.  A1 is a finiteness note; the rest quantify over U."""
+    needs.  A1 is a finiteness note; the rest quantify over U.
+
+    `we` runs once per map of `U.all_maps()`, in that order, and A2 reads
+    the verdicts from per-hom-set tables keyed by component table:
+    two-out-of-three composes the tables of each composable pair and looks
+    the composite up in the table of its hom-set, building the composite
+    map only for a counterexample; retract closure searches only the
+    hom-sets between objects that the ends of the map are object retracts
+    of.  The walk order, and so every count and the first counterexample,
+    is that of the pairwise sweeps over `all_maps()`.
+    """
     params = {
         "generators": U.generators.label,
         "trivial-generators": J.label,
@@ -558,25 +577,40 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
         _report("A1-permits-factorizations", params, diagnostics={"note": note})
     ]
 
-    # A2: two-out-of-three
+    # One `we` verdict per map, in all_maps() order.  rows[a][b] holds the
+    # (map, component table, verdict) triples of hom(objects[a], objects[b]),
+    # and verdict[a][b] maps each component table of that hom-set to its
+    # verdict.
+    objects = U.objects
+    n = len(objects)
+    rows = [
+        [[(f, f._comp, we(f)) for f in U.hom(X, Y)] for Y in objects]
+        for X in objects
+    ]
+    verdict = [[{fc: v for _, fc, v in row} for row in line] for line in rows]
+    yes, no, inconclusive = Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE
+
+    # A2: two-out-of-three.  A composite of universe maps is a universe map,
+    # so its verdict is read off the table of its hom-set.
     def composable_pairs() -> Iterator[Outcome]:
-        for f in U.all_maps():
-            vf = we(f)
-            for g in U.maps_from(f.target):
-                vg = we(g)
-                h = compose(f, g)
-                trio = (vf, vg, we(h))
-                if Verdict.INCONCLUSIVE in trio:
-                    yield Verdict.INCONCLUSIVE
-                elif sum(v is Verdict.YES for v in trio) == 2:
-                    yield {
-                        "first": f,
-                        "second": g,
-                        "composite": h,
-                        "memberships": [v.name for v in trio],
-                    }
-                else:
-                    yield Verdict.YES
+        for a in range(n):
+            for b in range(n):
+                for f, fc, vf in rows[a][b]:
+                    for c in range(n):
+                        composites = verdict[a][c]
+                        for g, gc, vg in rows[b][c]:
+                            trio = (vf, vg, composites[_compose_tables(fc, gc)])
+                            if inconclusive in trio:
+                                yield inconclusive
+                            elif trio.count(yes) == 2:
+                                yield {
+                                    "first": f,
+                                    "second": g,
+                                    "composite": compose(f, g),
+                                    "memberships": [v.name for v in trio],
+                                }
+                            else:
+                                yield yes
 
     failure, pairs, skipped = _first_failure(composable_pairs())
     subchecks.append(
@@ -590,24 +624,28 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     )
 
     # A2: retract closure.  Only a pair with g in the class and f outside
-    # it can violate closure, so the retract search runs on those pairs.
-    verdicts = [(f, we(f)) for f in U.all_maps()]
-    skipped = sum(v is Verdict.INCONCLUSIVE for _, v in verdicts)
+    # it can violate closure, so the retract search runs on those pairs,
+    # and only on hom-sets between objects that f's ends are retracts of.
+    skipped = sum(v is inconclusive for line in rows for row in line for *_, v in row)
+    members = [[[f for f, _, v in row if v is yes] for row in line] for line in rows]
+
+    @functools.cache  # asks each pair of objects once
+    def retract_of(a: int) -> list[int]:
+        return [c for c in range(n) if U.is_object_retract(objects[a], objects[c])]
 
     def retract_candidates() -> Iterator[Outcome]:
-        for f, vf in verdicts:
-            if vf is not Verdict.NO:
-                continue
-            for g, vg in verdicts:
-                if (
-                    vg is Verdict.YES
-                    and U.is_object_retract(f.source, g.source)
-                    and U.is_object_retract(f.target, g.target)
-                ):
-                    if is_retract_of(f, g) is None:
-                        yield Verdict.YES
-                    else:
-                        yield {"map": f, "of": g}
+        for a in range(n):
+            for b in range(n):
+                for f, _, vf in rows[a][b]:
+                    if vf is not no:
+                        continue
+                    for c in retract_of(a):
+                        for d in retract_of(b):
+                            for g in members[c][d]:
+                                if is_retract_of(f, g) is None:
+                                    yield yes
+                                else:
+                                    yield {"map": f, "of": g}
 
     failure, searched, _ = _first_failure(retract_candidates())
     subchecks.append(

@@ -7,6 +7,7 @@ package is deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -271,6 +272,25 @@ class Presheaf:
         self._key = (self.base._key, self.carriers, tuple(sorted(self._act.items())))
         self._hash = hash(self._key)
 
+    @functools.cached_property
+    def _slots(self) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, str], ...]]]:
+        """The flat slot layout of maps out of this presheaf, one slot per
+        element: each object's range of slots, and per slot the (slot, base
+        morphism m) pairs whose value a value at that slot forces through
+        the action of m."""
+        starts = []
+        n = 0
+        for col in self.carriers:
+            starts.append(n)
+            n += len(col)
+        spans = [(a, a + len(col)) for a, col in zip(starts, self.carriers)]
+        edges = [
+            tuple((starts[a] + self._act[m][x], m) for m, a in self.base._incoming[o])
+            for o, col in enumerate(self.carriers)
+            for x in range(len(col))
+        ]
+        return spans, edges
+
     def carrier(self, obj: str) -> tuple[str, ...]:
         return self.carriers[self.base.obj_index(obj)]
 
@@ -478,17 +498,21 @@ def identity_map(X: Presheaf) -> PresheafMap:
     return PresheafMap._make(X, X, tuple(tuple(range(len(c))) for c in X.carriers))
 
 
+Table = Sequence[Sequence[int]]
+
+
+def _compose_tables(f: Table, g: Table) -> tuple[tuple[int, ...], ...]:
+    """Component table of f followed by g, from theirs."""
+    return tuple([tuple(map(gc.__getitem__, fc)) for fc, gc in zip(f, g)])
+
+
 def compose(f: PresheafMap, g: PresheafMap) -> PresheafMap:
     """Composite of f followed by g."""
     if f.target != g.source:
         raise NonComposable("target of the first map must equal source of the second")
-    comp = tuple(
-        tuple(gc[v] for v in fc) for fc, gc in zip(f._comp, g._comp)
-    )
-    return PresheafMap._make(f.source, g.target, comp)
+    return PresheafMap._make(f.source, g.target, _compose_tables(f._comp, g._comp))
 
 
-Table = Sequence[Sequence[int]]
 Seeds = dict[tuple[int, int], int]
 Allowed = list[list[frozenset[int] | None]]
 
@@ -527,6 +551,37 @@ def _identity_values(table: Table) -> list[range]:
     return [range(len(col)) for col in table]
 
 
+def _force(
+    assign: list[int],
+    trail: list[int],
+    edges: list[tuple[tuple[int, str], ...]],
+    Yact: dict[str, tuple[int, ...]],
+    doms: list[frozenset[int] | None] | None,
+    s: int,
+    v: int,
+) -> bool:
+    """Set slot s to v together with every slot that naturality then
+    forces, pushing each newly set slot on `trail`; False on a
+    contradiction with a set slot or with `doms`."""
+    work = [(s, v)]
+    while work:
+        s, v = work.pop()
+        cur = assign[s]
+        if cur == v:
+            continue
+        if cur != -1:
+            return False
+        if doms is not None:
+            dom = doms[s]
+            if dom is not None and v not in dom:
+                return False
+        assign[s] = v
+        trail.append(s)
+        for t, m in edges[s]:
+            work.append((t, Yact[m][v]))
+    return True
+
+
 def _enumerate_components(
     X: Presheaf,
     Y: Presheaf,
@@ -541,63 +596,65 @@ def _enumerate_components(
     constraint it touches immediately; contradictions backtrack, so no
     post-filtering happens.  `seeds` pins slots up front, `allowed` restricts
     per-slot value sets (both in index form).
+
+    The slots are numbered flat (`Presheaf._slots`).  Every slot set goes
+    on one shared trail; a choice point keeps the trail's length as its mark
+    and undoes back to it, and the choice points sit on an explicit stack.
     """
     if X.base != Y.base:
         raise BaseMismatch("hom enumeration needs a shared base")
-    base = X.base
-    nx = [len(c) for c in X.carriers]
-    ny = [len(c) for c in Y.carriers]
-    assign: list[list[int]] = [[-1] * n for n in nx]
-    incoming = base._incoming
-    Xact, Yact = X._act, Y._act
-
-    def force(o: int, x: int, v: int, trail: list[tuple[int, int]]) -> bool:
-        stack = [(o, x, v)]
-        while stack:
-            o, x, v = stack.pop()
-            cur = assign[o][x]
-            if cur == v:
-                continue
-            if cur != -1:
-                return False
-            if allowed is not None:
-                dom = allowed[o][x]
-                if dom is not None and v not in dom:
-                    return False
-            assign[o][x] = v
-            trail.append((o, x))
-            for m, a in incoming[o]:
-                stack.append((a, Xact[m][x], Yact[m][v]))
-        return True
-
-    def undo(trail: list[tuple[int, int]]) -> None:
-        for o, x in trail:
-            assign[o][x] = -1
-
+    spans, edges = X._slots
+    Yact = Y._act
+    n = len(edges)
+    choices: list = []
+    for (a, b), col in zip(spans, Y.carriers):
+        choices += [range(len(col))] * (b - a)
+    doms = None
+    if allowed is not None:
+        doms = [dom for row in allowed for dom in row]
+        choices = [
+            values if dom is None else [v for v in values if v in dom]
+            for values, dom in zip(choices, doms)
+        ]
+    assign = [-1] * n
+    trail: list[int] = []
     if seeds:
-        trail0: list[tuple[int, int]] = []
         for (o, x), v in seeds.items():
-            if v < 0 or v >= ny[o] or not force(o, x, v, trail0):
+            if not 0 <= v < len(Y.carriers[o]) or not _force(
+                assign, trail, edges, Yact, doms, spans[o][0] + x, v
+            ):
                 return
-    slots = [(o, x) for o in range(len(nx)) for x in range(nx[o])]
-
-    def rec(pos: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        while pos < len(slots) and assign[slots[pos][0]][slots[pos][1]] != -1:
-            pos += 1
-        if pos == len(slots):
-            yield tuple(tuple(col) for col in assign)
-            return
-        o, x = slots[pos]
-        dom = allowed[o][x] if allowed is not None else None
-        for v in range(ny[o]):
-            if dom is not None and v not in dom:
-                continue
-            trail: list[tuple[int, int]] = []
-            if force(o, x, v, trail):
-                yield from rec(pos + 1)
-            undo(trail)
-
-    yield from rec(0)
+    s = 0
+    while s < n and assign[s] != -1:
+        s += 1
+    if s == n:
+        yield tuple([tuple(assign[a:b]) for a, b in spans])
+        return
+    # choice points as [slot, index of its next value, trail mark]
+    stack = [[s, 0, len(trail)]]
+    while stack:
+        point = stack[-1]
+        s, k, mark = point
+        while len(trail) > mark:
+            assign[trail.pop()] = -1
+        values = choices[s]
+        if k == len(values):
+            stack.pop()
+            continue
+        point[1] = k + 1
+        if not edges[s]:
+            # nothing to propagate, and `choices` already respects `doms`
+            assign[s] = values[k]
+            trail.append(s)
+        elif not _force(assign, trail, edges, Yact, doms, s, values[k]):
+            continue
+        s += 1
+        while s < n and assign[s] != -1:
+            s += 1
+        if s == n:
+            yield tuple([tuple(assign[a:b]) for a, b in spans])
+        else:
+            stack.append([s, 0, len(trail)])
 
 
 def hom_enumerate(X: Presheaf, Y: Presheaf) -> Iterator[PresheafMap]:

@@ -29,7 +29,8 @@ based and diff friendly:
 
 Carrier lines may be omitted for empty carriers, component lines for
 components on empty carriers.  Sections may appear in any order; names
-must be unique per kind.
+must be unique per kind.  There is at most one [config] section, and it
+gives each key at most once.
 """
 
 from __future__ import annotations
@@ -165,16 +166,23 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
     map_sections: list[tuple[str, int, list[tuple[int, str]]]] = []
     genset_sections: list[tuple[str, int, list[tuple[int, str]]]] = []
 
-    seen_base = False
+    seen_base = seen_config = False
     base_numbers: list[int] = []
     bound_line = None
     for header, start, body in _split_sections(text):
         if header == "config":
+            if seen_config:
+                raise ParseError("more than one [config] section", line=start)
+            seen_config = True
+            keys: set[str] = set()
             for n, line in body:
                 key, sep, value = line.partition(":")
                 key, value = key.strip(), value.strip()
                 if not sep or not value:
                     raise ParseError(f"expected key: value, got {line!r}", line=n)
+                if key in keys:
+                    raise ParseError(f"config key {key!r} given twice", line=n)
+                keys.add(key)
                 if key == "fuel":
                     try:
                         config.fuel = parse_fuel(value)

@@ -25,7 +25,7 @@ from minmodel.colimits import initial_map
 from minmodel.errors import SizeLimitExceeded
 from minmodel.factorization import GeneratingSet, Verdict, in_cof, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
-from minmodel.presheaf import compose, is_mono
+from minmodel.presheaf import compose, is_mono, is_retract_of
 
 import oracle_finset as of
 import oracle_gph as og
@@ -347,6 +347,83 @@ def test_axioms_fail_on_graphs_with_a_real_counterexample():
     flags = [og.weak_equivalence(gph_to_oracle(f)) for f in trio]
     assert sum(flags) == 2
     assert compose(ce["first"], ce["second"]) == ce["composite"]
+
+
+def _pairwise_a2(we, U):
+    """The A2 sweeps written pairwise, map by map: the reference for the
+    hom-set verdict tables of verify_axioms.  Per subcheck, its
+    counterexample and its counts."""
+    yes, no, inconclusive = Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE
+
+    def composable_pairs():
+        for f in U.all_maps():
+            for g in U.maps_from(f.target):
+                h = compose(f, g)
+                trio = (we(f), we(g), we(h))
+                if inconclusive in trio:
+                    yield inconclusive
+                elif sum(v is yes for v in trio) == 2:
+                    names = [v.name for v in trio]
+                    yield {"first": f, "second": g, "composite": h,
+                           "memberships": names}
+                else:
+                    yield yes
+
+    def retract_candidates():
+        for f in U.all_maps():
+            if we(f) is not no:
+                continue
+            for g in U.all_maps():
+                if (
+                    we(g) is yes
+                    and U.is_object_retract(f.source, g.source)
+                    and U.is_object_retract(f.target, g.target)
+                ):
+                    yield yes if is_retract_of(f, g) is None else {"map": f, "of": g}
+
+    skipped = sum(we(f) is inconclusive for f in U.all_maps())
+    failure, pairs, undecided = analyzer._first_failure(composable_pairs())
+    two_three = (failure, {"composable_pairs": pairs, "skipped": undecided})
+    failure, searched, _ = analyzer._first_failure(retract_candidates())
+    retracts = (failure, {"pairs_searched": searched, "skipped": skipped})
+    return {"A2-two-out-of-three": two_three, "A2-retracts": retracts}
+
+
+def test_a2_verdict_tables_match_the_pairwise_sweeps():
+    def staggered(f):
+        # identities in, other monos undecided, the rest out
+        if f.is_identity():
+            return Verdict.YES
+        return Verdict.INCONCLUSIVE if is_mono(f) else Verdict.NO
+
+    probes = {
+        "staggered": staggered,
+        # a mono after a non-mono can be mono: two-out-of-three fails
+        "mono": lambda f: Verdict.YES if is_mono(f) else Verdict.NO,
+        # an isomorphism is a retract of an identity: retract closure fails
+        "identity": lambda f: Verdict.YES if f.is_identity() else Verdict.NO,
+    }
+    universes = [
+        finset_universe(I1),
+        finset_universe(I2),
+        BoundedUniverse(IG.base_of(), {"v": 2, "e": 1}, IG, 1024),
+    ]
+    seen = {name: [] for name in probes}
+    for U in universes:
+        J = build_jset(U.ctx)
+        for name, predicate in probes.items():
+            report = verify_axioms(J, WeClass(name, predicate), U)
+            by_name = {s.check: s for s in report.subchecks}
+            reference = _pairwise_a2(WeClass(name, predicate), U)
+            for check, (failure, counts) in reference.items():
+                sub = by_name[check]
+                assert sub.counterexample == failure, (name, check)
+                assert {k: sub.diagnostics[k] for k in counts} == counts, (name, check)
+                seen[name].append((check, failure is not None, counts["skipped"]))
+    # each probe reaches the branch it is there for
+    assert any(skipped for _, _, skipped in seen["staggered"])
+    assert ("A2-two-out-of-three", True, 0) in seen["mono"]
+    assert ("A2-retracts", True, 0) in seen["identity"]
 
 
 def test_axiom_five_fails_when_every_map_is_declared_invertible():

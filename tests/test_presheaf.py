@@ -19,6 +19,7 @@ from minmodel.factorization import GeneratingSet
 from minmodel.presheaf import (
     Presheaf,
     PresheafMap,
+    _enumerate_components,
     compose,
     find_retraction,
     hom_enumerate,
@@ -165,6 +166,72 @@ def test_split_mono_implies_mono_on_the_small_universe():
     r = find_retraction(iota0)
     assert r is not None
     assert compose(iota0, r).is_identity()
+
+
+def _lexicographic_components(X, Y, seeds=None, allowed=None):
+    """Every component table X -> Y in lexicographic slot order, kept when
+    it is natural, agrees with `seeds` and stays within `allowed`."""
+    slots = [(o, x) for o, col in enumerate(X.carriers) for x in range(len(col))]
+    names = X.base.objects
+    kept = []
+    for values in itertools.product(*(range(len(Y.carriers[o])) for o, _ in slots)):
+        table = [[None] * len(col) for col in X.carriers]
+        for (o, x), v in zip(slots, values):
+            table[o][x] = v
+        if seeds and any(table[o][x] != v for (o, x), v in seeds.items()):
+            continue
+        if allowed and any(
+            allowed[o][x] is not None and table[o][x] not in allowed[o][x]
+            for o, x in slots
+        ):
+            continue
+        components = {
+            names[o]: {X.carriers[o][x]: Y.carriers[o][v] for x, v in enumerate(col)}
+            for o, col in enumerate(table)
+        }
+        try:
+            PresheafMap(X, Y, components)
+        except NaturalityViolation:
+            continue
+        kept.append(tuple(tuple(col) for col in table))
+    return kept
+
+
+def test_enumeration_order_is_the_lexicographic_filter():
+    none = GeneratingSet("none", ())
+    sets = BoundedUniverse(FS_BASE, 3, none).objects
+    graphs = BoundedUniverse(GPH_BASE, {"v": 2, "e": 1}, none).objects
+    rng = random.Random(7)
+    emptied = conflicts = 0
+    for X, Y in itertools.chain(
+        itertools.product(sets, repeat=2), itertools.product(graphs, repeat=2)
+    ):
+        slots = [(o, x) for o, col in enumerate(X.carriers) for x in range(len(col))]
+        sizes = [len(col) for col in Y.carriers]
+        cases = [(None, None)]
+        for _ in range(6):
+            pinned = rng.sample(slots, min(len(slots), rng.randint(1, 2)))
+            # values run one past each end of the target carrier
+            seeds = {(o, x): rng.randint(-1, sizes[o]) for o, x in pinned}
+            allowed = [
+                [rng.choice([None, frozenset(rng.sample(range(n), rng.randint(0, n)))])
+                 for _ in col]
+                for col, n in zip(X.carriers, sizes)
+            ]
+            cases += [(seeds, None), (None, allowed), (seeds, allowed)]
+        cases.append(({slots[0]: sizes[slots[0][0]]}, None) if slots else (None, None))
+        cases.append((None, [[frozenset()] * len(col) for col in X.carriers]))
+        free = _lexicographic_components(X, Y)
+        for seeds, allowed in cases:
+            want = _lexicographic_components(X, Y, seeds, allowed)
+            got = list(_enumerate_components(X, Y, seeds, allowed))
+            assert got == want, (X, Y, seeds, allowed)
+            in_range = seeds and all(0 <= v < sizes[o] for (o, _), v in seeds.items())
+            if in_range and allowed is None and free and not want:
+                # every seed names a value, yet no map extends the seeds
+                conflicts += 1
+            emptied += bool(free) and not want
+    assert conflicts and emptied
 
 
 def test_identity_and_composition_laws():

@@ -244,6 +244,14 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
         ("bound.ws", b"[base]\nobjects: x\n[config]\nbound: y=2\n", 4),
         ("big.ws", b"[base]\nobjects: x\n[config]\nbound: 65\n", 4),
         ("bytes.ws", b"[base]\nobjects: x\n# caf\xe9\n", 3),
+        # a config key or section may be given once, like a flag
+        ("bound2.ws", b"[base]\nobjects: x\n[config]\nbound: 1\nbound: 2\n", 5),
+        ("fuel2.ws", b"[config]\nfuel: 3\nfuel: 4\n[base]\nobjects: x\n", 3),
+        (
+            "config2.ws",
+            b"[config]\nfuel: 3\n[base]\nobjects: x\n[config]\nbound: 2\n",
+            5,
+        ),
     ):
         ws = tmp_path / name
         ws.write_bytes(data)
@@ -428,18 +436,19 @@ def test_classify_fail_reports_the_disagreeing_verdicts(tmp_path):
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    reports = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"seed{seed}.json"
-        done = subprocess.run(
-            [sys.executable, "-m", "minmodel.cli", "check-appropriate", GIG, "IG",
-             "--out", str(out)],
-            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
-            timeout=120,
-        )
-        assert done.returncode == 1
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    for command in ("check-appropriate", "verify-axioms"):
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{command}-{seed}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "minmodel.cli", command, GIG, "IG",
+                 "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                timeout=120,
+            )
+            assert done.returncode == 1, command
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], command
 
 
 def test_checker_commands(tmp_path):
