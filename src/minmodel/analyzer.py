@@ -33,6 +33,7 @@ from .presheaf import (
     compose,
     find_retraction,
     hom_enumerate,
+    is_mono,
     is_retract_of,
     iso_key,
 )
@@ -131,6 +132,16 @@ class BoundedUniverse:
     `is_triv_fib`, `is_fib` and weak equivalence stay per map, because one
     strict lifting sweep costs less than an `iso_key`.
 
+    When every generator is a mono, so is every cofibration, and `is_cof`
+    answers NO for a non-mono before it computes an `iso_key` or factors
+    anything.  Proof: `in_cof` says YES only when it finds a lift l with
+    l after f = j, where j is the cell map of the factorization, a
+    composite of pushouts of generators.  Colimits of presheaves are
+    computed pointwise in Set, where a pushout of an injection is an
+    injection, so j is a mono, and l after f = j makes f one too.  Without
+    monic generators (FinSet's I2 holds the non-monic fold) every map goes
+    to `in_cof`.
+
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
     It caches its verdicts per instance (`hom`, `iso_class`, `is_cof`,
@@ -158,6 +169,7 @@ class BoundedUniverse:
         else:
             self.bound = {o: bound[o] for o in base.objects}
         self.generators = generators
+        self.monic_generators = all(map(is_mono, generators.maps))
         self.fuel = fuel
         self.ctx = HomotopyContext(generators, fuel)
         self.objects: tuple[Presheaf, ...] = tuple(self._enumerate())
@@ -223,6 +235,8 @@ class BoundedUniverse:
         return self._classes.setdefault(iso_key(f), len(self._classes))
 
     def is_cof(self, f: PresheafMap) -> Verdict:
+        if self.monic_generators and not is_mono(f):
+            return Verdict.NO
         k = self.iso_class(f)
         verdict = self._cof_by_class.get(k)
         if verdict is None:

@@ -29,8 +29,10 @@ based and diff friendly:
 
 Carrier lines may be omitted for empty carriers, component lines for
 components on empty carriers.  Sections may appear in any order; names
-must be unique per kind.  There is at most one [config] section, and it
-gives each key at most once.
+must be unique per kind.  There is one [base] section and at most one
+[config] section, which gives each key at most once.  A repeated section
+is a parse error at its line, and so is a presheaf or map that no section
+defines.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DuplicateName, ParseError, UnknownName
+from .errors import ParseError, UnknownName
 from .factorization import GeneratingSet
 from .presheaf import MAX_CARRIER_SIZE, BaseCategory, Presheaf, PresheafMap, load_base
 
@@ -204,7 +206,7 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
                     raise ParseError(f"unknown config key {key!r}", line=n)
         elif header == "base":
             if seen_base:
-                raise DuplicateName("more than one [base] section")
+                raise ParseError("more than one [base] section", line=start)
             seen_base = True
             base_lines = [line for _, line in body]
             base_numbers = [n for n, _ in body]
@@ -241,7 +243,7 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
     presheaves: dict[str, Presheaf] = {}
     for pname, start, body in presheaf_sections:
         if pname in presheaves:
-            raise DuplicateName(f"presheaf {pname!r} defined twice")
+            raise ParseError(f"presheaf {pname!r} defined twice", line=start)
         carriers: dict[str, list[str]] = {o: [] for o in base.objects}
         actions: dict[str, dict[str, str]] = {}
         for n, line in body:
@@ -275,11 +277,10 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
                 line=start,
             )
         if mname in maps:
-            raise DuplicateName(f"map {mname!r} defined twice")
-        if src not in presheaves:
-            raise UnknownName(f"no presheaf named {src!r}")
-        if dst not in presheaves:
-            raise UnknownName(f"no presheaf named {dst!r}")
+            raise ParseError(f"map {mname!r} defined twice", line=start)
+        for end in (src, dst):
+            if end not in presheaves:
+                raise ParseError(f"no presheaf named {end!r}", line=start)
         components: dict[str, dict[str, str]] = {}
         for n, line in body:
             head, sep, rest = line.partition(":")
@@ -299,7 +300,7 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
     gensets: dict[str, GeneratingSet] = {}
     for gname, start, body in genset_sections:
         if gname in gensets:
-            raise DuplicateName(f"generating set {gname!r} defined twice")
+            raise ParseError(f"generating set {gname!r} defined twice", line=start)
         members: list[PresheafMap] = []
         for n, line in body:
             key, sep, rest = line.partition(":")
@@ -307,7 +308,7 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
                 raise ParseError(f"expected maps: NAME..., got {line!r}", line=n)
             for token in rest.split():
                 if token not in maps:
-                    raise UnknownName(f"no map named {token!r}")
+                    raise ParseError(f"no map named {token!r}", line=n)
                 members.append(maps[token])
         gensets[gname] = GeneratingSet(gname, tuple(members))
 

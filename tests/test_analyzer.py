@@ -163,6 +163,35 @@ def test_shared_cofibration_verdicts_agree_with_per_map_runs():
         assert undecided[0] > 0 and undecided[None] == 0, undecided
 
 
+def test_monic_generators_decide_non_monos_without_a_factorization(monkeypatch):
+    # IG and I1 are monos, so their cofibrations are monos: a non-mono is a
+    # NO even at fuel 0, with no iso_key and no factorization
+    cases = (
+        (IG.base_of(), {"v": 2, "e": 2}, IG, 654),
+        (FS_BASE, 4, I1, 410),
+    )
+    for base, bound, gens, count in cases:
+        maps = BoundedUniverse(base, bound, gens).all_maps()
+        non_monos = [f for f in maps if not is_mono(f)]
+        assert len(non_monos) == count
+        # the reference procedure agrees at default fuel
+        assert all(in_cof(f, gens) is Verdict.NO for f in non_monos)
+        U = BoundedUniverse(base, bound, gens, 0)
+        calls = []
+        monkeypatch.setattr(analyzer, "in_cof", lambda *a: calls.append(a))
+        monkeypatch.setattr(analyzer, "iso_key", lambda *a: calls.append(a))
+        assert [U.is_cof(f) for f in non_monos] == [Verdict.NO] * count
+        assert calls == []
+        assert U.monic_generators
+        monkeypatch.undo()
+    # I2 holds the non-monic fold, and some of its cofibrations are not monos
+    U = finset_universe(I2)
+    assert not U.monic_generators
+    assert any(
+        U.is_cof(f) is Verdict.YES for f in U.all_maps() if not is_mono(f)
+    )
+
+
 def test_cofibration_verdicts_match_the_oracles():
     U = gph_universe()
     maps = list(U.all_maps())

@@ -108,18 +108,45 @@ def test_parse_error_positions():
     assert err.value.line == 4
 
 
+# workspaces whose fault is a repeated section or a name no section
+# defines, with the line the fault sits on
+_DUPLICATES_AND_DANGLING = (
+    ("base2.ws", b"[base]\nobjects: x\n[presheaf P]\nx: a\n[base]\nobjects: y\n", 5),
+    (
+        "presheaf2.ws",
+        b"[base]\nobjects: x\n[presheaf P]\nx: a\n[presheaf P]\nx: b\n",
+        5,
+    ),
+    (
+        "map2.ws",
+        b"[base]\nobjects: x\n[presheaf P]\nx: a\n"
+        b"[map f : P -> P]\ncomponent x: a->a\n[map f : P -> P]\n",
+        7,
+    ),
+    (
+        "genset2.ws",
+        b"[base]\nobjects: x\n[presheaf P]\nx: a\n[map f : P -> P]\n"
+        b"component x: a->a\n[genset G]\nmaps: f\n[genset G]\nmaps: f\n",
+        9,
+    ),
+    (
+        "dangling_end.ws",
+        b"[base]\nobjects: x\n[presheaf P]\nx: a\n[map f : P -> Q]\n",
+        5,
+    ),
+    (
+        "dangling_member.ws",
+        b"[base]\nobjects: x\n[genset G]\n# members\nmaps: f\n",
+        5,
+    ),
+)
+
+
 def test_duplicate_and_dangling_sections():
-    base = "[base]\nobjects: x\n"
-    with pytest.raises(ValidationError):
-        parse_workspace_text(
-            base + "[presheaf P]\nx: a\n[presheaf P]\nx: a\n", name="w"
-        )
-    with pytest.raises(UnknownName):
-        parse_workspace_text(base + "[map f : P -> Q]\n", name="w")
-    with pytest.raises(UnknownName):
-        parse_workspace_text(
-            base + "[presheaf P]\nx: a\n[genset G]\nmaps: f\n", name="w"
-        )
+    for name, data, line in _DUPLICATES_AND_DANGLING:
+        with pytest.raises(ParseError) as err:
+            parse_workspace_text(data.decode(), name=name)
+        assert err.value.line == line, name
     with pytest.raises(ParseError):
         parse_workspace_text("[presheaf P]\nx: a\n", name="w")  # no base
 
@@ -252,6 +279,8 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
             b"[config]\nfuel: 3\n[base]\nobjects: x\n[config]\nbound: 2\n",
             5,
         ),
+        # so is a [base] section, and each name of a kind
+        *_DUPLICATES_AND_DANGLING,
     ):
         ws = tmp_path / name
         ws.write_bytes(data)
@@ -325,6 +354,72 @@ def test_every_argv_exits_with_a_contract_code(tmp_path, argv, out):
     if code == 1 and out == "file":
         # a genuine fail names what fails
         assert json.loads(target.read_text())["counterexample"] is not None, argv
+
+
+_HEADERS = st.sampled_from([
+    "[base]", "[config]", "[presheaf P]", "[presheaf Q]", "[presheaf]",
+    "[map f : P -> Q]", "[map g : P -> P]", "[map f : P -> R]", "[map h P Q]",
+    "[genset G]", "[genset]", "[other]", "[base",
+])
+_LINES = st.sampled_from([
+    "objects: v e", "objects: x", "objects: v v", "objects:",
+    "morphism s: v -> e", "morphism t: v -> e", "morphism u: e -> v",
+    "morphism broken", "compose s ; u = id_v", "compose u ; s = w",
+    "v: a b", "e: p", "x: a", "x: a a", "x:", "y: a",
+    "action s: p->a", "action t: p->b", "action u: a->p", "action s: p->z",
+    "component v: a->a b->b", "component e: p->p", "component x: a->a",
+    "component x: a->", "maps: f g", "maps: f", "maps:",
+    "fuel: 3", "fuel: -1", "fuel: lots", "bound: 2", "bound: v=1 e=1",
+    "bound: 65", "cross-check: on", "cross-check: maybe", "colour: red",
+    "# a comment", "", "nonsense",
+])
+
+
+_VALID = [
+    "[base]", "objects: v e", "morphism s: v -> e", "morphism t: v -> e",
+    "[presheaf P]", "v: a b", "e: p", "action s: p->a", "action t: p->b",
+    "[presheaf Q]", "v: a", "e: q", "action s: q->a", "action t: q->a",
+    "[map f : P -> Q]", "component v: a->a b->a", "component e: p->q",
+    "[map g : P -> P]", "component v: a->a b->b", "component e: p->p",
+    "[genset G]", "maps: f g", "[config]", "bound: 2", "fuel: 3",
+]
+
+
+@st.composite
+def _workspace_text(draw):
+    """A small valid workspace with a few lines dropped or repeated, and
+    workspace-shaped lines, headers or free text inserted."""
+    lines = list(_VALID)
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["drop", "repeat", "insert"]))
+        if edit == "insert" or k == len(lines):
+            lines.insert(k, draw(_HEADERS | _LINES | st.text(max_size=12)))
+        elif edit == "drop":
+            del lines[k]
+        else:
+            lines.insert(k, lines[k])
+    return "\n".join(lines).encode("utf-8")
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.binary(max_size=120) | _workspace_text())
+@example(data=_DUPLICATES_AND_DANGLING[0][1])
+@example(data=_DUPLICATES_AND_DANGLING[1][1])
+@example(data=b"[base]\nobjects: x\n[presheaf P]\nx: a a\n")
+def test_every_workspace_validates_with_a_contract_code(tmp_path, data):
+    # validate builds no universe, so any byte string answers at once
+    ws = tmp_path / "fuzz.ws"
+    ws.write_bytes(data)
+    report = tmp_path / "report.json"
+    code = cli.run(["validate", str(ws), "--out", str(report)])
+    assert code in (0, 1, 3), data
+    if code == 1:
+        assert json.loads(report.read_text())["counterexample"] is not None, data
 
 
 def test_factor_command(tmp_path):
