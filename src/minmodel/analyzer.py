@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .colimits import coproduct, initial_map, pushout
-from .errors import FuelExhausted, FunctorialityViolation
+from .errors import FuelExhausted, FunctorialityViolation, SizeLimitExceeded
 from .factorization import GeneratingSet, Verdict, in_cof, in_inj
 from .homotopy import HomotopyContext, is_strong_deformation_retract
 from .lifting import has_rlp
@@ -112,6 +112,47 @@ def _combine(check: str, parameters: dict, subchecks: list[VerdictReport]) -> Ve
     return _report(check, parameters, failure, undecided, subchecks=tuple(subchecks))
 
 
+#: The most candidate presheaves (`candidate_presheaves`) a universe may
+#: enumerate.  Graphs at v=4 e=4 give 77,633 and are admitted; at v=5 e=5
+#: about 10^7, refused before any enumeration.
+MAX_UNIVERSE_CANDIDATES = 10**5
+
+
+def candidate_presheaves(base: BaseCategory, bound: dict[str, int]) -> int | None:
+    """How many action tables `BoundedUniverse` tries: the sum over size
+    vectors of the product, over non-identity morphisms m : a -> b, of the
+    |a|^|b| tables of m.  None once more than MAX_UNIVERSE_CANDIDATES size
+    vectors admit tables, since each of them adds at least one.
+
+    Objects are sized in base order, and a size that leaves a morphism
+    between objects sized so far without any table ends its branch.
+    """
+    # per object, the morphisms whose later end it is
+    closing: list[list[tuple[int, int]]] = [[] for _ in base.objects]
+    for m in base.nonidentity:
+        a, b = base._dom[m], base._cod[m]
+        closing[max(a, b)].append((a, b))
+    total = vectors = 0
+    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    while stack:
+        sizes, product = stack.pop()
+        o = len(sizes)
+        if o == len(base.objects):
+            total += product
+            vectors += 1
+            if vectors > MAX_UNIVERSE_CANDIDATES:
+                return None
+            continue
+        for n in range(bound[base.objects[o]] + 1):
+            here = sizes + (n,)
+            tables = product
+            for a, b in closing[o]:
+                tables *= here[a] ** here[b]
+            if tables:
+                stack.append((here, tables))
+    return total
+
+
 class BoundedUniverse:
     """Every presheaf over the base within a carrier-size bound, plus the
     hom-sets and membership verdicts the checkers keep re-asking for.
@@ -168,6 +209,14 @@ class BoundedUniverse:
             self.bound = {o: bound for o in base.objects}
         else:
             self.bound = {o: bound[o] for o in base.objects}
+        candidates = candidate_presheaves(base, self.bound)
+        if candidates is None or candidates > MAX_UNIVERSE_CANDIDATES:
+            count = "more" if candidates is None else f"{candidates:,}"
+            sizes = " ".join(f"{o}={n}" for o, n in self.bound.items())
+            raise SizeLimitExceeded(
+                f"bound {sizes} gives {count} candidate presheaves, "
+                f"limit is {MAX_UNIVERSE_CANDIDATES:,}"
+            )
         self.generators = generators
         self.monic_generators = all(map(is_mono, generators.maps))
         self.fuel = fuel

@@ -234,7 +234,12 @@ def _cmd_validate(run):
         # finding this command exists to report, not a usage error
         return run.report(
             "fail",
-            counterexample={"error": type(err).__name__, "detail": str(err)},
+            counterexample={
+                "error": type(err).__name__,
+                "detail": str(err),
+                "section": err.section,
+                "line": err.line,
+            },
         )
     summary = {
         "base-objects": list(ws.base.objects),

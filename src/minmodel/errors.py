@@ -6,7 +6,14 @@ class EngineError(Exception):
 
 
 class ValidationError(EngineError):
-    """Input data failed structural validation."""
+    """Input data failed structural validation.
+
+    A workspace sets `section` and `line` (its header's) when the fault is
+    in the contents of one of its sections.
+    """
+
+    section: str | None = None
+    line: int | None = None
 
 
 class AssociativityViolation(ValidationError):

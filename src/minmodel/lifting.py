@@ -4,9 +4,21 @@ A lifting problem is a commuting square; a solution is a diagonal making
 both triangles commute.  The relaxed variant keeps the upper triangle strict
 and only asks the lower one to hold up to a caller-supplied relation.
 
-The solver keeps no state: a lifting property is a pure relation between
-two maps, and every query here runs its search again.  The objects that own
-a question (`BoundedUniverse`, `HomotopyContext`) cache their verdicts.
+The module keeps no state: a lifting property is a pure relation between
+two maps, and every query here decides its squares again.  The objects that
+own a question (`BoundedUniverse`, `HomotopyContext`) cache their verdicts.
+
+What is cached is the work the squares share.  The square sweeps
+(`unsolvable_squares`, and through it `has_rlp` and `has_llp`, and
+`find_unliftable_square_up_to`) decide every square against a left map i
+out of one object X from `presheaf._extensions(i, X)`: hom(i.target, X)
+grouped by restriction along i, enumerated once.  That table lives on the
+X instance, so a universe object keeps it for every map out of it, and a
+coproduct or cell apex drops it together with itself.  `solve_lifting` and
+`solve_lifting_up_to` decide one square on their own; with
+`square_enumerate` they are the reference the sweeps agree with, square by
+square and relation call by relation call.  `STATS["solver_calls"]` counts
+one per square decided strictly and one per up-to search, either way.
 """
 
 from __future__ import annotations
@@ -19,7 +31,10 @@ from .errors import NonComposable, NonCommutingSquare
 from .presheaf import (
     Presheaf,
     PresheafMap,
+    Components,
+    _compose_tables,
     _enumerate_components,
+    _extensions,
     _fibres,
     _pin,
     compose,
@@ -124,13 +139,36 @@ def square_enumerate(
             yield top, PresheafMap._make(left.target, right.target, comp)
 
 
+def _square_rows(
+    left: PresheafMap, right: PresheafMap
+) -> Iterator[tuple[Components, list[Components], Iterator[Components]]]:
+    """Per top of a commuting square over (left, right), in enumeration
+    order: its table, the tables h;right for the maps h extending it along
+    left (`_extensions` order), and its bottoms' tables, enumerated lazily.
+
+    A square has a strict diagonal exactly when its bottom is among those
+    h;right, so deciding it costs one set lookup.
+    """
+    B, D = left.target, right.target
+    for top, extensions in _extensions(left, right.source):
+        seeds = _pin((left._comp, top), then=right._comp)
+        if seeds is not None:
+            images = [_compose_tables(h, right._comp) for h in extensions]
+            yield top, images, _enumerate_components(B, D, seeds=seeds)
+
+
 def unsolvable_squares(
     left: PresheafMap, right: PresheafMap
 ) -> Iterator[tuple[PresheafMap, PresheafMap]]:
-    """Commuting squares with no strict diagonal, in enumeration order."""
-    for top, bottom in square_enumerate(left, right):
-        if solve_lifting(LiftingProblem._unchecked(left, right, top, bottom)) is None:
-            yield top, bottom
+    """Commuting squares with no strict diagonal, in enumeration order:
+    those of `square_enumerate` that `solve_lifting` finds no diagonal for."""
+    A, B, C, D = left.source, left.target, right.source, right.target
+    for top, images, bottoms in _square_rows(left, right):
+        strict = set(images)
+        for comp in bottoms:
+            STATS["solver_calls"] += 1
+            if comp not in strict:
+                yield PresheafMap._make(A, C, top), PresheafMap._make(B, D, comp)
 
 
 def _lifts(left: PresheafMap, right: PresheafMap) -> bool:
@@ -155,15 +193,25 @@ def find_unliftable_square_up_to(
 
     A strict diagonal is tried first; it settles the square whenever the
     relation confirms it (always, for reflexive relations), which keeps
-    the common case away from the relation search.
+    the common case away from the relation search.  Both try the diagonals
+    in the order of `solve_lifting` and `solve_lifting_up_to`, so the
+    relation is asked the same pairs as by those two.
     """
-    for top, bottom in square_enumerate(left, right):
-        problem = LiftingProblem._unchecked(left, right, top, bottom)
-        h = solve_lifting(problem)
-        if h is not None and relation(compose(h, right), bottom) is not None:
-            continue
-        if solve_lifting_up_to(problem, relation) is None:
-            return top, bottom
+    A, B, C, D = left.source, left.target, right.source, right.target
+    for top, images, bottoms in _square_rows(left, right):
+        strict = set(images)
+        for comp in bottoms:
+            bottom = PresheafMap._make(B, D, comp)
+            STATS["solver_calls"] += 1
+            if comp in strict:
+                if relation(PresheafMap._make(B, D, comp), bottom) is not None:
+                    continue
+            STATS["solver_calls"] += 1
+            if not any(
+                relation(PresheafMap._make(B, D, image), bottom) is not None
+                for image in images
+            ):
+                return PresheafMap._make(A, C, top), bottom
     return None
 
 

@@ -291,6 +291,12 @@ class Presheaf:
         ]
         return spans, edges
 
+    @functools.cached_property
+    def _extension_tables(self) -> dict:
+        """`_extensions(i, self)` per left map i, kept as long as this
+        presheaf is."""
+        return {}
+
     def carrier(self, obj: str) -> tuple[str, ...]:
         return self.carriers[self.base.obj_index(obj)]
 
@@ -499,9 +505,10 @@ def identity_map(X: Presheaf) -> PresheafMap:
 
 
 Table = Sequence[Sequence[int]]
+Components = tuple[tuple[int, ...], ...]
 
 
-def _compose_tables(f: Table, g: Table) -> tuple[tuple[int, ...], ...]:
+def _compose_tables(f: Table, g: Table) -> Components:
     """Component table of f followed by g, from theirs."""
     return tuple([tuple(map(gc.__getitem__, fc)) for fc, gc in zip(f, g)])
 
@@ -655,6 +662,28 @@ def _enumerate_components(
             yield tuple([tuple(assign[a:b]) for a, b in spans])
         else:
             stack.append([s, 0, len(trail)])
+
+
+def _extensions(
+    i: PresheafMap, X: Presheaf
+) -> list[tuple[Components, list[Components]]]:
+    """For each map i.source -> X, its component table and the tables of
+    the maps i.target -> X that restrict to it along i, both in enumeration
+    order.
+
+    One pass over hom(i.target, X) and one over hom(i.source, X), kept on X
+    per i, so every lifting square out of X against i reads the same table.
+    """
+    tables = X._extension_tables
+    found = tables.get(i)
+    if found is None:
+        by_restriction: dict[Components, list[Components]] = {}
+        for h in _enumerate_components(i.target, X):
+            by_restriction.setdefault(_compose_tables(i._comp, h), []).append(h)
+        found = tables[i] = [
+            (a, by_restriction.get(a, [])) for a in _enumerate_components(i.source, X)
+        ]
+    return found
 
 
 def hom_enumerate(X: Presheaf, Y: Presheaf) -> Iterator[PresheafMap]:

@@ -32,7 +32,8 @@ components on empty carriers.  Sections may appear in any order; names
 must be unique per kind.  There is one [base] section and at most one
 [config] section, which gives each key at most once.  A repeated section
 is a parse error at its line, and so is a presheaf or map that no section
-defines.
+defines.  A presheaf or map whose contents are inconsistent raises its
+validation error with the section and its header's line in front.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ParseError, UnknownName
+from .errors import ParseError, UnknownName, ValidationError
 from .factorization import GeneratingSet
 from .presheaf import MAX_CARRIER_SIZE, BaseCategory, Presheaf, PresheafMap, load_base
 
@@ -160,6 +161,14 @@ def _pairs(text: str, line: int) -> dict[str, str]:
     return out
 
 
+def _located(err: ValidationError, section: str, line: int) -> ValidationError:
+    """`err` again, of the same class, with the section it arose in and the
+    line of that section's header in front of its message."""
+    located = type(err)(f"line {line}: {section}: {err}")
+    located.section, located.line = section, line
+    return located
+
+
 def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
     base: BaseCategory | None = None
     base_lines: list[str] = []
@@ -264,7 +273,10 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
                 carriers[head] = rest.split()
             else:
                 raise ParseError(f"unknown base object {head!r}", line=n)
-        presheaves[pname] = Presheaf(base, carriers, actions)
+        try:
+            presheaves[pname] = Presheaf(base, carriers, actions)
+        except ValidationError as err:
+            raise _located(err, f"presheaf {pname}", start) from err
 
     maps: dict[str, PresheafMap] = {}
     for header, start, body in map_sections:
@@ -295,7 +307,10 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
             if obj in components:
                 raise ParseError(f"duplicate component for {obj!r}", line=n)
             components[obj] = _pairs(rest, n)
-        maps[mname] = PresheafMap(presheaves[src], presheaves[dst], components)
+        try:
+            maps[mname] = PresheafMap(presheaves[src], presheaves[dst], components)
+        except ValidationError as err:
+            raise _located(err, f"map {mname}", start) from err
 
     gensets: dict[str, GeneratingSet] = {}
     for gname, start, body in genset_sections:

@@ -25,12 +25,14 @@ from minmodel.colimits import initial_map
 from minmodel.errors import SizeLimitExceeded
 from minmodel.factorization import GeneratingSet, Verdict, in_cof, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
-from minmodel.presheaf import compose, is_mono, is_retract_of
+from minmodel.presheaf import compose, is_mono, is_retract_of, load_base
+from minmodel.workspace import parse_workspace
 
 import oracle_finset as of
 import oracle_gph as og
 from helpers import (
     FS_BASE,
+    fixture,
     fs,
     fs_to_oracle,
     fsmap,
@@ -542,6 +544,35 @@ def test_universe_bound_above_the_carrier_limit_is_refused():
     # a carrier of 65 elements is refused, not silently left out
     with pytest.raises(SizeLimitExceeded):
         finset_universe(I1, bound=65)
+
+
+def test_oversized_universes_are_refused_before_enumeration(monkeypatch):
+    gph = IG.base_of()
+    assert analyzer.candidate_presheaves(gph, {"v": 4, "e": 4}) == 77_633
+    assert analyzer.MAX_UNIVERSE_CANDIDATES >= 77_633
+    monkeypatch.setattr(
+        BoundedUniverse, "_enumerate", lambda self: pytest.fail("enumerated")
+    )
+    with pytest.raises(SizeLimitExceeded) as err:
+        BoundedUniverse(gph, {"v": 5, "e": 5}, IG, 1024)
+    assert str(err.value) == (
+        "bound v=5 e=5 gives 11,358,809 candidate presheaves, limit is 100,000"
+    )
+    # six unrelated objects: 65^6 size vectors, refused after the first
+    # MAX_UNIVERSE_CANDIDATES of them
+    discrete = load_base("objects: a b c d e f")
+    with pytest.raises(SizeLimitExceeded, match="gives more candidate presheaves"):
+        BoundedUniverse(discrete, 64, GeneratingSet("none", ()), 1024)
+
+
+def test_fixtures_and_finset_universes_are_admitted():
+    for name in ("finset_i1.ws", "finset_i2.ws", "gph_ig.ws"):
+        ws = parse_workspace(fixture(name))
+        for gens in ws.gensets.values():
+            U = BoundedUniverse(ws.base, ws.config.bound, gens, ws.config.fuel)
+            assert U.objects, name
+    for bound in range(65):
+        assert len(finset_universe(I1, bound).objects) == bound + 1
 
 
 def test_weak_equivalence_enumeration_counts():

@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from minmodel.analyzer import BoundedUniverse
+from minmodel import presheaf
+from minmodel.analyzer import BoundedUniverse, build_jset, is_weak_equivalence
 from minmodel.colimits import coproduct, initial_map
 from minmodel.errors import NonCommutingSquare, NonComposable
 from minmodel.homotopy import HomotopyContext
@@ -28,6 +29,7 @@ from minmodel.presheaf import PresheafMap, compose, identity_map
 import oracle_finset as of
 import oracle_gph as og
 from helpers import (
+    FS_BASE,
     fs,
     fs_to_oracle,
     fsmap,
@@ -204,3 +206,118 @@ def test_squares_built_around_a_diagonal_are_always_solved(left, h, right):
     assert got is not None
     assert compose(left, got) == problem.top
     assert compose(got, right) == problem.bottom
+
+
+# ------------------------------------------- sweeps against the reference
+
+
+def _reference_unsolvable(left, right):
+    return [
+        (top, bottom)
+        for top, bottom in square_enumerate(left, right)
+        if solve_lifting(LiftingProblem._unchecked(left, right, top, bottom)) is None
+    ]
+
+
+def _reference_unliftable(left, right, relation):
+    for top, bottom in square_enumerate(left, right):
+        problem = LiftingProblem._unchecked(left, right, top, bottom)
+        h = solve_lifting(problem)
+        if h is not None and relation(compose(h, right), bottom) is not None:
+            continue
+        if solve_lifting_up_to(problem, relation) is None:
+            return top, bottom
+    return None
+
+
+def _counted(run):
+    """run()'s result and the solver calls it made."""
+    before = STATS["solver_calls"]
+    got = run()
+    return got, STATS["solver_calls"] - before
+
+
+def _recorded(relation):
+    """`relation` and the list of argument pairs it is called with."""
+    calls = []
+
+    def record(a, b):
+        calls.append((a, b))
+        return relation(a, b)
+
+    return record, calls
+
+
+def _sweep_universes():
+    ig = ig_set()
+    yield BoundedUniverse(ig.base_of(), {"v": 2, "e": 1}, ig, 1024)
+    for gens in (i1_set(), i2_set()):
+        yield BoundedUniverse(FS_BASE, 3, gens, 1024)
+
+
+def _sweep_lefts(U):
+    yield from U.generators.maps
+    for V in U.objects:
+        yield initial_map(V)
+    # J last: its cylinders run the sweeps under test
+    yield from build_jset(U.ctx).maps
+
+
+def test_square_sweeps_agree_with_the_per_square_reference():
+    # the sweeps read every diagonal off one extension table per (left map,
+    # source object); the reference solves each square on its own
+    for U in _sweep_universes():
+        rights = list(U.all_maps())
+        for left in _sweep_lefts(U):
+            oracle = U.ctx.oracle(left)
+            for right in rights:
+                want, want_calls = _counted(lambda: _reference_unsolvable(left, right))
+                got, got_calls = _counted(lambda: list(unsolvable_squares(left, right)))
+                assert got == want and got_calls == want_calls, (left, right)
+                assert has_rlp(right, [left]) == (not want), (left, right)
+                squares = list(square_enumerate(left, right))
+                # refuse the first square's bottom with itself, accept the rest
+                refused = squares[0][1] if squares else None
+
+                def refusing(a, b, refused=refused):
+                    return None if a == b == refused else "related"
+
+                for relation in (_equality, oracle, refusing):
+                    # a first run fills the oracle's caches, whose cylinders
+                    # make solver calls of their own
+                    _reference_unliftable(left, right, relation)
+                    ref, ref_pairs = _recorded(relation)
+                    new, new_pairs = _recorded(relation)
+                    want, want_calls = _counted(
+                        lambda: _reference_unliftable(left, right, ref)
+                    )
+                    got, got_calls = _counted(
+                        lambda: find_unliftable_square_up_to(left, right, new)
+                    )
+                    where = (left, right, relation)
+                    assert got == want, where
+                    assert new_pairs == ref_pairs, where
+                    assert got_calls == want_calls, where
+
+
+def test_weak_equivalence_sweep_enumerates_each_extension_table_once(monkeypatch):
+    # every square out of X against a generator i reads one table of
+    # hom(i.target, X), enumerated in full once for the whole sweep
+    gens = ig_set()
+    U = BoundedUniverse(gens.base_of(), {"v": 2, "e": 1}, gens, 1024)
+    X = U.objects[-1]
+    full = []
+    enumerate_components = presheaf._enumerate_components
+
+    def spy(source, target, seeds=None, allowed=None):
+        if seeds is None and allowed is None:
+            full.append((source, target))
+        return enumerate_components(source, target, seeds, allowed)
+
+    monkeypatch.setattr(presheaf, "_enumerate_components", spy)
+    maps = list(U.maps_from(X))
+    assert len(maps) > 1
+    for f in maps:
+        is_weak_equivalence(f, U.ctx)
+    for i in gens.maps:
+        assert full.count((i.target, X)) == 1, i

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,31 @@ _DUPLICATES_AND_DANGLING = (
 )
 
 
+_GRAPH_BASE = b"[base]\nobjects: v e\nmorphism s: v -> e\nmorphism t: v -> e\n"
+
+# (file name, bytes, error class, section, line of its header)
+_CONTENT_FAULTS = (
+    (
+        "action.ws",
+        _GRAPH_BASE
+        + b"[presheaf P]\nv: p\n"
+        + b"[presheaf Q]\nv: a\ne: p q\naction s: p->a\naction t: p->a q->a\n",
+        "MissingAction",
+        "presheaf Q",
+        7,
+    ),
+    (
+        "natural.ws",
+        _GRAPH_BASE
+        + b"[presheaf A]\nv: p q\ne: a\naction s: a->p\naction t: a->q\n"
+        + b"[map swap : A -> A]\ncomponent v: p->q q->p\ncomponent e: a->a\n",
+        "NaturalityViolation",
+        "map swap",
+        10,
+    ),
+)
+
+
 def test_duplicate_and_dangling_sections():
     for name, data, line in _DUPLICATES_AND_DANGLING:
         with pytest.raises(ParseError) as err:
@@ -169,6 +195,15 @@ def test_component_validation_failures_name_the_square():
     with pytest.raises(ValidationError) as err:
         parse_workspace_text(text, name="w")
     assert "s" in str(err.value) or "t" in str(err.value)
+
+
+def test_content_faults_name_their_section_and_line():
+    for name, data, error, section, line in _CONTENT_FAULTS:
+        with pytest.raises(ValidationError) as err:
+            parse_workspace_text(data.decode(), name=name)
+        assert type(err.value).__name__ == error, name
+        assert str(err.value).startswith(f"line {line}: {section}: "), name
+        assert (err.value.section, err.value.line) == (section, line), name
 
 
 def test_bound_spellings():
@@ -244,6 +279,16 @@ def test_validate_flags_semantic_failures(tmp_path):
     assert code == 1
     assert report["verdict"] == "fail"
     assert report["counterexample"]["error"] == "ValidationError"
+    assert report["counterexample"]["section"] == "map f"
+    assert report["counterexample"]["line"] == 5
+    for name, data, error, section, line in _CONTENT_FAULTS:
+        ws = tmp_path / name
+        ws.write_bytes(data)
+        code, report, _ = run_cli(["validate", str(ws)], tmp_path)
+        assert code == 1, name
+        got = report["counterexample"]
+        assert (got["error"], got["section"], got["line"]) == (error, section, line)
+        assert got["detail"].startswith(f"line {line}: {section}: "), name
 
 
 def test_syntax_errors_exit_three(tmp_path, capsys):
@@ -286,6 +331,12 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
         ws.write_bytes(data)
         assert cli.run(["validate", str(ws)]) == 3, name
         assert f"line {line}:" in capsys.readouterr().err, name
+    # content faults outside validate keep exit 3 and name their place
+    for name, data, error, section, line in _CONTENT_FAULTS:
+        ws = tmp_path / name
+        ws.write_bytes(data)
+        assert cli.run(["enumerate-we", str(ws), "IG"]) == 3, name
+        assert f"error: {error}: line {line}: {section}: " in capsys.readouterr().err
     # each flag may be given once
     twice = ["factor", FI1, "collapse", "I1", "--fuel", "0", "--fuel", "1024"]
     assert cli.run(twice) == 3
@@ -303,6 +354,15 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
     assert cli.run(["validate", FI1, "--out", str(folder)]) == 3
     assert "error: IsADirectoryError: " in capsys.readouterr().err
     assert not (tmp_path / "folder.tmp").exists()
+
+
+def test_oversized_universe_exits_three_at_once(capsys):
+    start = time.monotonic()
+    assert cli.run(["check-main", GIG, "IG", "--bound", "5"]) == 3
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert "error: SizeLimitExceeded: bound v=5 e=5 gives 11,358,809" in err
+    assert "limit is 100,000" in err
 
 
 _MAP = st.sampled_from(["i01", "iota0", "iota1", "collapse", "fold"])
