@@ -185,9 +185,13 @@ class BoundedUniverse:
 
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
-    It caches its verdicts per instance (`hom`, `iso_class`, `is_cof`,
-    `is_triv_fib`, `is_fib`, `factors_through`,
+    It caches its verdicts per instance (`hom`, `automorphisms`,
+    `iso_class`, `is_cof`, `is_triv_fib`, `is_fib`, `factors_through`,
     `cofibrations_between_cofibrant`); each answers `cache_info()`.
+    `automorphisms(A)` is Aut(A): the maps of hom(A, A) whose components
+    are bijections (injective, since the carriers are finite), in
+    enumeration order.  `check_appropriate` builds one pushout per orbit
+    of its pairs under Aut(A).
 
     The hot loops work on component tables, not on maps.  `factors_through`
     returns the component tables of the extending maps, which `is_pure`
@@ -227,8 +231,8 @@ class BoundedUniverse:
         # decided cofibration verdicts per iso class; never INCONCLUSIVE
         self._cof_by_class: dict[int, Verdict] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "iso_class", "is_cof", "is_triv_fib", "is_fib",
-                     "factors_through", "cofibrations_between_cofibrant"):
+        for name in ("hom", "automorphisms", "iso_class", "is_cof", "is_triv_fib",
+                     "is_fib", "factors_through", "cofibrations_between_cofibrant"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -270,6 +274,10 @@ class BoundedUniverse:
 
     def hom(self, X: Presheaf, Y: Presheaf) -> tuple[PresheafMap, ...]:
         return tuple(hom_enumerate(X, Y))
+
+    def automorphisms(self, A: Presheaf) -> tuple[PresheafMap, ...]:
+        """The bijective maps of hom(A, A), in enumeration order."""
+        return tuple(filter(is_mono, self.hom(A, A)))
 
     def maps_from(self, X: Presheaf) -> Iterator[PresheafMap]:
         for Y in self.objects:
@@ -440,26 +448,56 @@ def _object_square_failure(
 def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     """Pushouts of trivial fibrations between cofibrant objects along
     cofibrations stay pure and keep RLP up to homotopy against every
-    cofibrant object of U."""
+    cofibrant object of U.
+
+    Every pair (t, c) of a trivial fibration t and a cofibration c out of
+    A = t.source counts in `pushouts_checked`.  A pair equal to
+    (t after s, c after s) for an earlier pair and an automorphism s of A
+    (`U.automorphisms(A)`) builds no pushout: both pairs glue the same
+    element pairs of t.target + c.target, and the union-find roots are
+    class minima, so the apex, both legs and the comparison map come out
+    identical and the comparison is already seen.  Both conditions are
+    invariant under isomorphism, so a comparison map whose iso class
+    passed them is settled.
+
+    `undecided_membership` sums three counts: the universe's undecided
+    memberships (`U.all_undecided()`); the candidate cofibrations whose
+    `is_cof` is INCONCLUSIVE, once per trivial fibration they are walked
+    from; and the distinct comparison maps whose purity is INCONCLUSIVE,
+    a settled class's undecided purity counting once for each of them.
+    `is_pure` is INCONCLUSIVE whenever the universe has an undecided
+    membership, whatever the squares of the map itself.
+    """
     params = {"generators": U.generators.label, **U.describe()}
     pushouts_checked = 0
     inconclusive = 0
-    # Both conditions are invariant under isomorphism, so a comparison map
-    # whose iso class passed them is settled.  Undecided purity is still
-    # counted once per distinct comparison map.
     seen: set[PresheafMap] = set()
     settled: dict[int, bool] = {}  # iso class -> whether purity was undecided
+    source = None
     try:
         cofibrant = U.cofibrant
+        # trivial fibrations come grouped by source
         for t in U.trivial_fibrations_between_cofibrant():
-            for c in U.maps_from(t.source):
+            if t.source is not source:
+                source = t.source
+                automorphisms = [s._comp for s in U.automorphisms(source)]
+                translates: set[tuple] = set()
+            for c in U.maps_from(source):
                 vc = U.is_cof(c)
                 if vc is Verdict.INCONCLUSIVE:
                     inconclusive += 1
                 if vc is not Verdict.YES:
                     continue
-                comparison = pushout(t, c).right
                 pushouts_checked += 1
+                pair = (t.target, t._comp, c.target, c._comp)
+                if pair in translates:
+                    continue
+                translates.update(
+                    (t.target, _compose_tables(s, t._comp),
+                     c.target, _compose_tables(s, c._comp))
+                    for s in automorphisms
+                )
+                comparison = pushout(t, c).right
                 if comparison in seen:
                     continue
                 seen.add(comparison)
@@ -556,7 +594,7 @@ def _coproduct_outcomes(
             pair = (k1, k2) if k1 <= k2 else (k2, k1)
             ok = lifts.get(pair)
             if ok is None:
-                ok = lifts[pair] = U.is_triv_fib(_coproduct_map(t1, t2))
+                ok = lifts[pair] = in_inj(_coproduct_map(t1, t2), U.generators)
             if ok:
                 yield Verdict.YES
             else:

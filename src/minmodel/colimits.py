@@ -3,6 +3,13 @@
 Quotients pick the least element of each class (in the combined carrier
 order) as canonical representative, so apex element names are stable and
 every construction is deterministic.
+
+`pushout` is built straight from index tables: per object, one union-find
+over the indices of the disjoint union of the two span targets, whose
+class table gives the apex carriers (the `l.`/`r.` names of the
+representatives), its actions and both legs.  It builds no coproduct
+presheaf and composes no maps; the result is the quotient of the
+coproduct, name for name.
 """
 
 from __future__ import annotations
@@ -114,58 +121,6 @@ def _union(parent: list[int], i: int, j: int) -> None:
         parent[ri] = rj
 
 
-def _quotient(
-    X: Presheaf, pairs: list[list[tuple[int, int]]]
-) -> tuple[Presheaf, PresheafMap]:
-    """Coequalize the given per-object element pairs; internal helper.
-
-    Returns the quotient presheaf and the projection.  The induced actions
-    are recomputed from every class member and must agree; a disagreement
-    would mean the relation was not closed under the actions, which cannot
-    happen for relations induced by naturality, so it is reported as an
-    engine bug.
-    """
-    base = X.base
-    parents = [list(range(len(c))) for c in X.carriers]
-    for o, plist in enumerate(pairs):
-        for i, j in plist:
-            _union(parents[o], i, j)
-    reps = [sorted({_find(p, i) for i in range(len(p))}) for p in parents]
-    pos = [
-        {r: k for k, r in enumerate(rs)} for rs in reps
-    ]
-    carriers = tuple(
-        tuple(X.carriers[o][r] for r in rs) for o, rs in enumerate(reps)
-    )
-    act: dict[str, tuple[int, ...]] = {}
-    for name in X.base.nonidentity:
-        a, b = base._dom[name], base._cod[name]
-        xact = X._act[name]
-        out: list[int | None] = [None] * len(reps[b])
-        for z in range(len(X.carriers[b])):
-            k = pos[b][_find(parents[b], z)]
-            v = pos[a][_find(parents[a], xact[z])]
-            if out[k] is None:
-                out[k] = v
-            elif out[k] != v:
-                raise ImplementationInvariantBroken(
-                    f"quotient action of {name} is not well defined"
-                )
-        act[name] = tuple(v for v in out)  # type: ignore[misc]
-    for o, obj in enumerate(base.objects):
-        act[base.identities[obj]] = tuple(range(len(reps[o])))
-    apex = Presheaf._make(base, carriers, act)
-    proj = PresheafMap._make(
-        X,
-        apex,
-        tuple(
-            tuple(pos[o][_find(parents[o], i)] for i in range(len(X.carriers[o])))
-            for o in range(len(X.carriers))
-        ),
-    )
-    return apex, proj
-
-
 @dataclass(frozen=True)
 class PushoutResult:
     apex: Presheaf
@@ -175,23 +130,65 @@ class PushoutResult:
 
 
 def pushout(f: PresheafMap, g: PresheafMap) -> PushoutResult:
-    """Pushout of the span  target(f) <- source -> target(g)."""
+    """Pushout of the span  target(f) <- source -> target(g).
+
+    At object o, index z < |target(f)| stands for an element of target(f)
+    and the rest for those of target(g); f(a) is glued to g(a) for every
+    element a of the source, and `classes[o][z]` is the apex index of the
+    class of z.
+    """
     if f.source != g.source:
         raise NonComposable("pushout legs must share their source")
     B, C = f.target, g.target
-    co = coproduct(B, C)
-    pairs: list[list[tuple[int, int]]] = []
-    for o in range(len(B.carriers)):
-        shift = len(B.carriers[o])
-        pairs.append(
-            [
-                (f._comp[o][a], shift + g._comp[o][a])
-                for a in range(len(f.source.carriers[o]))
-            ]
-        )
-    apex, proj = _quotient(co.apex, pairs)
-    left = compose(co.left, proj)
-    right = compose(co.right, proj)
+    base = B.base
+    classes: list[list[int]] = []
+    carriers = []
+    for fo, go, names_b, names_c in zip(f._comp, g._comp, B.carriers, C.carriers):
+        nb = len(names_b)
+        parent = list(range(nb + len(names_c)))
+        for x, y in zip(fo, go):
+            _union(parent, x, nb + y)
+        # roots are class minima, so a class is numbered at its least index
+        cls: list[int] = []
+        names = []
+        for z in range(len(parent)):
+            r = _find(parent, z)
+            if r == z:
+                cls.append(len(names))
+                names.append(f"l.{names_b[z]}" if z < nb else f"r.{names_c[z - nb]}")
+            else:
+                cls.append(cls[r])
+        classes.append(cls)
+        carriers.append(tuple(names))
+    act: dict[str, tuple[int, ...]] = {}
+    for name in base.nonidentity:
+        a, b = base._dom[name], base._cod[name]
+        shift = len(B.carriers[a])
+        cls_a, cls_b = classes[a], classes[b]
+        images = B._act[name] + tuple(v + shift for v in C._act[name])
+        # every member of a class must give the same image: the relation
+        # f(a) ~ g(a) is closed under the actions by naturality, so a
+        # disagreement is an engine bug
+        out: list[int | None] = [None] * len(carriers[b])
+        for k, image in zip(cls_b, images):
+            v = cls_a[image]
+            if out[k] is None:
+                out[k] = v
+            elif out[k] != v:
+                raise ImplementationInvariantBroken(
+                    f"quotient action of {name} is not well defined"
+                )
+        act[name] = tuple(out)  # type: ignore[arg-type]
+    for o, obj in enumerate(base.objects):
+        act[base.identities[obj]] = tuple(range(len(carriers[o])))
+    apex = Presheaf._make(base, tuple(carriers), act)
+    split = [len(c) for c in B.carriers]
+    left = PresheafMap._make(
+        B, apex, tuple(tuple(cls[:nb]) for cls, nb in zip(classes, split))
+    )
+    right = PresheafMap._make(
+        C, apex, tuple(tuple(cls[nb:]) for cls, nb in zip(classes, split))
+    )
 
     def mediator(u: PresheafMap, v: PresheafMap) -> PresheafMap:
         if u.source != B or v.source != C:
@@ -200,26 +197,18 @@ def pushout(f: PresheafMap, g: PresheafMap) -> PushoutResult:
             raise NonComposable("cocone legs must share their target")
         if compose(f, u) != compose(g, v):
             raise NonCommutingSquare("cocone does not agree on the span source")
-        raw = co.mediator(u, v)
         comp = []
-        for o in range(len(apex.carriers)):
-            col = []
-            for k in range(len(apex.carriers[o])):
-                col.append(-1)
-            comp.append(col)
-        for o in range(len(co.apex.carriers)):
-            for z in range(len(co.apex.carriers[o])):
-                k = proj._comp[o][z]
-                v_ = raw._comp[o][z]
-                if comp[o][k] == -1:
-                    comp[o][k] = v_
-                elif comp[o][k] != v_:
+        for cls, cu, cv, names in zip(classes, u._comp, v._comp, carriers):
+            col = [-1] * len(names)
+            for k, w in zip(cls, cu + cv):
+                if col[k] == -1:
+                    col[k] = w
+                elif col[k] != w:
                     raise ImplementationInvariantBroken(
                         "pushout mediator is not constant on a class"
                     )
-        out = PresheafMap._make(
-            apex, u.target, tuple(tuple(col) for col in comp)
-        )
+            comp.append(tuple(col))
+        out = PresheafMap._make(apex, u.target, tuple(comp))
         out._check_naturality()
         return out
 

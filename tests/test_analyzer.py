@@ -297,6 +297,22 @@ def test_starved_appropriateness_counts_undecided_purity_per_map():
     assert counts == {1: 12, 2: 25, 3: 53}
 
 
+def test_appropriateness_builds_one_pushout_per_automorphism_orbit(monkeypatch):
+    # a pair translated by an automorphism of its source glues the same
+    # elements, so only one pair per orbit is pushed out; every pair still
+    # counts as checked
+    built = []
+    real = analyzer.pushout
+    monkeypatch.setattr(
+        analyzer, "pushout", lambda f, g: built.append(real(f, g)) or built[-1]
+    )
+    report = check_appropriate(finset_universe(I1, bound=4))
+    assert report.verdict is Verdict.YES
+    assert report.diagnostics["pushouts_checked"] == 2265
+    assert len(built) == 185
+    assert len({po.right for po in built}) == 185
+
+
 def test_main_condition_verdicts():
     report = check_main_condition(finset_universe(I1))
     assert report.verdict is Verdict.YES
@@ -324,6 +340,20 @@ def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
         assert Verdict.YES in unshared
         assert any(outcome is not Verdict.YES for outcome in unshared)
         assert list(_coproduct_outcomes(maps, U)) == unshared
+
+
+def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
+    # the sweep decides each pair of classes once on its own; a sum cached
+    # on the universe would keep its coproducts and their extension tables
+    # alive as long as the universe
+    for U in (finset_universe(I2), gph_universe()):
+        asked = []
+        cached = U.is_triv_fib
+        U.is_triv_fib = lambda f: asked.append(f) or cached(f)
+        check_properness_condition(U)
+        assert asked and cached.cache_info().currsize == len(set(asked))
+        for f in asked:
+            assert U.index(f.source) is not None and U.index(f.target) is not None
 
 
 def test_properness_condition_verdicts():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from minmodel.analyzer import BoundedUniverse
 from minmodel.colimits import (
     coproduct,
     initial,
@@ -14,9 +15,19 @@ from minmodel.colimits import (
     terminal_map,
 )
 from minmodel.errors import NonComposable
-from minmodel.presheaf import PresheafMap, compose, hom_enumerate, is_mono
+from minmodel.presheaf import Presheaf, PresheafMap, compose, hom_enumerate, is_mono
 
-from helpers import FS_BASE, GPH_BASE, fs, fsmap, gph, gph_obj_to_oracle
+from helpers import (
+    FS_BASE,
+    GPH_BASE,
+    fs,
+    fsmap,
+    gph,
+    gph_obj_to_oracle,
+    i1_set,
+    i2_set,
+    ig_set,
+)
 
 DA = gph(2, [])
 A = gph(2, [(0, 1)])
@@ -152,6 +163,127 @@ def test_pushout_quotient_names_are_deterministic():
     assert po1.apex == po2.apex
     assert po1.left == po2.left and po1.right == po2.right
     assert fold.source.carrier("x") == ("l.a", "r.a")
+
+
+def _universes():
+    """FinSet at bound 3 and graphs at v=2 e=1.  The maps of a universe do
+    not depend on its generating set, so I1's FinSet universe stands for
+    I2's too."""
+    finset = BoundedUniverse(FS_BASE, 3, i1_set())
+    assert list(finset.all_maps()) == list(BoundedUniverse(FS_BASE, 3, i2_set()).all_maps())
+    IG = ig_set()
+    return finset, BoundedUniverse(IG.base_of(), {"v": 2, "e": 1}, IG)
+
+
+def _reference_pushout(f, g):
+    """The pushout from its definition: the disjoint union of the span
+    targets, element names tagged `l.` and `r.`, divided by the equivalence
+    relation that f(a) ~ g(a) generates; each class is named by its first
+    element in carrier order.  Returns the apex, both legs as component
+    dicts, and each class's elements."""
+    B, C = f.target, g.target
+    base = B.base
+    carriers, legs, members = {}, ({}, {}), {}
+    for obj in base.objects:
+        elements = [f"l.{e}" for e in B.carrier(obj)] + [f"r.{e}" for e in C.carrier(obj)]
+        parent = {e: e for e in elements}
+        order = {e: k for k, e in enumerate(elements)}
+
+        def find(e):
+            while parent[e] != e:
+                e = parent[e]
+            return e
+
+        for a in f.source.carrier(obj):
+            x, y = find("l." + f.apply(obj, a)), find("r." + g.apply(obj, a))
+            parent[max(x, y, key=order.get)] = min(x, y, key=order.get)
+        carriers[obj] = [e for e in elements if find(e) == e]
+        for tag, X, leg in (("l.", B, legs[0]), ("r.", C, legs[1])):
+            leg[obj] = {e: find(tag + e) for e in X.carrier(obj)}
+        members[obj] = {r: [e for e in elements if find(e) == r] for r in carriers[obj]}
+    actions = {}
+    for m, a, b in base.morphisms:
+        if m in base.nonidentity:
+            acts = {"l.": (B.action(m), legs[0][a]), "r.": (C.action(m), legs[1][a])}
+            actions[m] = {}
+            for r in carriers[b]:
+                act, leg = acts[r[:2]]
+                actions[m][r] = leg[act[r[2:]]]
+    apex = Presheaf(base, carriers, actions)
+    return apex, PresheafMap(B, apex, legs[0]), PresheafMap(C, apex, legs[1]), members
+
+
+def test_pushout_matches_the_quotient_of_the_disjoint_union():
+    for U in _universes():
+        small = [T for T in U.objects if T.total_size() <= 2]
+        for A in U.objects:
+            out = list(U.maps_from(A))
+            for f in out:
+                for g in out:
+                    po = pushout(f, g)
+                    apex, left, right, members = _reference_pushout(f, g)
+                    assert (po.apex, po.left, po.right) == (apex, left, right)
+                    # every cocone is (left, right) followed by a map out of
+                    # the apex; the mediator sends each class where its
+                    # elements go
+                    for T in small:
+                        for h in hom_enumerate(apex, T):
+                            u, v = compose(left, h), compose(right, h)
+                            image = {
+                                obj: {
+                                    r: {
+                                        (u if e[:2] == "l." else v).apply(obj, e[2:])
+                                        for e in elements
+                                    }
+                                    for r, elements in members[obj].items()
+                                }
+                                for obj in U.base.objects
+                            }
+                            assert all(
+                                len(targets) == 1
+                                for column in image.values()
+                                for targets in column.values()
+                            )
+                            expected = PresheafMap(
+                                apex,
+                                T,
+                                {
+                                    obj: {r: targets.pop() for r, targets in column.items()}
+                                    for obj, column in image.items()
+                                },
+                            )
+                            assert po.mediator(u, v) == expected == h
+
+
+def test_translated_spans_have_equal_pushouts():
+    # (t after s, c after s) glues the same element pairs as (t, c) for an
+    # automorphism s of the common source, so the pushouts are equal
+    translated = 0
+    for U in _universes():
+        for A in U.objects:
+            out = list(U.maps_from(A))
+            automorphisms = U.automorphisms(A)
+            ends = U.hom(A, A)
+            assert automorphisms == tuple(
+                s
+                for s in ends
+                if any(
+                    compose(s, r).is_identity() and compose(r, s).is_identity()
+                    for r in ends
+                )
+            )
+            for t in out:
+                for c in out:
+                    po = pushout(t, c)
+                    for s in automorphisms:
+                        moved = pushout(compose(s, t), compose(s, c))
+                        assert (moved.apex, moved.left, moved.right) == (
+                            po.apex,
+                            po.left,
+                            po.right,
+                        )
+                        translated += compose(s, t) != t
+    assert translated > 0
 
 
 def test_product_of_the_edge_graph():
