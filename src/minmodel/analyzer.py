@@ -19,16 +19,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .colimits import coproduct, initial_map, pushout
-from .errors import FuelExhausted, FunctorialityViolation, SizeLimitExceeded
+from .errors import FuelExhausted, SizeLimitExceeded
 from .factorization import GeneratingSet, Verdict, in_cof, in_inj
 from .homotopy import HomotopyContext, is_strong_deformation_retract
 from .lifting import has_rlp
 from .presheaf import (
+    MAX_CARRIER_SIZE,
     BaseCategory,
     Presheaf,
     PresheafMap,
     _compose_tables,
     _first_map,
+    _functoriality_failure,
     _pin,
     compose,
     find_retraction,
@@ -118,38 +120,43 @@ def _combine(check: str, parameters: dict, subchecks: list[VerdictReport]) -> Ve
 MAX_UNIVERSE_CANDIDATES = 10**5
 
 
-def candidate_presheaves(base: BaseCategory, bound: dict[str, int]) -> int | None:
-    """How many action tables `BoundedUniverse` tries: the sum over size
-    vectors of the product, over non-identity morphisms m : a -> b, of the
-    |a|^|b| tables of m.  None once more than MAX_UNIVERSE_CANDIDATES size
-    vectors admit tables, since each of them adds at least one.
-
-    Objects are sized in base order, and a size that leaves a morphism
-    between objects sized so far without any table ends its branch.
-    """
+def _size_vectors(base: BaseCategory, bound: dict[str, int]) -> Iterator[tuple]:
+    """The size vectors within `bound` that admit action tables, in
+    lexicographic base-object order, each with its count of table tuples:
+    the product, over non-identity morphisms m : a -> b, of the |a|^|b|
+    tables of m.  A size that leaves a morphism between objects sized so
+    far without any table ends its branch."""
     # per object, the morphisms whose later end it is
     closing: list[list[tuple[int, int]]] = [[] for _ in base.objects]
     for m in base.nonidentity:
         a, b = base._dom[m], base._cod[m]
         closing[max(a, b)].append((a, b))
-    total = vectors = 0
-    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    while stack:
-        sizes, product = stack.pop()
+
+    def walk(sizes: tuple[int, ...], product: int):
         o = len(sizes)
         if o == len(base.objects):
-            total += product
-            vectors += 1
-            if vectors > MAX_UNIVERSE_CANDIDATES:
-                return None
-            continue
+            yield sizes, product
+            return
         for n in range(bound[base.objects[o]] + 1):
             here = sizes + (n,)
             tables = product
             for a, b in closing[o]:
                 tables *= here[a] ** here[b]
             if tables:
-                stack.append((here, tables))
+                yield from walk(here, tables)
+
+    return walk((), 1)
+
+
+def candidate_presheaves(base: BaseCategory, bound: dict[str, int]) -> int | None:
+    """How many action tables `BoundedUniverse` tries: the sum of the table
+    counts of `_size_vectors`.  None once more than MAX_UNIVERSE_CANDIDATES
+    size vectors admit tables, since each of them adds at least one."""
+    total = 0
+    for k, (_, tables) in enumerate(_size_vectors(base, bound)):
+        if k == MAX_UNIVERSE_CANDIDATES:
+            return None
+        total += tables
     return total
 
 
@@ -157,11 +164,15 @@ class BoundedUniverse:
     """Every presheaf over the base within a carrier-size bound, plus the
     hom-sets and membership verdicts the checkers keep re-asking for.
 
-    Enumeration order is fixed: size vectors run in base-object order,
-    action tables lexicographically; elements are named by their index.
-    Isomorphic duplicates are kept, so every check walks them in that
-    order.  Objects whose cofibrancy cannot be decided within fuel are left
-    out of the cofibrant family and counted.
+    Enumeration order is fixed: size vectors run as `_size_vectors` (the
+    walk `candidate_presheaves` counts) yields them, and per vector the
+    action tables run lexicographically as index tuples; elements are
+    named by their index.  Non-functorial tables are skipped and the rest
+    built unchecked (`Presheaf._make`), so the universe refuses a bound
+    above `MAX_CARRIER_SIZE` itself.  Isomorphic duplicates are kept, so
+    every check walks them in that order.  Objects whose cofibrancy cannot
+    be decided within fuel are left out of the cofibrant family and
+    counted.
 
     `iso_class(f)` numbers the isomorphism classes of arrows (`iso_key`)
     densely in first-seen order.  Membership verdicts are invariant under
@@ -213,10 +224,14 @@ class BoundedUniverse:
             self.bound = {o: bound for o in base.objects}
         else:
             self.bound = {o: bound[o] for o in base.objects}
+        sizes = " ".join(f"{o}={n}" for o, n in self.bound.items())
+        if max(self.bound.values(), default=0) > MAX_CARRIER_SIZE:
+            raise SizeLimitExceeded(
+                f"bound {sizes} exceeds the carrier limit of {MAX_CARRIER_SIZE}"
+            )
         candidates = candidate_presheaves(base, self.bound)
         if candidates is None or candidates > MAX_UNIVERSE_CANDIDATES:
             count = "more" if candidates is None else f"{candidates:,}"
-            sizes = " ".join(f"{o}={n}" for o, n in self.bound.items())
             raise SizeLimitExceeded(
                 f"bound {sizes} gives {count} candidate presheaves, "
                 f"limit is {MAX_UNIVERSE_CANDIDATES:,}"
@@ -238,33 +253,20 @@ class BoundedUniverse:
     def _enumerate(self) -> Iterator[Presheaf]:
         base = self.base
         nonid = base.nonidentity
-        ranges = [range(self.bound[o] + 1) for o in base.objects]
-        for vec in itertools.product(*ranges):
-            carriers = {
-                o: [str(k) for k in range(n)] for o, n in zip(base.objects, vec)
-            }
-            tables = []
-            possible = True
-            for m in nonid:
-                na = vec[base.obj_index(base.dom(m))]
-                nb = vec[base.obj_index(base.cod(m))]
-                if nb > 0 and na == 0:
-                    possible = False
-                    break
-                dom_elems = carriers[base.cod(m)]
-                tables.append(
-                    [
-                        dict(zip(dom_elems, (str(v) for v in pick)))
-                        for pick in itertools.product(range(na), repeat=nb)
-                    ]
-                )
-            if not possible:
-                continue
+        for sizes, _ in _size_vectors(base, self.bound):
+            carriers = tuple(tuple(map(str, range(n))) for n in sizes)
+            act = {base.identities[o]: tuple(range(n))
+                   for o, n in zip(base.objects, sizes)}
+            # the tables of m : a -> b, as index tuples over carrier(b)
+            tables = [
+                itertools.product(range(sizes[base._dom[m]]),
+                                  repeat=sizes[base._cod[m]])
+                for m in nonid
+            ]
             for combo in itertools.product(*tables):
-                try:
-                    yield Presheaf(base, carriers, dict(zip(nonid, combo)))
-                except FunctorialityViolation:
-                    continue
+                act.update(zip(nonid, combo))
+                if _functoriality_failure(base, act) is None:
+                    yield Presheaf._make(base, carriers, dict(act))
 
     def describe(self) -> dict:
         return {"bound": dict(self.bound), "objects": len(self.objects)}

@@ -1,15 +1,16 @@
 """Finite colimits and products of presheaves, computed pointwise.
 
-Quotients pick the least element of each class (in the combined carrier
-order) as canonical representative, so apex element names are stable and
-every construction is deterministic.
+Finite cocompleteness is an initial object and pushouts, and the module
+builds exactly those: `initial`, and `pushout` straight from index tables.
+Per object, one union-find runs over the indices of the disjoint union of
+the two span targets, and its class table gives the apex carriers (the
+`l.`/`r.` names of the representatives), its actions and both legs; no
+maps are composed.  A class is named after its least element in that
+combined order, so apex names are stable and every construction is
+deterministic.  A coproduct is the pushout under the empty presheaf: with
+nothing glued, every class is a single element, named `l.x` or `r.y`.
 
-`pushout` is built straight from index tables: per object, one union-find
-over the indices of the disjoint union of the two span targets, whose
-class table gives the apex carriers (the `l.`/`r.` names of the
-representatives), its actions and both legs.  It builds no coproduct
-presheaf and composes no maps; the result is the quotient of the
-coproduct, name for name.
+Every construction returns one `Universal`: apex, two legs, mediator.
 """
 
 from __future__ import annotations
@@ -56,52 +57,22 @@ def terminal_map(X: Presheaf) -> PresheafMap:
 
 
 @dataclass(frozen=True)
-class CoproductResult:
+class Universal:
+    """A universal (co)cone: apex, two legs (into the apex, or out of it for
+    `product`), and the mediator giving the unique map through the apex."""
+
     apex: Presheaf
     left: PresheafMap
     right: PresheafMap
     mediator: Callable[[PresheafMap, PresheafMap], PresheafMap]
 
 
-def coproduct(X: Presheaf, Y: Presheaf) -> CoproductResult:
-    """Disjoint union with `l.`/`r.` tagged element names."""
+def coproduct(X: Presheaf, Y: Presheaf) -> Universal:
+    """Disjoint union with `l.`/`r.` tagged element names: the pushout of
+    the two maps out of the empty presheaf."""
     if X.base != Y.base:
         raise BaseMismatch("coproduct needs a shared base")
-    base = X.base
-    carriers = tuple(
-        tuple(f"l.{e}" for e in cx) + tuple(f"r.{e}" for e in cy)
-        for cx, cy in zip(X.carriers, Y.carriers)
-    )
-    act: dict[str, tuple[int, ...]] = {}
-    for name, _, _ in base.morphisms:
-        ax, ay = X._act[name], Y._act[name]
-        a = base._dom[name]
-        shift = len(X.carriers[a])
-        act[name] = tuple(ax) + tuple(v + shift for v in ay)
-    apex = Presheaf._make(base, carriers, act)
-    left = PresheafMap._make(
-        X, apex, tuple(tuple(range(len(c))) for c in X.carriers)
-    )
-    right = PresheafMap._make(
-        Y,
-        apex,
-        tuple(
-            tuple(range(len(cx), len(cx) + len(cy)))
-            for cx, cy in zip(X.carriers, Y.carriers)
-        ),
-    )
-
-    def mediator(u: PresheafMap, v: PresheafMap) -> PresheafMap:
-        if u.source != X or v.source != Y:
-            raise NonComposable("cocone legs must start at the coproduct factors")
-        if u.target != v.target:
-            raise NonComposable("cocone legs must share their target")
-        comp = tuple(cu + cv for cu, cv in zip(u._comp, v._comp))
-        out = PresheafMap._make(apex, u.target, comp)
-        out._check_naturality()
-        return out
-
-    return CoproductResult(apex, left, right, mediator)
+    return pushout(initial_map(X), initial_map(Y))
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -121,15 +92,7 @@ def _union(parent: list[int], i: int, j: int) -> None:
         parent[ri] = rj
 
 
-@dataclass(frozen=True)
-class PushoutResult:
-    apex: Presheaf
-    left: PresheafMap  # from the target of the first leg
-    right: PresheafMap  # from the target of the second leg
-    mediator: Callable[[PresheafMap, PresheafMap], PresheafMap]
-
-
-def pushout(f: PresheafMap, g: PresheafMap) -> PushoutResult:
+def pushout(f: PresheafMap, g: PresheafMap) -> Universal:
     """Pushout of the span  target(f) <- source -> target(g).
 
     At object o, index z < |target(f)| stands for an element of target(f)
@@ -212,18 +175,10 @@ def pushout(f: PresheafMap, g: PresheafMap) -> PushoutResult:
         out._check_naturality()
         return out
 
-    return PushoutResult(apex, left, right, mediator)
+    return Universal(apex, left, right, mediator)
 
 
-@dataclass(frozen=True)
-class ProductResult:
-    apex: Presheaf
-    left: PresheafMap  # projection to the first factor
-    right: PresheafMap
-    mediator: Callable[[PresheafMap, PresheafMap], PresheafMap]
-
-
-def product(X: Presheaf, Y: Presheaf) -> ProductResult:
+def product(X: Presheaf, Y: Presheaf) -> Universal:
     """Binary product with `(x,y)` element names in lexicographic order."""
     if X.base != Y.base:
         raise BaseMismatch("product needs a shared base")
@@ -277,4 +232,4 @@ def product(X: Presheaf, Y: Presheaf) -> ProductResult:
         out._check_naturality()
         return out
 
-    return ProductResult(apex, left, right, mediator)
+    return Universal(apex, left, right, mediator)

@@ -45,12 +45,10 @@ class GeneratingSet:
         if len(bases) > 1:
             raise BaseMismatch(f"generating set {self.label} mixes bases")
 
-    def base_of(self, fallback: BaseCategory | None = None) -> BaseCategory:
-        if self.maps:
-            return self.maps[0].source.base
-        if fallback is None:
+    def base_of(self) -> BaseCategory:
+        if not self.maps:
             raise BaseMismatch(f"generating set {self.label} is empty and unanchored")
-        return fallback
+        return self.maps[0].source.base
 
 
 @dataclass(frozen=True)

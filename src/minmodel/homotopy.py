@@ -178,9 +178,10 @@ class DeformationRetractResult:
     homotopy: HomotopyWitness | None
 
 
-def _deformation_retract(
-    f: PresheafMap, ctx: HomotopyContext, rel: PresheafMap | None
+def is_strong_deformation_retract(
+    f: PresheafMap, ctx: HomotopyContext
 ) -> DeformationRetractResult:
+    """Search a retraction g with f after g homotopic to the identity rel f."""
     seeds = _pin((f._comp, _identity_values(f._comp)))
     if seeds is None:
         return DeformationRetractResult(Verdict.NO, None, None)
@@ -189,26 +190,12 @@ def _deformation_retract(
     try:
         for comp in _enumerate_components(Y, X, seeds=seeds):
             g = PresheafMap._make(Y, X, comp)
-            witness = ctx.homotopic(compose(g, f), ident, rel)
+            witness = ctx.homotopic(compose(g, f), ident, f)
             if witness is not None:
                 return DeformationRetractResult(Verdict.YES, g, witness)
     except FuelExhausted:
         return DeformationRetractResult(Verdict.INCONCLUSIVE, None, None)
     return DeformationRetractResult(Verdict.NO, None, None)
-
-
-def is_deformation_retract(
-    f: PresheafMap, ctx: HomotopyContext
-) -> DeformationRetractResult:
-    """Search a retraction g with f after g homotopic to the identity."""
-    return _deformation_retract(f, ctx, rel=None)
-
-
-def is_strong_deformation_retract(
-    f: PresheafMap, ctx: HomotopyContext
-) -> DeformationRetractResult:
-    """As `is_deformation_retract`, with the homotopy taken rel f."""
-    return _deformation_retract(f, ctx, rel=f)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .presheaf import (
     _enumerate_components,
     _extensions,
     _fibres,
+    _first_map,
     _pin,
     compose,
     hom_enumerate,
@@ -93,15 +94,14 @@ Relation = Callable[[PresheafMap, PresheafMap], object | None]
 def solve_lifting(problem: LiftingProblem) -> PresheafMap | None:
     """First diagonal solving the square strictly, or None."""
     STATS["solver_calls"] += 1
-    seeds = _pin((problem.left._comp, problem.top._comp))
-    if seeds is None:
-        return None
-    # values of h allowed by right after h = bottom
-    allowed = _fibres(problem.right._comp, problem.bottom._comp)
-    B, C = problem.left.target, problem.right.source
-    for comp in _enumerate_components(B, C, seeds=seeds, allowed=allowed):
-        return PresheafMap._make(B, C, comp)
-    return None
+    left, right = problem.left, problem.right
+    return _first_map(
+        left.target,
+        right.source,
+        _pin((left._comp, problem.top._comp)),
+        # values of h allowed by right after h = bottom
+        _fibres(right._comp, problem.bottom._comp),
+    )
 
 
 def solve_lifting_up_to(

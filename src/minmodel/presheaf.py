@@ -388,18 +388,27 @@ def _build_presheaf_data(
                     raise FunctorialityViolation(
                         f"explicit action of identity {ident} is not the identity"
                     )
-    # contravariant functoriality: act(f;g) == act(f) after act(g)
+    bad = _functoriality_failure(base, act)
+    if bad is not None:
+        f, g = bad
+        raise FunctorialityViolation(
+            f"actions of {f};{g} disagree with action of {base.composition[bad]}"
+        )
+    return tuple(cols), act
+
+
+def _functoriality_failure(base: BaseCategory, act: dict) -> tuple[str, str] | None:
+    """The first composable pair (f, g) of non-identity morphisms whose
+    actions break contravariant functoriality, act(f;g) == act(f) after
+    act(g); None when there is none."""
     for f in base.nonidentity:
+        actf = act[f]
         for g in base.nonidentity:
             if base._cod[f] != base._dom[g]:
                 continue
-            h = base.composition[(f, g)]
-            actf, actg, acth = act[f], act[g], act[h]
-            if tuple(actf[actg[x]] for x in range(len(actg))) != acth:
-                raise FunctorialityViolation(
-                    f"actions of {f};{g} disagree with action of {h}"
-                )
-    return tuple(cols), act
+            if tuple([actf[v] for v in act[g]]) != act[base.composition[(f, g)]]:
+                return f, g
+    return None
 
 
 class PresheafMap:
@@ -715,10 +724,6 @@ def is_mono(f: PresheafMap) -> bool:
 def find_retraction(f: PresheafMap) -> PresheafMap | None:
     """First g with g  after f = identity, in enumeration order."""
     return _first_map(f.target, f.source, _pin((f._comp, _identity_values(f._comp))))
-
-
-def is_split_mono(f: PresheafMap) -> bool:
-    return find_retraction(f) is not None
 
 
 @dataclass(frozen=True)

@@ -253,7 +253,7 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
     for pname, start, body in presheaf_sections:
         if pname in presheaves:
             raise ParseError(f"presheaf {pname!r} defined twice", line=start)
-        carriers: dict[str, list[str]] = {o: [] for o in base.objects}
+        carriers: dict[str, list[str]] = {}
         actions: dict[str, dict[str, str]] = {}
         for n, line in body:
             head, sep, rest = line.partition(":")
@@ -267,14 +267,16 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
                 if mor in actions:
                     raise ParseError(f"duplicate action for {mor!r}", line=n)
                 actions[mor] = _pairs(rest, n)
-            elif head in carriers:
-                if carriers[head]:
+            elif head in base._obj_index:
+                if head in carriers:
                     raise ParseError(f"duplicate carrier for {head!r}", line=n)
                 carriers[head] = rest.split()
             else:
                 raise ParseError(f"unknown base object {head!r}", line=n)
         try:
-            presheaves[pname] = Presheaf(base, carriers, actions)
+            presheaves[pname] = Presheaf(
+                base, {o: carriers.get(o, []) for o in base.objects}, actions
+            )
         except ValidationError as err:
             raise _located(err, f"presheaf {pname}", start) from err
 

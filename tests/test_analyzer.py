@@ -22,10 +22,10 @@ from minmodel.analyzer import (
     verify_axioms,
 )
 from minmodel.colimits import initial_map
-from minmodel.errors import SizeLimitExceeded
+from minmodel.errors import FunctorialityViolation, SizeLimitExceeded
 from minmodel.factorization import GeneratingSet, Verdict, in_cof, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
-from minmodel.presheaf import compose, is_mono, is_retract_of, load_base
+from minmodel.presheaf import Presheaf, compose, is_mono, is_retract_of, load_base
 from minmodel.workspace import parse_workspace
 
 import oracle_finset as of
@@ -574,6 +574,83 @@ def test_universe_bound_above_the_carrier_limit_is_refused():
     # a carrier of 65 elements is refused, not silently left out
     with pytest.raises(SizeLimitExceeded):
         finset_universe(I1, bound=65)
+
+
+def _reference_universe(base, bound):
+    """Every presheaf within `bound`, from the definition: size vectors in
+    lexicographic base-object order, per vector every action table in
+    lexicographic order through the validating constructor, keeping the
+    functorial ones.  Also returns how many tables were tried."""
+    identities = set(base.identities.values())
+    nonid = [m for m, _, _ in base.morphisms if m not in identities]
+    found, tried = [], 0
+    for sizes in itertools.product(*(range(bound[o] + 1) for o in base.objects)):
+        carriers = {o: [str(k) for k in range(n)] for o, n in zip(base.objects, sizes)}
+        choices = [
+            itertools.product(carriers[base.dom(m)], repeat=len(carriers[base.cod(m)]))
+            for m in nonid
+        ]
+        for combo in itertools.product(*choices):
+            tried += 1
+            actions = {
+                m: dict(zip(carriers[base.cod(m)], images))
+                for m, images in zip(nonid, combo)
+            }
+            try:
+                found.append(Presheaf(base, carriers, actions))
+            except FunctorialityViolation:
+                pass
+    return found, tried
+
+
+CHAIN = load_base(
+    "objects: a b c\n"
+    "morphism u: a -> b\n"
+    "morphism w: b -> c\n"
+    "morphism uw: a -> c\n"
+    "compose u ; w = uw\n"
+)
+
+# reflexive graphs: r picks a loop at each vertex, s;r = t;r = id_v
+RGPH = load_base(
+    "objects: v e\n"
+    "morphism s: v -> e\n"
+    "morphism t: v -> e\n"
+    "morphism r: e -> v\n"
+    "morphism rs: e -> e\n"
+    "morphism rt: e -> e\n"
+    "compose s ; r = id_v\n"
+    "compose t ; r = id_v\n"
+    "compose r ; s = rs\n"
+    "compose r ; t = rt\n"
+    "compose s ; rs = s\n"
+    "compose s ; rt = t\n"
+    "compose t ; rs = s\n"
+    "compose t ; rt = t\n"
+    "compose rs ; r = r\n"
+    "compose rt ; r = r\n"
+    "compose rs ; rs = rs\n"
+    "compose rs ; rt = rt\n"
+    "compose rt ; rs = rs\n"
+    "compose rt ; rt = rt\n"
+)
+
+
+def test_universe_enumeration_matches_the_definition():
+    none = GeneratingSet("none", ())
+    # (base, bound, generators, presheaves kept, tables tried); the two
+    # bases with composites discard non-functorial tables
+    cases = (
+        (IG.base_of(), {"v": 2, "e": 2}, IG, 25, 25),
+        (FS_BASE, {"x": 4}, I1, 5, 5),
+        (CHAIN, {"a": 2, "b": 2, "c": 2}, none, 47, 111),
+        (RGPH, {"v": 2, "e": 2}, none, 6, 1062),
+    )
+    for base, bound, gens, kept, tried in cases:
+        expected, walked = _reference_universe(base, bound)
+        assert (len(expected), walked) == (kept, tried)
+        assert list(BoundedUniverse(base, bound, gens).objects) == expected
+        assert analyzer.candidate_presheaves(base, bound) == tried
 
 
 def test_oversized_universes_are_refused_before_enumeration(monkeypatch):

@@ -26,7 +26,6 @@ from minmodel.presheaf import (
     identity_map,
     is_mono,
     is_retract_of,
-    is_split_mono,
     iso_key,
     load_base,
 )
@@ -148,7 +147,6 @@ def test_hom_counts_over_the_graph_base():
 
 def test_spine_inclusion_is_mono_but_not_split():
     assert is_mono(CA)
-    assert not is_split_mono(CA)
     assert find_retraction(CA) is None
 
 
@@ -160,7 +158,7 @@ def test_split_mono_implies_mono_on_the_small_universe():
         for imgs in itertools.product(range(n), repeat=m)
     ]
     for f in maps:
-        if is_split_mono(f):
+        if find_retraction(f) is not None:
             assert is_mono(f)
     iota0 = fsmap(1, 2, (0,))
     r = find_retraction(iota0)
@@ -334,7 +332,7 @@ def test_renaming_preserves_hom_counts_and_mono(names):
     assert sum(1 for _ in hom_enumerate(X, Y)) == 9
     f = PresheafMap(X, Y, {"x": {names[0]: names[1], names[1]: names[2]}})
     assert is_mono(f)
-    assert is_split_mono(f)
+    assert find_retraction(f) is not None
 
 
 def _maps(base, bound):

@@ -324,6 +324,9 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
             b"[config]\nfuel: 3\n[base]\nobjects: x\n[config]\nbound: 2\n",
             5,
         ),
+        # so is a carrier line, even an empty one
+        ("carrier2.ws", b"[base]\nobjects: v\n[presheaf A]\nv:\nv: x0 x1\n", 5),
+        ("carrier0.ws", b"[base]\nobjects: v\n[presheaf A]\nv:\nv:\n", 5),
         # so is a [base] section, and each name of a kind
         *_DUPLICATES_AND_DANGLING,
     ):
