@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -208,8 +209,10 @@ class BoundedUniverse:
     returns the component tables of the extending maps, which `is_pure`
     tests each top map's table against.  `all_maps()` runs hom-set by
     hom-set, and every composite of universe maps is a universe map, so
-    `verify_axioms` reads A2's weak-equivalence verdicts from one table per
-    hom-set, keyed by component table.
+    `verify_axioms` reads A2's weak-equivalence verdicts per hom-set: a
+    tally of each hom-set's verdicts decides a whole run of pairs (f, g)
+    whose composites share one verdict, and a table keyed by component
+    table gives the composite's verdict in the other runs.
     """
 
     def __init__(
@@ -661,13 +664,20 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     needs.  A1 is a finiteness note; the rest quantify over U.
 
     `we` runs once per map of `U.all_maps()`, in that order, and A2 reads
-    the verdicts from per-hom-set tables keyed by component table:
-    two-out-of-three composes the tables of each composable pair and looks
-    the composite up in the table of its hom-set, building the composite
-    map only for a counterexample; retract closure searches only the
-    hom-sets between objects that the ends of the map are object retracts
-    of.  The walk order, and so every count and the first counterexample,
-    is that of the pairwise sweeps over `all_maps()`.
+    the verdicts per hom-set.  Two-out-of-three goes one run at a time: a
+    map f of hom(a, b) with every g of hom(b, c).  A run is skipped whole
+    when f's verdict is INCONCLUSIVE or every map of hom(a, c) is.  It
+    passes whole when every map of hom(a, c) has one decided verdict and
+    hom(b, c) holds no g with the verdict that fails against f's and that
+    one (NO when both are YES, YES when they differ, none when both are
+    NO); its INCONCLUSIVE g count as skipped.  Only the other runs compose
+    the tables of their pairs, in order, and look each composite up in the
+    table of hom(a, c), building the composite map only for a
+    counterexample.  A run decided whole holds no failure, so the runs
+    keep the order of the pairwise sweep over `all_maps()`, add the counts
+    it would add, and stop at its first counterexample.  Retract closure
+    searches only the hom-sets between objects that the ends of the map
+    are object retracts of, in the order of the pairwise sweep.
     """
     params = {
         "generators": U.generators.label,
@@ -693,29 +703,55 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     verdict = [[{fc: v for _, fc, v in row} for row in line] for line in rows]
     yes, no, inconclusive = Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE
 
-    # A2: two-out-of-three.  A composite of universe maps is a universe map,
-    # so its verdict is read off the table of its hom-set.
-    def composable_pairs() -> Iterator[Outcome]:
+    # A2: two-out-of-three, one run (f, c) at a time: f in hom(a, b) with
+    # every g of hom(b, c).  A composite of universe maps is a universe map,
+    # so its verdict is read off the table of hom(a, c).  tally[b][c] counts
+    # the verdicts of hom(b, c); uniform[a][c] is the one verdict of
+    # hom(a, c), or None when it has several (or no maps).
+    tally = [[Counter(v for *_, v in row) for row in line] for line in rows]
+    uniform = [[next(iter(t)) if len(t) == 1 else None for t in line] for line in tally]
+    # the verdict of g that fails against decided verdicts of f and g;f
+    failing = {(yes, yes): no, (yes, no): yes, (no, yes): yes, (no, no): None}
+
+    def composable_pairs(f, fc, vf, composites, row) -> Iterator[Outcome]:
+        for g, gc, vg in row:
+            trio = (vf, vg, composites[_compose_tables(fc, gc)])
+            if inconclusive in trio:
+                yield inconclusive
+            elif trio.count(yes) == 2:
+                yield {
+                    "first": f,
+                    "second": g,
+                    "composite": compose(f, g),
+                    "memberships": [v.name for v in trio],
+                }
+            else:
+                yield yes
+
+    def two_out_of_three() -> tuple[dict | None, int, int]:
+        walked = skipped = 0
         for a in range(n):
             for b in range(n):
                 for f, fc, vf in rows[a][b]:
                     for c in range(n):
-                        composites = verdict[a][c]
-                        for g, gc, vg in rows[b][c]:
-                            trio = (vf, vg, composites[_compose_tables(fc, gc)])
-                            if inconclusive in trio:
-                                yield inconclusive
-                            elif trio.count(yes) == 2:
-                                yield {
-                                    "first": f,
-                                    "second": g,
-                                    "composite": compose(f, g),
-                                    "memberships": [v.name for v in trio],
-                                }
-                            else:
-                                yield yes
+                        row, vc = rows[b][c], uniform[a][c]
+                        if vf is inconclusive or vc is inconclusive:
+                            walked += len(row)
+                            skipped += len(row)
+                        elif vc is not None and not tally[b][c][failing[vf, vc]]:
+                            walked += len(row)
+                            skipped += tally[b][c][inconclusive]
+                        else:
+                            failure, w, s = _first_failure(
+                                composable_pairs(f, fc, vf, verdict[a][c], row)
+                            )
+                            walked += w
+                            skipped += s
+                            if failure is not None:
+                                return failure, walked, skipped
+        return None, walked, skipped
 
-    failure, pairs, skipped = _first_failure(composable_pairs())
+    failure, pairs, skipped = two_out_of_three()
     subchecks.append(
         _report(
             "A2-two-out-of-three",

@@ -15,6 +15,7 @@ Every construction returns one `Universal`: apex, two legs, mediator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,8 +28,10 @@ from .errors import (
 from .presheaf import BaseCategory, Presheaf, PresheafMap, compose
 
 
+@functools.cache
 def initial(base: BaseCategory) -> Presheaf:
-    """The empty presheaf."""
+    """The empty presheaf, built once per base: every `initial_map` shares
+    it, and so do the extension tables kept on it."""
     return Presheaf._make(
         base,
         tuple(() for _ in base.objects),

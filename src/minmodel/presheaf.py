@@ -73,6 +73,7 @@ class BaseCategory:
             tuple(sorted(self.composition.items())),
             tuple(sorted(self.identities.items())),
         )
+        self._hash = hash(self._key)
 
     def _validate(self) -> None:
         if len(self.objects) > MAX_BASE_OBJECTS:
@@ -148,7 +149,7 @@ class BaseCategory:
         return isinstance(other, BaseCategory) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"BaseCategory(objects={list(self.objects)!r}, morphisms={len(self.morphisms)})"

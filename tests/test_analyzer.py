@@ -1,6 +1,8 @@
 """Bounded universes, membership verdicts, and the condition checkers."""
 
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -413,17 +415,33 @@ def test_axioms_fail_on_graphs_with_a_real_counterexample():
 def _pairwise_a2(we, U):
     """The A2 sweeps written pairwise, map by map: the reference for the
     hom-set verdict tables of verify_axioms.  Per subcheck, its
-    counterexample and its counts."""
+    counterexample and its counts; and the kinds of run (f, hom(b, c))
+    that two-out-of-three walked, up to its first failure."""
     yes, no, inconclusive = Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE
+    branches = set()
+
+    @functools.cache
+    def verdicts(X, Y):
+        return frozenset(map(we, U.hom(X, Y)))
+
+    def run_kind(f, c):
+        if we(f) is inconclusive:
+            return "inconclusive f"
+        found = verdicts(f.source, c)
+        return f"uniform {next(iter(found)).name}" if len(found) == 1 else "mixed"
 
     def composable_pairs():
         for f in U.all_maps():
             for g in U.maps_from(f.target):
                 h = compose(f, g)
                 trio = (we(f), we(g), we(h))
+                kind = run_kind(f, g.target)
+                branches.add(kind)
                 if inconclusive in trio:
                     yield inconclusive
                 elif sum(v is yes for v in trio) == 2:
+                    branches.add("failure in mixed" if kind == "mixed"
+                                 else "failure in uniform")
                     names = [v.name for v in trio]
                     yield {"first": f, "second": g, "composite": h,
                            "memberships": names}
@@ -447,7 +465,25 @@ def _pairwise_a2(we, U):
     two_three = (failure, {"composable_pairs": pairs, "skipped": undecided})
     failure, searched, _ = analyzer._first_failure(retract_candidates())
     retracts = (failure, {"pairs_searched": searched, "skipped": skipped})
-    return {"A2-two-out-of-three": two_three, "A2-retracts": retracts}
+    return {"A2-two-out-of-three": two_three, "A2-retracts": retracts}, branches
+
+
+def _seeded(U, seed, per_hom_set):
+    """A three-valued predicate drawn from `seed`: one verdict per map, or
+    one per hom-set with a few maps drawn apart."""
+    verdicts = (Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE)
+    main = verdicts[seed % 3]
+
+    def predicate(f):
+        ends = (U.index(f.source), U.index(f.target))
+        rng = random.Random(f"{seed} {ends}")
+        shared = main if rng.random() < 0.6 else rng.choice(verdicts)
+        rng = random.Random(f"{seed} {ends} {f._comp}")
+        if per_hom_set and rng.random() >= 0.03:
+            return shared
+        return main if rng.random() < 0.8 else rng.choice(verdicts)
+
+    return predicate
 
 
 def test_a2_verdict_tables_match_the_pairwise_sweeps():
@@ -457,7 +493,7 @@ def test_a2_verdict_tables_match_the_pairwise_sweeps():
             return Verdict.YES
         return Verdict.INCONCLUSIVE if is_mono(f) else Verdict.NO
 
-    probes = {
+    fixed = {
         "staggered": staggered,
         # a mono after a non-mono can be mono: two-out-of-three fails
         "mono": lambda f: Verdict.YES if is_mono(f) else Verdict.NO,
@@ -469,22 +505,58 @@ def test_a2_verdict_tables_match_the_pairwise_sweeps():
         finset_universe(I2),
         BoundedUniverse(IG.base_of(), {"v": 2, "e": 1}, IG, 1024),
     ]
-    seen = {name: [] for name in probes}
+    seen = {}
+    reached = {"per map": set(), "per hom-set": set()}
     for U in universes:
         J = build_jset(U.ctx)
-        for name, predicate in probes.items():
+        probes = [(name, name, predicate) for name, predicate in fixed.items()]
+        for seed in range(12):
+            for family in reached:
+                predicate = _seeded(U, seed, family == "per hom-set")
+                probes.append((f"{family} {seed}", family, predicate))
+        for name, family, predicate in probes:
             report = verify_axioms(J, WeClass(name, predicate), U)
             by_name = {s.check: s for s in report.subchecks}
-            reference = _pairwise_a2(WeClass(name, predicate), U)
+            reference, branches = _pairwise_a2(WeClass(name, predicate), U)
             for check, (failure, counts) in reference.items():
                 sub = by_name[check]
                 assert sub.counterexample == failure, (name, check)
                 assert {k: sub.diagnostics[k] for k in counts} == counts, (name, check)
-                seen[name].append((check, failure is not None, counts["skipped"]))
+                seen.setdefault(family, []).append(
+                    (check, failure is not None, counts["skipped"]))
+            if family in reached:
+                reached[family] |= branches
     # each probe reaches the branch it is there for
     assert any(skipped for _, _, skipped in seen["staggered"])
     assert ("A2-two-out-of-three", True, 0) in seen["mono"]
     assert ("A2-retracts", True, 0) in seen["identity"]
+    # and the seeded ones every kind of run, and a failure inside a run
+    # whose composites all share one verdict
+    assert {"uniform YES", "uniform NO", "uniform INCONCLUSIVE",
+            "failure in uniform"} <= reached["per hom-set"]
+    assert {"mixed", "inconclusive f", "failure in mixed"} <= reached["per map"]
+
+
+def test_two_out_of_three_composes_no_table_where_every_hom_set_is_uniform(
+    monkeypatch,
+):
+    # under I1 at bound 4 every hom-set of the universe has one verdict, so
+    # no run needs a composite: the pairwise sweep composed 133,799 tables
+    calls = []
+
+    def counting(f, g):
+        calls.append(None)
+        return compose_tables(f, g)
+
+    compose_tables = analyzer._compose_tables
+    monkeypatch.setattr(analyzer, "_compose_tables", counting)
+    U = finset_universe(I1, bound=4)
+    report = verify_axioms(build_jset(U.ctx), WeClass.from_generators(U.ctx), U)
+    by_name = {s.check: s for s in report.subchecks}
+    two_three = by_name["A2-two-out-of-three"]
+    assert two_three.verdict is Verdict.YES
+    assert two_three.diagnostics == {"composable_pairs": 133_799, "skipped": 0}
+    assert len(calls) == 0
 
 
 def test_axiom_five_fails_when_every_map_is_declared_invertible():
