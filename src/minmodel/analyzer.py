@@ -183,7 +183,10 @@ class BoundedUniverse:
     stays with its map: the fuel a factorization spends can differ between
     isomorphic maps, and an isomorphic map still gets its own run.
     `is_triv_fib`, `is_fib` and weak equivalence stay per map, because one
-    strict lifting sweep costs less than an `iso_key`.
+    strict lifting sweep costs less than an `iso_key`.  That cost was
+    measured on the graph base, where `iso_key` runs a canonical-labelling
+    search; over a discrete base a key is a fibre-size profile, much
+    cheaper, and the policy is the same there.
 
     When every generator is a mono, so is every cofibration, and `is_cof`
     answers NO for a non-mono before it computes an `iso_key` or factors

@@ -8,6 +8,7 @@ package is deterministic.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -781,9 +782,30 @@ def is_retract_of(f: PresheafMap, g: PresheafMap) -> MorphismRetraction | None:
 
 
 def iso_key(f: PresheafMap) -> tuple:
-    """A canonical relabelling of f: two maps get equal keys exactly when
-    they are isomorphic in the arrow category, that is, related by natural
+    """A canonical form of f: two maps get equal keys exactly when they are
+    isomorphic in the arrow category, that is, related by natural
     isomorphisms of the sources and of the targets that commute with them.
+
+    The key is (base, carrier sizes of source and target, profile).  Over
+    a discrete base (no non-identity morphism) the profile is, per object,
+    the sorted sizes of the non-empty fibres of f's component; the target
+    size fixes how many fibres are empty.  That is exact: natural
+    isomorphisms are then any bijections per object, and two components
+    with equal source sizes, target sizes and fibre-size multisets are
+    matched by a bijection of the targets that sends fibres to fibres of
+    the same size, then by bijections between matched fibres.
+    Over any other base the profile is `_canonical_table(f, sizes)`.
+    """
+    base = f.source.base
+    sizes = tuple(len(c) for X in (f.source, f.target) for c in X.carriers)
+    if not base.nonidentity:
+        return base, sizes, tuple(tuple(sorted(Counter(c).values())) for c in f._comp)
+    return base, sizes, _canonical_table(f, sizes)
+
+
+def _canonical_table(f: PresheafMap, sizes: tuple[int, ...]) -> tuple:
+    """The least relabelled edge table of f over a canonical-labelling
+    search, `sizes` being the carrier sizes of f's source, then its target.
 
     The elements of source and target are the vertices; actions and
     components are labelled edges, one out of each element per label.
@@ -791,16 +813,16 @@ def iso_key(f: PresheafMap) -> tuple:
     signatures.  A search then individualizes each element of the first
     cell with more than one element and refines again, as in McKay's
     canonical labelling (Practical Graph Isomorphism, 1981).  Each leaf
-    orders every element; the key is the least relabelled edge table over
-    the leaves.  Two leaves with equal tables differ by an automorphism,
-    and subtrees an automorphism maps onto each other are walked once, so
-    a symmetric map costs a few leaves, not every permutation of a cell.
+    orders every element; the table is the least relabelled edge table
+    over the leaves.  Two leaves with equal tables differ by an
+    automorphism, and subtrees an automorphism maps onto each other are
+    walked once, so a symmetric map costs a few leaves, not every
+    permutation of a cell.
     """
     base = f.source.base
     sides = (f.source, f.target)
     nobj = len(base.objects)
     # sort s * nobj + o holds the elements of sides[s] at object o
-    sizes = tuple(len(c) for X in sides for c in X.carriers)
     start = [sum(sizes[:k]) for k in range(len(sizes))]
     outs: list[list[int]] = [[] for _ in range(sum(sizes))]
     ins: list[list[list[int]]] = [[] for _ in outs]
@@ -893,7 +915,7 @@ def iso_key(f: PresheafMap) -> tuple:
         return None
 
     visit([k for k, n in enumerate(sizes) for _ in range(n)])
-    return base, sizes, best[0]
+    return best[0]
 
 
 def _in_orbit(

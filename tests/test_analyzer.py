@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from minmodel import analyzer, lifting
+from minmodel import analyzer, lifting, presheaf
 from minmodel.analyzer import (
     BoundedUniverse,
     WeClass,
@@ -313,6 +313,24 @@ def test_appropriateness_builds_one_pushout_per_automorphism_orbit(monkeypatch):
     assert report.diagnostics["pushouts_checked"] == 2265
     assert len(built) == 185
     assert len({po.right for po in built}) == 185
+
+
+def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
+    # over FinSet a map's class is fixed by its fibre-size profile, so the
+    # 273 maps check_appropriate keys at bound 4 start no canonical-
+    # labelling search; the graph base still searches
+    keyed, searches = [], []
+    real_key, real_search = analyzer.iso_key, presheaf._canonical_table
+    monkeypatch.setattr(analyzer, "iso_key", lambda f: keyed.append(f) or real_key(f))
+    monkeypatch.setattr(
+        presheaf,
+        "_canonical_table",
+        lambda f, sizes: searches.append(f) or real_search(f, sizes),
+    )
+    assert check_appropriate(finset_universe(I1, bound=4)).verdict is Verdict.YES
+    assert (len(keyed), len(searches)) == (273, 0)
+    assert check_appropriate(gph_universe()).verdict is Verdict.NO
+    assert searches and len(searches) == len(keyed) - 273
 
 
 def test_main_condition_verdicts():

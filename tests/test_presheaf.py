@@ -30,6 +30,7 @@ from minmodel.presheaf import (
     load_base,
 )
 
+import oracle_finset as of
 import oracle_gph as og
 from helpers import FS_BASE, GPH_BASE, fs, fs_to_oracle, fsmap, gph, gph_to_oracle
 
@@ -360,16 +361,31 @@ def _brute_iso_class(sizes, relabel):
     return min(relabel(*ps) for ps in itertools.product(*perms))
 
 
-def _finset_iso_class(f):
-    m, n, imgs = f
+def _discrete_iso_class(f):
+    """Brute-force class of a map over a discrete base, given per object as
+    (source size, target size, image of each source element)."""
+    sizes = tuple(n for m, k, _ in f for n in (m, k))
 
-    def relabel(p, q):
-        out = [0] * m
-        for x, y in enumerate(imgs):
-            out[p[x]] = q[y]
+    def relabel(*perms):
+        out = []
+        for (m, _, imgs), p, q in zip(f, perms[::2], perms[1::2]):
+            row = [0] * m
+            for x, y in enumerate(imgs):
+                row[p[x]] = q[y]
+            out.append(tuple(row))
         return tuple(out)
 
-    return (m, n, _brute_iso_class((m, n), relabel))
+    return (sizes, _brute_iso_class(sizes, relabel))
+
+
+def _discrete_to_tuples(f: PresheafMap):
+    """Engine map over a discrete base -> one (m, n, imgs) per object."""
+    out = []
+    for o in f.source.base.objects:
+        src, dst = f.source.carrier(o), f.target.carrier(o)
+        index = {e: k for k, e in enumerate(dst)}
+        out.append((len(src), len(dst), tuple(index[f.apply(o, e)] for e in src)))
+    return tuple(out)
 
 
 def _graph_iso_class(f):
@@ -391,9 +407,16 @@ def _graph_iso_class(f):
     return (nv, nw, _brute_iso_class((nv, len(ge), nw, len(he)), relabel))
 
 
+AB_BASE = load_base("objects: a b")
+
+
 def test_iso_key_is_invariant_under_relabelling():
     rng = random.Random(3)
-    for f in _maps(GPH_BASE, {"v": 2, "e": 2}) + _maps(FS_BASE, 3):
+    for f in (
+        _maps(GPH_BASE, {"v": 2, "e": 2})
+        + _maps(FS_BASE, 4)
+        + _maps(AB_BASE, {"a": 2, "b": 2})
+    ):
         key = iso_key(f)
         for _ in range(3):
             g = _relabelled(f, rng)
@@ -407,13 +430,20 @@ def test_iso_key_classes_are_the_isomorphism_classes():
     encoded = [gph_to_oracle(f) for f in graph_maps]
     assert sorted(encoded) == sorted(og.universe_maps(2, 2))
     assert len({_graph_iso_class(f) for f in og.universe_maps(2, 2)}) == 168
-    set_maps = _maps(FS_BASE, 3)
-    for maps, classes in (
-        (graph_maps, [_graph_iso_class(f) for f in encoded]),
-        (set_maps, [_finset_iso_class(fs_to_oracle(f)) for f in set_maps]),
+    # FinSet at bound 4: the classes of m -> n are the partitions of m
+    # into at most n parts; two discrete objects multiply their classes
+    set_maps = _maps(FS_BASE, 4)
+    assert sorted(map(fs_to_oracle, set_maps)) == sorted(of.all_maps(4))
+    two_maps = _maps(AB_BASE, {"a": 2, "b": 2})
+    assert (len(set_maps), len(two_maps)) == (499, 121)
+    for maps, classes, count in (
+        (graph_maps, [_graph_iso_class(f) for f in encoded], 168),
+        (set_maps, [_discrete_iso_class(_discrete_to_tuples(f)) for f in set_maps], 38),
+        (two_maps, [_discrete_iso_class(_discrete_to_tuples(f)) for f in two_maps], 64),
     ):
         keys = [iso_key(f) for f in maps]
         assert len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes)))
+        assert len(set(keys)) == count
 
 
 def _cycles(*lengths):
