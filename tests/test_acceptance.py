@@ -417,3 +417,36 @@ def test_criterion_10_repeated_runs_are_byte_identical(tmp_path):
             assert first.read_bytes() == (GOLDEN / golden).read_bytes(), golden
             runs += 1
     assert runs == 30
+
+
+def test_fuel_starved_reports_match_their_goldens(tmp_path):
+    # runs that exhaust their fuel mid-check: where a construction runs
+    # out, and how many solver calls precede it, is frozen with the report
+    i1, i2 = fixture("finset_i1.ws"), fixture("finset_i2.ws")
+    plans = [
+        (f"finset_i2_{command.replace('-', '_')}_fuel0", 2, [command, i2, *args])
+        for command, args in (
+            ("check-main", ["I2", "--fuel", "0"]),
+            ("check-properness", ["I2", "--fuel", "0"]),
+            ("enumerate-we", ["I2", "--fuel", "0"]),
+            ("classify", ["fold", "I2", "--fuel", "0"]),
+            ("verify-axioms", ["I2", "--fuel", "0"]),
+        )
+    ]
+    plans += [
+        ("finset_i2_check_main_fuel1", 2, ["check-main", i2, "I2", "--fuel", "1"]),
+        (
+            "finset_i1_check_appropriate_bound4_fuel0",
+            2,
+            ["check-appropriate", i1, "I1", "--bound", "4", "--fuel", "0"],
+        ),
+        (
+            "gph_ig_verify_axioms_fuel1",
+            1,
+            ["verify-axioms", fixture("gph_ig.ws"), "IG", "--fuel", "1"],
+        ),
+    ]
+    for name, code, argv in plans:
+        out = tmp_path / f"{name}.json"
+        assert cli.run(argv + ["--out", str(out)]) == code, name
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes(), name
