@@ -20,8 +20,10 @@ from .errors import FuelExhausted, IncompatibleOnRelativePart, NonComposable
 from .factorization import CellFactorization, GeneratingSet, Status, Verdict, soa_factorize
 from .lifting import Relation, find_unliftable_square_up_to
 from .presheaf import (
+    Components,
     Presheaf,
     PresheafMap,
+    _compose_tables,
     _enumerate_components,
     _fibres,
     _first_map,
@@ -129,6 +131,16 @@ class HomotopyContext:
 
     Decisions are deterministic, so caching cannot change any verdict; it
     only avoids rebuilding cylinders and re-running searches per query.
+
+    `oracle(rel)` is homotopy rel `rel` on component tables, the relation
+    the up-to lifting sweeps ask.  It builds the cylinder over rel at its
+    first query and not before, so a sweep that asks nothing builds
+    nothing, and one that asks runs out of fuel exactly where the
+    cylinder does.  A pair (b, b) is answered with no search: H = b after
+    the collapse is a homotopy, since the collapse after either end
+    inclusion is the identity.  Any other pair is one search over the
+    apex with both end tables pinned, kept per (rel, target) by table pair.
+    `homotopic` answers the same question for maps, with a map witness.
     """
 
     def __init__(self, I: GeneratingSet, fuel: int | None = None):
@@ -137,6 +149,7 @@ class HomotopyContext:
         self.cylinder = functools.cache(self.cylinder)
         self.homotopic = functools.cache(self.homotopic)
         self.unliftable_square = functools.cache(self.unliftable_square)
+        self._homotopies = functools.cache(self._homotopies)
 
     def cylinder(self, rel: PresheafMap) -> CylinderObject:
         return cylinder(rel, self.generators, self.fuel)
@@ -155,15 +168,27 @@ class HomotopyContext:
         lower triangle holds up to homotopy rel `left`, or None."""
         return find_unliftable_square_up_to(left, right, self.oracle(left))
 
-    def oracle(self, rel: PresheafMap) -> Relation:
-        """Homotopy rel `rel` as a total relation on parallel maps."""
+    def _homotopies(self, rel: PresheafMap, D: Presheaf) -> dict:
+        """Homotopy tables rel `rel` into D found so far, by end tables."""
+        return {}
 
-        def decide(a: PresheafMap, b: PresheafMap):
-            if a.source != b.source or a.target != b.target:
-                return None
-            if rel.target != a.source or compose(rel, a) != compose(rel, b):
-                return None
-            return self.homotopic(a, b, rel)
+    def oracle(self, rel: PresheafMap) -> Relation:
+        """Homotopy rel `rel` as a total relation on parallel maps out of
+        rel.target; the witness is the homotopy's component table."""
+
+        def decide(D: Presheaf, a: Components, b: Components):
+            cyl = self.cylinder(rel)
+            if a == b:
+                return _compose_tables(cyl.collapse._comp, a)
+            found = self._homotopies(rel, D)
+            if (a, b) not in found:
+                seeds = _pin((cyl.incl0._comp, a), (cyl.incl1._comp, b))
+                found[a, b] = (
+                    None
+                    if seeds is None
+                    else next(_enumerate_components(cyl.apex, D, seeds=seeds), None)
+                )
+            return found[a, b]
 
         return decide
 

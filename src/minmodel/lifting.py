@@ -2,7 +2,11 @@
 
 A lifting problem is a commuting square; a solution is a diagonal making
 both triangles commute.  The relaxed variant keeps the upper triangle strict
-and only asks the lower one to hold up to a caller-supplied relation.
+and only asks the lower one to hold up to a caller-supplied relation.  The
+relation is asked about component tables: for a square with verticals
+i : A -> B and g : C -> D, it decides two parallel maps B -> D given by
+D and their tables (`Relation`), so a sweep builds maps only for the
+square it returns.
 
 The module keeps no state: a lifting property is a pure relation between
 two maps, and every query here decides its squares again.  The objects that
@@ -86,9 +90,11 @@ class LiftingProblem:
         return problem
 
 
-#: A total decision procedure on parallel maps: a witness object when the
-#: maps are related, None otherwise.
-Relation = Callable[[PresheafMap, PresheafMap], object | None]
+#: A total decision procedure on parallel maps B -> D out of the one object
+#: B it is built for, asked as relation(D, a, b) with a and b their
+#: component tables: a witness object when the maps are related, None
+#: otherwise.
+Relation = Callable[[Presheaf, Components, Components], object | None]
 
 
 def solve_lifting(problem: LiftingProblem) -> PresheafMap | None:
@@ -113,12 +119,12 @@ def solve_lifting_up_to(
     seeds = _pin((problem.left._comp, problem.top._comp))
     if seeds is None:
         return None
-    B, C = problem.left.target, problem.right.source
+    B, C, D = problem.left.target, problem.right.source, problem.right.target
+    right, bottom = problem.right._comp, problem.bottom._comp
     for comp in _enumerate_components(B, C, seeds=seeds):
-        h = PresheafMap._make(B, C, comp)
-        witness = relation(compose(h, problem.right), problem.bottom)
+        witness = relation(D, _compose_tables(comp, right), bottom)
         if witness is not None:
-            return h, witness
+            return PresheafMap._make(B, C, comp), witness
     return None
 
 
@@ -195,23 +201,19 @@ def find_unliftable_square_up_to(
     relation confirms it (always, for reflexive relations), which keeps
     the common case away from the relation search.  Both try the diagonals
     in the order of `solve_lifting` and `solve_lifting_up_to`, so the
-    relation is asked the same pairs as by those two.
+    relation is asked the same pairs as by those two.  Bottoms and
+    diagonals stay component tables; only the returned square is built.
     """
     A, B, C, D = left.source, left.target, right.source, right.target
     for top, images, bottoms in _square_rows(left, right):
         strict = set(images)
         for comp in bottoms:
-            bottom = PresheafMap._make(B, D, comp)
             STATS["solver_calls"] += 1
-            if comp in strict:
-                if relation(PresheafMap._make(B, D, comp), bottom) is not None:
-                    continue
+            if comp in strict and relation(D, comp, comp) is not None:
+                continue
             STATS["solver_calls"] += 1
-            if not any(
-                relation(PresheafMap._make(B, D, image), bottom) is not None
-                for image in images
-            ):
-                return PresheafMap._make(A, C, top), bottom
+            if not any(relation(D, image, comp) is not None for image in images):
+                return PresheafMap._make(A, C, top), PresheafMap._make(B, D, comp)
     return None
 
 

@@ -723,6 +723,13 @@ def is_mono(f: PresheafMap) -> bool:
     return True
 
 
+def is_onto(f: PresheafMap) -> bool:
+    """Componentwise surjectivity."""
+    return all(
+        len(set(col)) == len(tcol) for col, tcol in zip(f._comp, f.target.carriers)
+    )
+
+
 def find_retraction(f: PresheafMap) -> PresheafMap | None:
     """First g with g  after f = identity, in enumeration order."""
     return _first_map(f.target, f.source, _pin((f._comp, _identity_values(f._comp))))
@@ -744,7 +751,12 @@ def is_retract_of(f: PresheafMap, g: PresheafMap) -> MorphismRetraction | None:
     """Search a retract diagram exhibiting f as a retract of g.
 
     Sections are split monos, so carriers of f's endpoints may not exceed
-    those of g's; that check prunes before any enumeration.
+    those of g's.  Monos and componentwise surjections are closed under
+    retracts: f followed by the bottom section is the top section (split
+    mono) followed by g, and the top retraction followed by f is g
+    followed by the bottom retraction (split epi).  So a mono g has no
+    non-mono retract and a surjective g no non-surjective one.  These
+    checks prune before any enumeration.
     """
     if f.source.base != g.source.base:
         raise BaseMismatch("retract search needs a shared base")
@@ -752,6 +764,8 @@ def is_retract_of(f: PresheafMap, g: PresheafMap) -> MorphismRetraction | None:
     C, D = g.source, g.target
     inner = A.carriers + B.carriers
     if any(len(x) > len(y) for x, y in zip(inner, C.carriers + D.carriers)):
+        return None
+    if is_mono(g) and not is_mono(f) or is_onto(g) and not is_onto(f):
         return None
     for st_comp in _enumerate_components(A, C):
         # bottom section forced on the image of f by the commuting condition

@@ -198,6 +198,8 @@ def test_context_caches_cylinders_and_verdicts():
     first = ctx.homotopic(f0, f1)
     assert first is ctx.homotopic(f0, f1)
     oracle = ctx.oracle(rel)
-    assert oracle(f0, f1) is not None
-    assert oracle(f0, fsmap(1, 3, (0,))) is None
-    assert ctx.absolute_oracle(fs(1))(f0, f1) is not None
+    assert oracle(fs(2), f0._comp, f1._comp) is not None
+    # maps that are not parallel have no table form
+    with pytest.raises(NonComposable):
+        ctx.homotopic(f0, fsmap(1, 3, (0,)))
+    assert ctx.absolute_oracle(fs(1))(fs(2), f0._comp, f1._comp) is not None

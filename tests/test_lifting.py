@@ -5,11 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from minmodel import presheaf
+from minmodel import homotopy, presheaf
 from minmodel.analyzer import BoundedUniverse, build_jset, is_weak_equivalence
 from minmodel.colimits import coproduct, initial_map
 from minmodel.errors import NonCommutingSquare, NonComposable
-from minmodel.homotopy import HomotopyContext
+from minmodel.factorization import Verdict
+from minmodel.homotopy import HomotopyContext, cylinder, homotopic
 from minmodel.lifting import (
     STATS,
     LiftingProblem,
@@ -102,7 +103,7 @@ def test_solver_agrees_with_naive_enumeration_at_size_two():
             assert seen == len(list(of.squares(lo, ro)))
 
 
-def _equality(a, b):
+def _equality(D, a, b):
     return "equal" if a == b else None
 
 
@@ -223,7 +224,9 @@ def _reference_unliftable(left, right, relation):
     for top, bottom in square_enumerate(left, right):
         problem = LiftingProblem._unchecked(left, right, top, bottom)
         h = solve_lifting(problem)
-        if h is not None and relation(compose(h, right), bottom) is not None:
+        if h is not None and relation(
+            right.target, compose(h, right)._comp, bottom._comp
+        ) is not None:
             continue
         if solve_lifting_up_to(problem, relation) is None:
             return top, bottom
@@ -238,12 +241,12 @@ def _counted(run):
 
 
 def _recorded(relation):
-    """`relation` and the list of argument pairs it is called with."""
+    """`relation` and the list of arguments it is called with."""
     calls = []
 
-    def record(a, b):
-        calls.append((a, b))
-        return relation(a, b)
+    def record(D, a, b):
+        calls.append((D, a, b))
+        return relation(D, a, b)
 
     return record, calls
 
@@ -277,9 +280,9 @@ def test_square_sweeps_agree_with_the_per_square_reference():
                 assert has_rlp(right, [left]) == (not want), (left, right)
                 squares = list(square_enumerate(left, right))
                 # refuse the first square's bottom with itself, accept the rest
-                refused = squares[0][1] if squares else None
+                refused = squares[0][1]._comp if squares else None
 
-                def refusing(a, b, refused=refused):
+                def refusing(D, a, b, refused=refused):
                     return None if a == b == refused else "related"
 
                 for relation in (_equality, oracle, refusing):
@@ -321,3 +324,55 @@ def test_weak_equivalence_sweep_enumerates_each_extension_table_once(monkeypatch
         is_weak_equivalence(f, U.ctx)
     for i in gens.maps:
         assert full.count((i.target, X)) == 1, i
+
+
+def test_homotopy_relation_on_tables_matches_the_definition():
+    # every pair of maps rel.target -> D that agrees on rel: the table
+    # relation answers yes exactly when the map-level search finds a
+    # homotopy, and its witness restricts to both ends
+    counts = {}
+    for U in _sweep_universes():
+        I, fuel = U.generators, U.fuel
+        asked = related = 0
+        for rel in _sweep_lefts(U):
+            relation = HomotopyContext(I, fuel).oracle(rel)
+            cyl = cylinder(rel, I, fuel)
+            B = rel.target
+            for D in U.objects:
+                by_restriction = {}
+                for a in presheaf.hom_enumerate(B, D):
+                    by_restriction.setdefault(compose(rel, a), []).append(a)
+                for maps in by_restriction.values():
+                    for a, b in itertools.product(maps, repeat=2):
+                        got = relation(D, a._comp, b._comp)
+                        want = homotopic(a, b, rel, I, fuel, cyl)
+                        assert (got is None) == (want is None), (rel, a, b)
+                        asked += 1
+                        if got is None:
+                            continue
+                        related += 1
+                        H = PresheafMap._make(cyl.apex, D, got)
+                        H._check_naturality()
+                        assert compose(cyl.incl0, H) == a
+                        assert compose(cyl.incl1, H) == b
+        counts[I.label] = asked, related
+    # (pairs asked, pairs related): on I2 only equal maps are homotopic
+    assert counts == {"IG": (217, 217), "I1": (960, 960), "I2": (942, 84)}
+
+
+def test_a_square_with_no_candidate_diagonal_builds_no_cylinder(monkeypatch):
+    built = []
+    make_cylinder = homotopy.cylinder
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return make_cylinder(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "cylinder", spy)
+    ctx = HomotopyContext(i2_set(), 0)
+    reset_stats()
+    # no map {x} -> empty extends the square over the empty generator
+    got = is_weak_equivalence(initial_map(fs(1)), ctx)
+    assert got.verdict is Verdict.NO
+    assert STATS["solver_calls"] == 2
+    assert built == []

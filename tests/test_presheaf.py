@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from minmodel import presheaf
 from minmodel.analyzer import BoundedUniverse
 from minmodel.errors import (
     DuplicateName,
@@ -291,12 +292,32 @@ def _small_maps():
     return finset, list(graphs.all_maps())
 
 
-def test_retract_searches_match_the_definition():
+def test_retract_searches_match_the_definition(monkeypatch):
+    searches = []
+    enumerate_components = presheaf._enumerate_components
+
+    def spy(*args, **kwargs):
+        searches.append(args)
+        return enumerate_components(*args, **kwargs)
+
+    monkeypatch.setattr(presheaf, "_enumerate_components", spy)
+    # per universe: pairs whose carriers fit yet no search starts, because
+    # g is mono and f is not, or g is surjective and f is not
+    refused = []
     for maps in _small_maps():
+        refused.append(0)
         for f in maps:
             assert find_retraction(f) == _brute_retraction(f)
             for g in maps:
+                searches.clear()
                 got = is_retract_of(f, g)
+                fits = all(
+                    len(x) <= len(y)
+                    for X, Y in ((f.source, g.source), (f.target, g.target))
+                    for x, y in zip(X.carriers, Y.carriers)
+                )
+                if fits and not searches:
+                    refused[-1] += 1
                 want = _brute_retract(f, g)
                 if want is None:
                     assert got is None
@@ -309,6 +330,7 @@ def test_retract_searches_match_the_definition():
                         got.retraction_top,
                         got.retraction_bottom,
                     ) == want
+    assert refused == [16, 4]
 
 
 _SMALL = [
