@@ -182,7 +182,7 @@ class BoundedUniverse:
     coproduct-sweep verdict of a pair of classes.  An INCONCLUSIVE `is_cof`
     stays with its map: the fuel a factorization spends can differ between
     isomorphic maps, and an isomorphic map still gets its own run.
-    `is_triv_fib`, `is_fib` and weak equivalence stay per map, because one
+    `is_triv_fib` and weak equivalence stay per map, because one
     strict lifting sweep costs less than an `iso_key`.  That cost was
     measured on the graph base, where `iso_key` runs a canonical-labelling
     search; over a discrete base a key is a fibre-size profile, much
@@ -200,9 +200,13 @@ class BoundedUniverse:
 
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
-    It caches its verdicts per instance (`hom`, `automorphisms`,
-    `iso_class`, `is_cof`, `is_triv_fib`, `is_fib`, `factors_through`,
-    `cofibrations_between_cofibrant`); each answers `cache_info()`.
+    It caches per instance what the checks ask again (`hom`, `iso_class`,
+    `is_cof`, `is_triv_fib`, `factors_through`,
+    `cofibrations_between_cofibrant`, `all_undecided`); each answers
+    `cache_info()`.  A J-fibration is `has_rlp(f, J.maps)`, uncached.
+    `all_undecided()` counts the INCONCLUSIVE `is_cof` verdicts over every
+    `initial_map(X)`, then every map between cofibrant objects: the maps
+    `cofibrant` and `cofibrations_between_cofibrant` ask, in their order.
     `automorphisms(A)` is Aut(A): the maps of hom(A, A) whose components
     are bijections (injective, since the carriers are finite), in
     enumeration order.  `check_appropriate` builds one pushout per orbit
@@ -252,8 +256,8 @@ class BoundedUniverse:
         # decided cofibration verdicts per iso class; never INCONCLUSIVE
         self._cof_by_class: dict[int, Verdict] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "automorphisms", "iso_class", "is_cof", "is_triv_fib",
-                     "is_fib", "factors_through", "cofibrations_between_cofibrant"):
+        for name in ("hom", "iso_class", "is_cof", "is_triv_fib", "factors_through",
+                     "cofibrations_between_cofibrant", "all_undecided"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -313,25 +317,10 @@ class BoundedUniverse:
     def is_triv_fib(self, f: PresheafMap) -> bool:
         return in_inj(f, self.generators)
 
-    def is_fib(self, f: PresheafMap, J: GeneratingSet) -> bool:
-        """Whether f is a J-fibration: RLP against every map of J.  Equal
-        generating sets hash alike, so a rebuilt J shares the cache."""
-        return has_rlp(f, J.maps)
-
-    def _cofibrations_among(
-        self, maps: Iterable[PresheafMap]
-    ) -> tuple[tuple[PresheafMap, ...], int]:
-        """The maps decided to be cofibrations, and how many stayed undecided."""
-        verdicts = [(f, self.is_cof(f)) for f in maps]
-        keep = tuple(f for f, v in verdicts if v is Verdict.YES)
-        return keep, sum(v is Verdict.INCONCLUSIVE for _, v in verdicts)
-
     @functools.cached_property
     def cofibrant(self) -> tuple[Presheaf, ...]:
-        keep, self.undecided_cofibrancy = self._cofibrations_among(
-            initial_map(X) for X in self.objects
-        )
-        return tuple(i.target for i in keep)
+        initial = map(initial_map, self.objects)
+        return tuple(i.target for i in initial if self.is_cof(i) is Verdict.YES)
 
     def _maps_between_cofibrant(self) -> Iterator[PresheafMap]:
         for A in self.cofibrant:
@@ -339,10 +328,8 @@ class BoundedUniverse:
                 yield from self.hom(A, B)
 
     def cofibrations_between_cofibrant(self) -> tuple[PresheafMap, ...]:
-        keep, self.undecided_cofibrations = self._cofibrations_among(
-            self._maps_between_cofibrant()
-        )
-        return keep
+        maps = self._maps_between_cofibrant()
+        return tuple(f for f in maps if self.is_cof(f) is Verdict.YES)
 
     def trivial_fibrations_between_cofibrant(self) -> Iterator[PresheafMap]:
         return filter(self.is_triv_fib, self._maps_between_cofibrant())
@@ -359,8 +346,9 @@ class BoundedUniverse:
         ) and any(find_retraction(s) is not None for s in self.hom(X, A))
 
     def all_undecided(self) -> int:
-        self.cofibrations_between_cofibrant()
-        return self.undecided_cofibrancy + self.undecided_cofibrations
+        initial = map(initial_map, self.objects)
+        maps = itertools.chain(initial, self._maps_between_cofibrant())
+        return sum(self.is_cof(f) is Verdict.INCONCLUSIVE for f in maps)
 
 
 def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
@@ -445,7 +433,7 @@ def _object_square_failure(
 ) -> dict | None:
     """The first V in `objects` with a square over the empty map into V that
     has no lift up to absolute homotopy against g, as counterexample
-    entries; each search is memoized on the context."""
+    entries."""
     for V in objects:
         bad = ctx.unliftable_square(initial_map(V), g)
         if bad is not None:
@@ -553,19 +541,15 @@ def check_main_condition(U: BoundedUniverse) -> VerdictReport:
     params = {"generators": I.label, **U.describe()}
     appropriate = check_appropriate(U)
     domains = list(dict.fromkeys(i.source for i in I.maps))
-    settled: set[PresheafMap] = set()
 
     def pushed_out(J: GeneratingSet) -> Iterator[Outcome]:
         for jk, j in enumerate(J.maps):
             for u in U.maps_from(j.source):
                 pushed = pushout(j, u).right
-                bad = None
-                if pushed not in settled:
-                    bad = _object_square_failure(pushed, domains, U.ctx)
+                bad = _object_square_failure(pushed, domains, U.ctx)
                 if bad is not None:
                     yield {"j-generator": jk, "along": u, "pushed": pushed, **bad}
                 else:
-                    settled.add(pushed)
                     yield Verdict.YES
 
     try:
@@ -844,7 +828,7 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     # The other disjunct needs I-cof inter we inside J-cof; not evaluated.
     def jinjective_weak_equivalences() -> Iterator[Outcome]:
         for f in U.all_maps():
-            if not U.is_fib(f, J):
+            if not has_rlp(f, J.maps):
                 continue
             v = we(f)
             if v is Verdict.YES:
@@ -904,7 +888,7 @@ def classify_map(f: PresheafMap, U: BoundedUniverse) -> MapClassification:
     weq = is_weak_equivalence(f, U.ctx).verdict
     tfib = Verdict.YES if U.is_triv_fib(f) else Verdict.NO
     try:
-        fib = Verdict.YES if U.is_fib(f, build_jset(U.ctx)) else Verdict.NO
+        fib = Verdict.YES if has_rlp(f, build_jset(U.ctx).maps) else Verdict.NO
     except FuelExhausted:
         fib = Verdict.INCONCLUSIVE
     try:

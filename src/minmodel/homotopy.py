@@ -127,10 +127,13 @@ def homotopic_cross_check(
 
 class HomotopyContext:
     """Cylinders, homotopy decisions and up-to-homotopy lifting verdicts
-    for one generating set and fuel, each cached on the instance.
+    for one generating set and fuel.
 
-    Decisions are deterministic, so caching cannot change any verdict; it
-    only avoids rebuilding cylinders and re-running searches per query.
+    The instance caches the cylinder over each relative map and the
+    homotopy tables the oracle finds; decisions are deterministic, so this
+    changes no verdict.  It keeps no verdict memo: no check asks one
+    lifting sweep twice, and the pinned searches that different sweeps
+    repeat are served by the tables.
 
     `oracle(rel)` is homotopy rel `rel` on component tables, the relation
     the up-to lifting sweeps ask.  It builds the cylinder over rel at its
@@ -140,15 +143,13 @@ class HomotopyContext:
     the collapse is a homotopy, since the collapse after either end
     inclusion is the identity.  Any other pair is one search over the
     apex with both end tables pinned, kept per (rel, target) by table pair.
-    `homotopic` answers the same question for maps, with a map witness.
+    `homotopic` answers it for maps, uncached, with a map witness.
     """
 
     def __init__(self, I: GeneratingSet, fuel: int | None = None):
         self.generators = I
         self.fuel = fuel
         self.cylinder = functools.cache(self.cylinder)
-        self.homotopic = functools.cache(self.homotopic)
-        self.unliftable_square = functools.cache(self.unliftable_square)
         self._homotopies = functools.cache(self._homotopies)
 
     def cylinder(self, rel: PresheafMap) -> CylinderObject:
@@ -206,18 +207,25 @@ class DeformationRetractResult:
 def is_strong_deformation_retract(
     f: PresheafMap, ctx: HomotopyContext
 ) -> DeformationRetractResult:
-    """Search a retraction g with f after g homotopic to the identity rel f."""
+    """Search a retraction g, in enumeration order, with f after g homotopic
+    to the identity rel f: `ctx.oracle(f)` decides the two tables.  For an
+    isomorphism f that pair is reflexive and the oracle answers it with
+    the collapse, a witness no report prints."""
     seeds = _pin((f._comp, _identity_values(f._comp)))
     if seeds is None:
         return DeformationRetractResult(Verdict.NO, None, None)
     Y, X = f.target, f.source
-    ident = identity_map(Y)
+    ident = identity_map(Y)._comp
+    relation = ctx.oracle(f)
     try:
         for comp in _enumerate_components(Y, X, seeds=seeds):
-            g = PresheafMap._make(Y, X, comp)
-            witness = ctx.homotopic(compose(g, f), ident, f)
-            if witness is not None:
-                return DeformationRetractResult(Verdict.YES, g, witness)
+            h = relation(Y, _compose_tables(comp, f._comp), ident)
+            if h is not None:
+                cyl = ctx.cylinder(f)
+                witness = HomotopyWitness(cyl, PresheafMap._make(cyl.apex, Y, h))
+                return DeformationRetractResult(
+                    Verdict.YES, PresheafMap._make(Y, X, comp), witness
+                )
     except FuelExhausted:
         return DeformationRetractResult(Verdict.INCONCLUSIVE, None, None)
     return DeformationRetractResult(Verdict.NO, None, None)

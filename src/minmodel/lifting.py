@@ -10,7 +10,8 @@ square it returns.
 
 The module keeps no state: a lifting property is a pure relation between
 two maps, and every query here decides its squares again.  The objects that
-own a question (`BoundedUniverse`, `HomotopyContext`) cache their verdicts.
+own a question cache what their checks ask again: `BoundedUniverse` its
+membership verdicts, `HomotopyContext` its cylinders and homotopy tables.
 
 What is cached is the work the squares share.  The square sweeps
 (`unsolvable_squares`, and through it `has_rlp` and `has_llp`, and

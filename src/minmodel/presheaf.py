@@ -188,6 +188,8 @@ def load_base(description: str) -> BaseCategory:
             try:
                 name, arrow = body.split(":", 1)
                 dom, cod = arrow.split("->")
+                if not name.strip():
+                    raise ValueError
             except ValueError:
                 raise ParseError("expected 'morphism NAME: OBJ -> OBJ'", lineno)
             morphisms.append((name.strip(), dom.strip(), cod.strip()))
@@ -425,6 +427,8 @@ class PresheafMap:
         if source.base != target.base:
             raise BaseMismatch("map endpoints live over different bases")
         base = source.base
+        for obj in components:
+            base.obj_index(obj)
         comp: list[tuple[int, ...]] = []
         for o, obj in enumerate(base.objects):
             given = components.get(obj)

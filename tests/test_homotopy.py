@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from minmodel.analyzer import build_jset
+from minmodel.analyzer import BoundedUniverse, build_jset
 from minmodel.colimits import initial_map
 from minmodel.errors import (
     FuelExhausted,
@@ -21,9 +21,9 @@ from minmodel.homotopy import (
     path_object,
     right_homotopic,
 )
-from minmodel.presheaf import compose, identity_map, is_mono
+from minmodel.presheaf import compose, hom_enumerate, identity_map, is_mono
 
-from helpers import fs, fsmap, gph, gph_obj_to_oracle, i1_set, i2_set, ig_set
+from helpers import FS_BASE, fs, fsmap, gph, gph_obj_to_oracle, i1_set, i2_set, ig_set
 
 I1 = i1_set()
 I2 = i2_set()
@@ -137,6 +137,38 @@ def test_retract_searches_that_must_fail():
     assert res.verdict is Verdict.NO
 
 
+def _reference_deformation_retract(f, I, fuel):
+    """The first retraction g of f, in enumeration order, for which the
+    map-level search finds a homotopy from f after g to the identity rel f."""
+    for g in hom_enumerate(f.target, f.source):
+        if compose(f, g).is_identity():
+            witness = homotopic(compose(g, f), identity_map(f.target), f, I, fuel)
+            if witness is not None:
+                return Verdict.YES, g, witness.map
+    return Verdict.NO, None, None
+
+
+def test_deformation_retracts_on_tables_match_the_map_level_search():
+    universes = (
+        BoundedUniverse(FS_BASE, 4, I1, 1024),
+        BoundedUniverse(FS_BASE, 3, I2, 1024),
+        BoundedUniverse(IG.base_of(), {"v": 2, "e": 2}, IG, 1024),
+    )
+    counts = {}
+    for U in universes:
+        maps = list(U.all_maps())
+        retracts = 0
+        for f in maps:
+            got = is_strong_deformation_retract(f, U.ctx)
+            witness = None if got.homotopy is None else got.homotopy.map
+            want = _reference_deformation_retract(f, U.generators, U.fuel)
+            assert (got.verdict, got.retraction, witness) == want, f
+            retracts += got.verdict is Verdict.YES
+        counts[U.generators.label] = len(maps), retracts
+    # (maps, strong deformation retracts)
+    assert counts == {"I1": (499, 85), "I2": (60, 10), "IG": (929, 117)}
+
+
 def test_path_object_over_the_point_is_trivial():
     J1 = build_jset(HomotopyContext(I1))
     path = path_object(fs(1), J1)
@@ -196,9 +228,12 @@ def test_context_caches_cylinders_and_verdicts():
     f0 = fsmap(1, 2, (0,))
     f1 = fsmap(1, 2, (1,))
     first = ctx.homotopic(f0, f1)
-    assert first is ctx.homotopic(f0, f1)
+    assert first is not None and first.cylinder is ctx.cylinder(rel)
     oracle = ctx.oracle(rel)
-    assert oracle(fs(2), f0._comp, f1._comp) is not None
+    assert oracle(fs(2), f0._comp, f1._comp) == first.map._comp
+    # the oracle keeps the homotopy table it found, by end tables
+    found = {(f0._comp, f1._comp): first.map._comp}
+    assert ctx._homotopies(rel, fs(2)) == found
     # maps that are not parallel have no table form
     with pytest.raises(NonComposable):
         ctx.homotopic(f0, fsmap(1, 3, (0,)))

@@ -124,6 +124,12 @@ def test_map_validation():
         PresheafMap(fs(1), fs(2), {"x": {"a": "a", "zz": "b"}})
 
 
+def test_map_component_at_an_unknown_base_object_is_refused():
+    # refused like a carrier at an unknown object, not silently dropped
+    with pytest.raises(ValidationError, match="unknown base object 'bogus'"):
+        PresheafMap(P, P, {"v": {"v0": "v0"}, "bogus": {"q": "r"}})
+
+
 def test_naturality_is_checked():
     swap = {"v": {"v0": "v1", "v1": "v0"}, "e": {"e0": "e0"}}
     with pytest.raises(NaturalityViolation) as err:

@@ -168,6 +168,18 @@ _CONTENT_FAULTS = (
 )
 
 
+def test_a_morphism_with_an_empty_name_is_a_parse_error(tmp_path, capsys):
+    # no action line could name it, so it is refused at its own line
+    data = _GRAPH_BASE + b"morphism : v -> e\n[presheaf P]\nv: p\n"
+    with pytest.raises(ParseError, match="expected 'morphism NAME: OBJ -> OBJ'") as err:
+        parse_workspace_text(data.decode(), name="w")
+    assert err.value.line == 5
+    ws = tmp_path / "unnamed.ws"
+    ws.write_bytes(data)
+    assert cli.run(["validate", str(ws)]) == 3
+    assert "line 5:" in capsys.readouterr().err
+
+
 def test_duplicate_and_dangling_sections():
     for name, data, line in _DUPLICATES_AND_DANGLING:
         with pytest.raises(ParseError) as err:
