@@ -27,15 +27,18 @@ from .lifting import has_rlp
 from .presheaf import (
     MAX_CARRIER_SIZE,
     BaseCategory,
+    Components,
     Presheaf,
     PresheafMap,
     _compose_tables,
+    _enumerate_components,
     _first_map,
     _functoriality_failure,
     _pin,
     compose,
     find_retraction,
     hom_enumerate,
+    identity_map,
     is_mono,
     is_retract_of,
     iso_key,
@@ -161,6 +164,15 @@ def candidate_presheaves(base: BaseCategory, bound: dict[str, int]) -> int | Non
     return total
 
 
+def _isos(X: Presheaf, Y: Presheaf) -> Iterator[Components]:
+    """The component tables of the isomorphisms X -> Y, in enumeration
+    order: the maps whose components are injective, when the carriers of X
+    and Y have equal sizes."""
+    for comp in _enumerate_components(X, Y):
+        if all(len(set(col)) == len(col) for col in comp):
+            yield comp
+
+
 class BoundedUniverse:
     """Every presheaf over the base within a carrier-size bound, plus the
     hom-sets and membership verdicts the checkers keep re-asking for.
@@ -182,11 +194,18 @@ class BoundedUniverse:
     coproduct-sweep verdict of a pair of classes.  An INCONCLUSIVE `is_cof`
     stays with its map: the fuel a factorization spends can differ between
     isomorphic maps, and an isomorphic map still gets its own run.
-    `is_triv_fib` and weak equivalence stay per map, because one
-    strict lifting sweep costs less than an `iso_key`.  That cost was
-    measured on the graph base, where `iso_key` runs a canonical-labelling
-    search; over a discrete base a key is a fibre-size profile, much
-    cheaper, and the policy is the same there.
+
+    `class_key(f)` is a cheaper exact key for the maps the sweeps walk: the
+    fibre-size profile over a discrete base, and over any other base the
+    least table of f's orbit under the automorphisms of its ends'
+    representatives, at most |Aut(R_A)| * |Aut(R_B)| table compositions
+    (16 on graphs at v=2 e=2) instead of a canonical-labelling search.
+    `iso_class` runs `iso_key` once per class key, and `per_class` shares
+    a decided verdict between the maps of one class key, by the same rule
+    as `is_cof`.  `is_triv_fib` goes through it, and so do the weak
+    equivalences of `WeClass.from_generators(ctx, U)` and A5's J-fibration
+    test.  A map with an end outside the universe has no class key over a
+    base with arrows and is decided on its own.
 
     When every generator is a mono, so is every cofibration, and `is_cof`
     answers NO for a non-mono before it computes an `iso_key` or factors
@@ -203,7 +222,10 @@ class BoundedUniverse:
     It caches per instance what the checks ask again (`hom`, `iso_class`,
     `is_cof`, `is_triv_fib`, `factors_through`,
     `cofibrations_between_cofibrant`, `all_undecided`); each answers
-    `cache_info()`.  A J-fibration is `has_rlp(f, J.maps)`, uncached.
+    `cache_info()`.  The per-class memos keep keys and verdicts, and the
+    class keys are kept only for maps between universe objects, so no
+    memo keeps a transient presheaf alive.  A J-fibration is
+    `has_rlp(f, J.maps)`, shared per class only inside `verify_axioms`.
     `all_undecided()` counts the INCONCLUSIVE `is_cof` verdicts over every
     `initial_map(X)`, then every map between cofibrant objects: the maps
     `cofibrant` and `cofibrations_between_cofibrant` ask, in their order.
@@ -252,12 +274,17 @@ class BoundedUniverse:
         self.ctx = HomotopyContext(generators, fuel)
         self.objects: tuple[Presheaf, ...] = tuple(self._enumerate())
         self._index = {X: k for k, X in enumerate(self.objects)}
-        self._classes: dict[tuple, int] = {}
+        self._classes: dict[tuple, int] = {}  # iso_key -> iso class
+        self._class_index: dict[tuple, int] = {}  # class key -> iso class
+        # class keys of maps between universe objects, which keep no
+        # transient presheaf alive
+        self._class_keys: dict[PresheafMap, tuple] = {}
         # decided cofibration verdicts per iso class; never INCONCLUSIVE
         self._cof_by_class: dict[int, Verdict] = {}
+        self._triv_fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
         for name in ("hom", "iso_class", "is_cof", "is_triv_fib", "factors_through",
-                     "cofibrations_between_cofibrant", "all_undecided"):
+                     "cofibrations_between_cofibrant", "all_undecided", "_frame"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -289,7 +316,7 @@ class BoundedUniverse:
 
     def automorphisms(self, A: Presheaf) -> tuple[PresheafMap, ...]:
         """The bijective maps of hom(A, A), in enumeration order."""
-        return tuple(filter(is_mono, self.hom(A, A)))
+        return tuple(PresheafMap._make(A, A, comp) for comp in _isos(A, A))
 
     def maps_from(self, X: Presheaf) -> Iterator[PresheafMap]:
         for Y in self.objects:
@@ -299,9 +326,90 @@ class BoundedUniverse:
         for X in self.objects:
             yield from self.maps_from(X)
 
+    @functools.cached_property
+    def _representatives(self) -> list[int]:
+        """Per object index x, r(x): the index of the first-seen object
+        isomorphic to objects[x]."""
+        first: dict[tuple, int] = {}
+        return [
+            first.setdefault(iso_key(identity_map(X)), x)
+            for x, X in enumerate(self.objects)
+        ]
+
+    def _frame(self, x: int) -> tuple[int, list[Components], list[Components]]:
+        """r(x) and, for X = objects[x], R = objects[r(x)] and the first iso
+        phi : X -> R in enumeration order, the component tables of
+        alpha;phi^-1 : R -> X and of phi;beta : X -> R over alpha, beta in
+        Aut(R).  Only tables are kept, and no hom-set is cached."""
+        r = self._representatives[x]
+        X, R = self.objects[x], self.objects[r]
+        phi = next(_isos(X, R))
+        inverse = tuple(
+            tuple(sorted(range(len(col)), key=col.__getitem__)) for col in phi
+        )
+        automorphisms = list(_isos(R, R))
+        return (
+            r,
+            [_compose_tables(a, inverse) for a in automorphisms],
+            [_compose_tables(phi, b) for b in automorphisms],
+        )
+
+    def class_key(self, f: PresheafMap) -> tuple | None:
+        """A key that two maps share exactly when they are isomorphic
+        arrows, or None when f has none.
+
+        Over a discrete base it is `iso_key(f)`, a fibre-size profile.
+        Otherwise, when both ends of f : A -> B are universe objects, it is
+        (r(A), r(B), the least table of alpha;phi_A^-1;f;phi_B;beta over
+        alpha in Aut(R_A) and beta in Aut(R_B)), with R_X, phi_X as in
+        `_frame`: f and f' are isomorphic exactly when their ends share
+        representatives and their transports to R_A -> R_B lie in one orbit
+        of Aut(R_A) x Aut(R_B), and the least table names the orbit.  Any
+        other map has no key.
+        """
+        if not self.base.nonidentity:
+            return iso_key(f)
+        key = self._class_keys.get(f)
+        if key is None:
+            a, b = self._index.get(f.source), self._index.get(f.target)
+            if a is None or b is None:
+                return None
+            ra, lefts, _ = self._frame(a)
+            rb, _, rights = self._frame(b)
+            transported = [_compose_tables(left, f._comp) for left in lefts]
+            least = min(
+                _compose_tables(t, right) for t in transported for right in rights
+            )
+            key = self._class_keys[f] = (ra, rb, least)
+        return key
+
+    def per_class(
+        self, memo: dict, f: PresheafMap, decide: Callable[[PresheafMap], object]
+    ) -> object:
+        """decide(f), kept in `memo` under f's class key for every map of
+        its class.  A map with no class key and an INCONCLUSIVE verdict are
+        decided on their own: fuel can run out differently on isomorphic
+        maps."""
+        key = self.class_key(f)
+        if key is None:
+            return decide(f)
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = decide(f)
+            if verdict is not Verdict.INCONCLUSIVE:
+                memo[key] = verdict
+        return verdict
+
     def iso_class(self, f: PresheafMap) -> int:
-        """The index of f's isomorphism class of arrows, in first-seen order."""
-        return self._classes.setdefault(iso_key(f), len(self._classes))
+        """The index of f's isomorphism class of arrows, in first-seen order.
+        `iso_key` runs once per class key, and for each map with none."""
+        key = self.class_key(f)
+        k = None if key is None else self._class_index.get(key)
+        if k is None:
+            k = self._classes.setdefault(iso_key(f), len(self._classes))
+            if key is not None:
+                self._class_index[key] = k
+        return k
 
     def is_cof(self, f: PresheafMap) -> Verdict:
         if self.monic_generators and not is_mono(f):
@@ -315,6 +423,9 @@ class BoundedUniverse:
         return verdict
 
     def is_triv_fib(self, f: PresheafMap) -> bool:
+        return self.per_class(self._triv_fib_by_class, f, self._in_inj)
+
+    def _in_inj(self, f: PresheafMap) -> bool:
         return in_inj(f, self.generators)
 
     @functools.cached_property
@@ -414,9 +525,20 @@ class WeClass:
         return self._verdict(f)
 
     @classmethod
-    def from_generators(cls, ctx: HomotopyContext) -> "WeClass":
+    def from_generators(
+        cls, ctx: HomotopyContext, universe: BoundedUniverse | None = None
+    ) -> "WeClass":
+        """`is_weak_equivalence` over ctx; on a universe each decided verdict
+        serves every map of its class key (`BoundedUniverse.per_class`)."""
         label = f"rlp-up-to-homotopy({ctx.generators.label})"
-        return cls(label, lambda f: is_weak_equivalence(f, ctx).verdict)
+
+        def decide(f: PresheafMap) -> Verdict:
+            return is_weak_equivalence(f, ctx).verdict
+
+        if universe is None:
+            return cls(label, decide)
+        shared: dict[tuple, Verdict] = {}
+        return cls(label, lambda f: universe.per_class(shared, f, decide))
 
 
 def build_jset(ctx: HomotopyContext) -> GeneratingSet:
@@ -599,7 +721,7 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     the generators."""
     I = U.generators
     params = {"generators": I.label, **U.describe()}
-    we = WeClass.from_generators(U.ctx)
+    we = WeClass.from_generators(U.ctx, U)
     tfibs = list(U.trivial_fibrations_between_cofibrant())
 
     def comparisons() -> Iterator[Outcome]:
@@ -650,8 +772,11 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     """Bounded run over the five closure conditions a minimal structure
     needs.  A1 is a finiteness note; the rest quantify over U.
 
-    `we` runs once per map of `U.all_maps()`, in that order, and A2 reads
-    the verdicts per hom-set.  Two-out-of-three goes one run at a time: a
+    `we` is asked once per map of `U.all_maps()`, in that order, and A2
+    reads the verdicts per hom-set; `WeClass.from_generators(ctx, U)`
+    decides each class key once.  A3 reads `U.is_triv_fib`, and A5 tests
+    J-fibrations once per class key, so every sweep of a map decides one
+    member of its class.  Two-out-of-three goes one run at a time: a
     map f of hom(a, b) with every g of hom(b, c).  A run is skipped whole
     when f's verdict is INCONCLUSIVE or every map of hom(a, c) is.  It
     passes whole when every map of hom(a, c) has one decided verdict and
@@ -826,9 +951,14 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
 
     # A5, first disjunct: J-injective weak equivalences are I-injective.
     # The other disjunct needs I-cof inter we inside J-cof; not evaluated.
+    jfibrations: dict[tuple, bool] = {}
+
+    def jfibration(f: PresheafMap) -> bool:
+        return has_rlp(f, J.maps)
+
     def jinjective_weak_equivalences() -> Iterator[Outcome]:
         for f in U.all_maps():
-            if not has_rlp(f, J.maps):
+            if not U.per_class(jfibrations, f, jfibration):
                 continue
             v = we(f)
             if v is Verdict.YES:
@@ -907,7 +1037,7 @@ def classify_map(f: PresheafMap, U: BoundedUniverse) -> MapClassification:
 def enumerate_weak_equivalences(U: BoundedUniverse) -> VerdictReport:
     """Every map between universe objects in the decided class, as
     witnesses, in enumeration order."""
-    we = WeClass.from_generators(U.ctx)
+    we = WeClass.from_generators(U.ctx, U)
     params = {"generators": U.generators.label, **U.describe()}
     found = []
     undecided = 0

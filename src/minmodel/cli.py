@@ -89,7 +89,7 @@ def render(value):
     if isinstance(value, Verdict):
         return _VERDICT[value]
     if isinstance(value, Status):
-        return "complete" if value is Status.COMPLETE else "fuel-exhausted"
+        return value.value
     if isinstance(value, Presheaf):
         return presheaf_data(value)
     if isinstance(value, PresheafMap):
@@ -359,7 +359,7 @@ def _cmd_checker(run):
         raise UsageError(f"{run.command} takes GENSET")
     U = _universe(run, ws.genset(run.arguments[0]))
     if run.command == "verify-axioms":
-        J, we = build_jset(U.ctx), WeClass.from_generators(U.ctx)
+        J, we = build_jset(U.ctx), WeClass.from_generators(U.ctx, U)
         outcome = verify_axioms(J, we, U)
     else:
         outcome = _CHECKERS[run.command](U)

@@ -73,7 +73,8 @@ class ReplayMismatch(EngineError):
 
 
 class FuelExhausted(EngineError):
-    """A guarded construction ran out of fuel before completing."""
+    """A guarded construction stopped before completing: it ran out of fuel
+    or its next apex would pass the carrier limit."""
 
 
 class ParseError(EngineError):

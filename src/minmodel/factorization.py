@@ -17,7 +17,14 @@ from typing import Sequence
 from .colimits import pushout
 from .errors import BaseMismatch, ReplayMismatch
 from .lifting import LiftingProblem, has_rlp, solve_lifting, unsolvable_squares
-from .presheaf import BaseCategory, Presheaf, PresheafMap, compose, identity_map
+from .presheaf import (
+    MAX_CARRIER_SIZE,
+    BaseCategory,
+    Presheaf,
+    PresheafMap,
+    compose,
+    identity_map,
+)
 
 
 class Verdict(enum.Enum):
@@ -31,6 +38,7 @@ class Verdict(enum.Enum):
 class Status(enum.Enum):
     COMPLETE = "complete"
     FUEL_EXHAUSTED = "fuel-exhausted"
+    CARRIER_LIMIT = "carrier-limit"
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,15 @@ class CellFactorization:
     fuel_used: int
     status: Status
 
+    def shortfall(self) -> str:
+        """Why the construction stopped before completing."""
+        if self.status is Status.CARRIER_LIMIT:
+            return (
+                f"stopped after {self.fuel_used} attachments: the next apex would "
+                f"pass the carrier limit of {MAX_CARRIER_SIZE}"
+            )
+        return f"ran out of fuel after {self.fuel_used} attachments"
+
 
 def default_fuel(f: PresheafMap) -> int:
     return max(1, 10 * f.target.total_size())
@@ -91,6 +108,11 @@ def soa_factorize(
     an empty frontier ends the construction; the final right map therefore
     has the lifting property by that round's exhaustive check.
 
+    Two guards stop it short, leaving the attachments made so far: fuel,
+    the number of attachments allowed (`Status.FUEL_EXHAUSTED`), and an
+    attachment whose apex would pass `MAX_CARRIER_SIZE` elements in some
+    carrier, the limit every parsed presheaf obeys (`Status.CARRIER_LIMIT`).
+
     `order` is "canonical" or "reversed"; the latter walks each frontier
     backwards and exists for cross-checking order independence downstream.
     """
@@ -104,18 +126,16 @@ def soa_factorize(
     log: list[Attachment] = []
     used = 0
     status = Status.COMPLETE
-    while True:
+    while status is Status.COMPLETE:
         frontier: list[tuple[int, PresheafMap, PresheafMap]] = []
         for gi, gen in enumerate(I.maps):
             for top, bottom in unsolvable_squares(gen, p):
                 frontier.append((gi, top, bottom))
         if not frontier:
-            status = Status.COMPLETE
             break
         if order == "reversed":
             frontier.reverse()
         incl = identity_map(M)
-        exhausted = False
         for gi, top, bottom in frontier:
             gen = I.maps[gi]
             cur_top = compose(top, incl)
@@ -124,18 +144,18 @@ def soa_factorize(
             if solve_lifting(square) is not None:
                 continue
             if used >= fuel:
-                exhausted = True
+                status = Status.FUEL_EXHAUSTED
                 break
             po = pushout(cur_top, gen)
+            if any(len(c) > MAX_CARRIER_SIZE for c in po.apex.carriers):
+                status = Status.CARRIER_LIMIT
+                break
             p = po.mediator(p, bottom)
             j = compose(j, po.left)
             incl = compose(incl, po.left)
             M = po.apex
             used += 1
             log.append(Attachment(gi, cur_top, M))
-        if exhausted:
-            status = Status.FUEL_EXHAUSTED
-            break
     return CellFactorization(f, j, p, tuple(log), used, status)
 
 

@@ -62,9 +62,7 @@ def cylinder(
     fold = po.mediator(identity_map(Y), identity_map(Y))
     fact = soa_factorize(fold, I, fuel, order=order)
     if fact.status is not Status.COMPLETE:
-        raise FuelExhausted(
-            f"cylinder factorization ran out of fuel after {fact.fuel_used} attachments"
-        )
+        raise FuelExhausted(f"cylinder factorization {fact.shortfall()}")
     return CylinderObject(
         over=i,
         apex=fact.right.source,
@@ -256,9 +254,7 @@ def path_object(
     diag = pr.mediator(identity_map(Z), identity_map(Z))
     fact = soa_factorize(diag, J, fuel)
     if fact.status is not Status.COMPLETE:
-        raise FuelExhausted(
-            f"path object factorization ran out of fuel after {fact.fuel_used} attachments"
-        )
+        raise FuelExhausted(f"path object factorization {fact.shortfall()}")
     return PathObject(
         of=Z,
         apex=fact.right.source,

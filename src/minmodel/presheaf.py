@@ -488,7 +488,9 @@ class PresheafMap:
         return obj
 
     def _finish(self) -> None:
-        self._key = (self.source._key, self.target._key, self._comp)
+        # the presheaves hash from their cached `_hash`, and an equality
+        # test compares their keys only when they are not the same objects
+        self._key = (self.source, self.target, self._comp)
         self._hash = hash(self._key)
 
     def component(self, obj: str) -> dict[str, str]:
@@ -530,7 +532,7 @@ def _compose_tables(f: Table, g: Table) -> Components:
 
 def compose(f: PresheafMap, g: PresheafMap) -> PresheafMap:
     """Composite of f followed by g."""
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise NonComposable("target of the first map must equal source of the second")
     return PresheafMap._make(f.source, g.target, _compose_tables(f._comp, g._comp))
 

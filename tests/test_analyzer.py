@@ -27,6 +27,7 @@ from minmodel.colimits import initial_map
 from minmodel.errors import FunctorialityViolation, SizeLimitExceeded
 from minmodel.factorization import GeneratingSet, Verdict, in_cof, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
+from minmodel.lifting import has_rlp
 from minmodel.presheaf import Presheaf, compose, is_mono, is_retract_of, load_base
 from minmodel.workspace import parse_workspace
 
@@ -316,9 +317,12 @@ def test_appropriateness_builds_one_pushout_per_automorphism_orbit(monkeypatch):
 
 
 def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
-    # over FinSet a map's class is fixed by its fibre-size profile, so the
-    # 273 maps check_appropriate keys at bound 4 start no canonical-
-    # labelling search; the graph base still searches
+    # over FinSet a map's class key is its fibre-size profile, so the 273
+    # maps check_appropriate keys at bound 4 start no canonical-labelling
+    # search.  Over graphs iso_class searches once per class key it sees,
+    # not once per map: with the 25 searches that find each object's
+    # representative and one per comparison map, whose end at a pushout
+    # apex gives it no class key, 191 searches serve 376 maps.
     keyed, searches = [], []
     real_key, real_search = analyzer.iso_key, presheaf._canonical_table
     monkeypatch.setattr(analyzer, "iso_key", lambda f: keyed.append(f) or real_key(f))
@@ -327,10 +331,16 @@ def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
         "_canonical_table",
         lambda f, sizes: searches.append(f) or real_search(f, sizes),
     )
-    assert check_appropriate(finset_universe(I1, bound=4)).verdict is Verdict.YES
-    assert (len(keyed), len(searches)) == (273, 0)
-    assert check_appropriate(gph_universe()).verdict is Verdict.NO
-    assert searches and len(searches) == len(keyed) - 273
+    U = finset_universe(I1, bound=4)
+    assert check_appropriate(U).verdict is Verdict.YES
+    assert (U.iso_class.cache_info().misses, len(searches)) == (273, 0)
+    assert keyed
+    U = gph_universe()
+    assert check_appropriate(U).verdict is Verdict.NO
+    keyless = [f for f in searches if U.class_key(f) is None]
+    assert len(searches) == len(U.objects) + len(U._class_index) + len(keyless)
+    assert (len(searches), len(U._class_index), len(keyless)) == (191, 65, 101)
+    assert U.iso_class.cache_info().misses == 376
 
 
 def test_main_condition_verdicts():
@@ -589,8 +599,6 @@ def test_axiom_five_fails_when_every_map_is_declared_invertible():
     by_name = {s.check: s for s in report.subchecks}
     assert by_name["A5-first-disjunct"].verdict is Verdict.NO
     bad = by_name["A5-first-disjunct"].counterexample["map"]
-    from minmodel.lifting import has_rlp
-
     assert has_rlp(bad, J.maps)
     assert not U.is_triv_fib(bad)
     # and the canonical class is untouched by the probe
@@ -740,6 +748,53 @@ def test_universe_enumeration_matches_the_definition():
         assert (len(expected), walked) == (kept, tried)
         assert list(BoundedUniverse(base, bound, gens).objects) == expected
         assert analyzer.candidate_presheaves(base, bound) == tried
+
+
+def _rgph_universe():
+    """Reflexive graphs at v=2 e=2: 6 objects, 53 maps.  Generators: the
+    point out of the empty presheaf and the point into two points."""
+    U = BoundedUniverse(RGPH, {"v": 2, "e": 2}, GeneratingSet("none", ()))
+    point, two = U.objects[1], U.objects[4]
+    gens = GeneratingSet("RG", (initial_map(point), U.hom(point, two)[0]))
+    return BoundedUniverse(RGPH, {"v": 2, "e": 2}, gens, 1024)
+
+
+def test_class_keys_share_verdicts_exactly_within_isomorphism_classes():
+    # the orbit key over a base with arrows, the fibre profile over a
+    # discrete one; each sharing verdict is checked against the per-map
+    # procedure on every map
+    cases = (
+        (gph_universe(), 929, 168),
+        (finset_universe(I1, bound=4), 499, 38),
+        (_rgph_universe(), 53, 15),
+    )
+    for U, count, classes in cases:
+        maps = list(U.all_maps())
+        assert len(maps) == count
+        keys = [presheaf.iso_key(f) for f in maps]
+        shared = [U.class_key(f) for f in maps]
+        assert None not in shared
+        # the two keys induce one partition
+        assert len(set(keys)) == len(set(zip(keys, shared))) == classes
+        assert len(set(shared)) == classes
+        # iso_class numbers classes densely in first-seen order of iso_key
+        first_seen: dict = {}
+        assert [U.iso_class(f) for f in maps] == [
+            first_seen.setdefault(k, len(first_seen)) for k in keys
+        ]
+        ctx, gens = U.ctx, U.generators
+        J = build_jset(ctx)
+        we = WeClass.from_generators(ctx, U)
+        jfibrations: dict = {}
+        for f in maps:
+            assert U.is_triv_fib(f) == in_inj(f, gens)
+            assert we(f) is is_weak_equivalence(f, ctx).verdict
+            jfib = U.per_class(jfibrations, f, lambda g: has_rlp(g, J.maps))
+            assert jfib == has_rlp(f, J.maps)
+    # a map whose ends are not universe objects has no key over graphs
+    U = gph_universe()
+    A = U.objects[3]
+    assert U.class_key(_coproduct_map(U.hom(A, A)[0], U.hom(A, A)[0])) is None
 
 
 def test_oversized_universes_are_refused_before_enumeration(monkeypatch):

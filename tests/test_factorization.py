@@ -1,10 +1,12 @@
 """Guarded cell attachment: factorizations, class membership, replay."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from minmodel import cli, factorization
 from minmodel.colimits import coproduct, pushout
 from minmodel.errors import BaseMismatch, FuelExhausted, ReplayMismatch
 from minmodel.factorization import (
@@ -20,6 +22,7 @@ from minmodel.factorization import (
 )
 from minmodel.lifting import has_llp
 from minmodel.presheaf import PresheafMap, compose, identity_map, is_mono
+from minmodel.workspace import parse_workspace
 
 import oracle_finset as of
 from helpers import fs, fs_to_oracle, fsmap, gph, i1_set, i2_set, ig_set
@@ -133,6 +136,73 @@ def test_fuel_exhaustion_is_reported_not_raised():
     assert fact.status is Status.FUEL_EXHAUSTED
     assert fact.fuel_used == 0
     assert in_cof(point, I1, fuel=0) is Verdict.INCONCLUSIVE
+
+
+# Graph generators whose cell complexes never end: a vertex, and a loop at
+# a vertex together with a new loopless vertex.  Factoring the map from the
+# empty graph into one loop attaches one vertex and one edge per cell.
+LOOPS_WS = """
+[base]
+objects: v e
+morphism s: v -> e
+morphism t: v -> e
+
+[presheaf 0]
+
+[presheaf P]
+v: p
+
+[presheaf LP]
+v: a b
+e: l
+action s: l->a
+action t: l->a
+
+[presheaf L]
+v: a
+e: l
+action s: l->a
+action t: l->a
+
+[map cP : 0 -> P]
+
+[map g : P -> LP]
+component v: p->a
+
+[map cL : 0 -> L]
+
+[genset G]
+maps: cP g
+"""
+
+
+def test_an_apex_past_the_carrier_limit_stops_the_construction(
+    monkeypatch, tmp_path
+):
+    monkeypatch.setattr(factorization, "MAX_CARRIER_SIZE", 6)
+    path = tmp_path / "loops.ws"
+    path.write_text(LOOPS_WS)
+    ws = parse_workspace(str(path))
+    loop, gens = ws.map("cL"), ws.genset("G")
+    # fuel for 20 attachments; the carrier limit stops the cells at 6
+    fact = soa_factorize(loop, gens, fuel=20)
+    assert fact.status is Status.CARRIER_LIMIT
+    assert fact.fuel_used == len(fact.log) == 6
+    # the last apex built fills the vertex carrier; the next would pass it
+    assert [len(c) for c in fact.left.target.carriers] == [6, 5]
+    assert fact.shortfall() == (
+        "stopped after 6 attachments: the next apex would pass the carrier "
+        "limit of 6"
+    )
+    assert in_cof(loop, gens, fuel=20) is Verdict.INCONCLUSIVE
+    # the CLI reports it the way it reports fuel running out
+    out = tmp_path / "report.json"
+    argv = ["factor", str(path), "cL", "G", "--fuel", "20", "--out", str(out)]
+    assert cli.run(argv) == 2
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "inconclusive"
+    assert report["details"]["status"] == "carrier-limit"
+    assert report["fuel_used"] == 6
 
 
 def test_default_fuel_scales_with_the_target():
