@@ -200,12 +200,12 @@ class BoundedUniverse:
     least table of f's orbit under the automorphisms of its ends'
     representatives, at most |Aut(R_A)| * |Aut(R_B)| table compositions
     (16 on graphs at v=2 e=2) instead of a canonical-labelling search.
-    `iso_class` runs `iso_key` once per class key, and `per_class` shares
-    a decided verdict between the maps of one class key, by the same rule
-    as `is_cof`.  `is_triv_fib` goes through it, and so do the weak
-    equivalences of `WeClass.from_generators(ctx, U)` and A5's J-fibration
-    test.  A map with an end outside the universe has no class key over a
-    base with arrows and is decided on its own.
+    Over a base with arrows `iso_class` runs `iso_key` once per class key.
+    `per_class` shares a decided verdict between the maps of one class
+    key, by the same rule as `is_cof`.  `is_triv_fib` goes through it, and
+    so do the weak equivalences of `WeClass.from_generators(U)` and A5's
+    J-fibration test.  A map with an end outside the universe has no class
+    key over a base with arrows and is decided on its own.
 
     When every generator is a mono, so is every cofibration, and `is_cof`
     answers NO for a non-mono before it computes an `iso_key` or factors
@@ -220,11 +220,12 @@ class BoundedUniverse:
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
     It caches per instance what the checks ask again (`hom`, `iso_class`,
-    `is_cof`, `is_triv_fib`, `factors_through`,
-    `cofibrations_between_cofibrant`, `all_undecided`); each answers
-    `cache_info()`.  The per-class memos keep keys and verdicts, and the
-    class keys are kept only for maps between universe objects, so no
-    memo keeps a transient presheaf alive.  A J-fibration is
+    `is_cof`, `factors_through`, `cofibrations_between_cofibrant`,
+    `all_undecided`); each answers `cache_info()`.  `is_triv_fib` keeps
+    its verdicts per class key only.  The per-class memos keep keys and
+    verdicts, and the class keys of maps between universe objects are
+    kept under object indices and a component table, so no memo keeps a
+    transient presheaf alive.  A J-fibration is
     `has_rlp(f, J.maps)`, shared per class only inside `verify_axioms`.
     `all_undecided()` counts the INCONCLUSIVE `is_cof` verdicts over every
     `initial_map(X)`, then every map between cofibrant objects: the maps
@@ -276,14 +277,13 @@ class BoundedUniverse:
         self._index = {X: k for k, X in enumerate(self.objects)}
         self._classes: dict[tuple, int] = {}  # iso_key -> iso class
         self._class_index: dict[tuple, int] = {}  # class key -> iso class
-        # class keys of maps between universe objects, which keep no
-        # transient presheaf alive
-        self._class_keys: dict[PresheafMap, tuple] = {}
+        # (source index, target index, table) -> class key
+        self._class_keys: dict[tuple, tuple] = {}
         # decided cofibration verdicts per iso class; never INCONCLUSIVE
         self._cof_by_class: dict[int, Verdict] = {}
         self._triv_fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "iso_class", "is_cof", "is_triv_fib", "factors_through",
+        for name in ("hom", "iso_class", "is_cof", "factors_through",
                      "cofibrations_between_cofibrant", "all_undecided", "_frame"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
@@ -369,18 +369,18 @@ class BoundedUniverse:
         """
         if not self.base.nonidentity:
             return iso_key(f)
-        key = self._class_keys.get(f)
+        a, b = self._index.get(f.source), self._index.get(f.target)
+        if a is None or b is None:
+            return None
+        key = self._class_keys.get((a, b, f._comp))
         if key is None:
-            a, b = self._index.get(f.source), self._index.get(f.target)
-            if a is None or b is None:
-                return None
             ra, lefts, _ = self._frame(a)
             rb, _, rights = self._frame(b)
             transported = [_compose_tables(left, f._comp) for left in lefts]
             least = min(
                 _compose_tables(t, right) for t in transported for right in rights
             )
-            key = self._class_keys[f] = (ra, rb, least)
+            key = self._class_keys[a, b, f._comp] = (ra, rb, least)
         return key
 
     def per_class(
@@ -402,14 +402,14 @@ class BoundedUniverse:
 
     def iso_class(self, f: PresheafMap) -> int:
         """The index of f's isomorphism class of arrows, in first-seen order.
-        `iso_key` runs once per class key, and for each map with none."""
-        key = self.class_key(f)
-        k = None if key is None else self._class_index.get(key)
-        if k is None:
-            k = self._classes.setdefault(iso_key(f), len(self._classes))
-            if key is not None:
-                self._class_index[key] = k
-        return k
+        Over a base with arrows `iso_key` runs once per class key, and for
+        each map with none."""
+        if not self.base.nonidentity:
+            return self._number(f)
+        return self.per_class(self._class_index, f, self._number)
+
+    def _number(self, f: PresheafMap) -> int:
+        return self._classes.setdefault(iso_key(f), len(self._classes))
 
     def is_cof(self, f: PresheafMap) -> Verdict:
         if self.monic_generators and not is_mono(f):
@@ -525,20 +525,19 @@ class WeClass:
         return self._verdict(f)
 
     @classmethod
-    def from_generators(
-        cls, ctx: HomotopyContext, universe: BoundedUniverse | None = None
-    ) -> "WeClass":
-        """`is_weak_equivalence` over ctx; on a universe each decided verdict
-        serves every map of its class key (`BoundedUniverse.per_class`)."""
-        label = f"rlp-up-to-homotopy({ctx.generators.label})"
+    def from_generators(cls, U: BoundedUniverse) -> "WeClass":
+        """`is_weak_equivalence` over `U.ctx`, each decided verdict serving
+        every map of its class key (`BoundedUniverse.per_class`)."""
+        ctx = U.ctx
+        shared: dict[tuple, Verdict] = {}
 
         def decide(f: PresheafMap) -> Verdict:
             return is_weak_equivalence(f, ctx).verdict
 
-        if universe is None:
-            return cls(label, decide)
-        shared: dict[tuple, Verdict] = {}
-        return cls(label, lambda f: universe.per_class(shared, f, decide))
+        return cls(
+            f"rlp-up-to-homotopy({ctx.generators.label})",
+            lambda f: U.per_class(shared, f, decide),
+        )
 
 
 def build_jset(ctx: HomotopyContext) -> GeneratingSet:
@@ -721,7 +720,7 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     the generators."""
     I = U.generators
     params = {"generators": I.label, **U.describe()}
-    we = WeClass.from_generators(U.ctx, U)
+    we = WeClass.from_generators(U)
     tfibs = list(U.trivial_fibrations_between_cofibrant())
 
     def comparisons() -> Iterator[Outcome]:
@@ -773,7 +772,7 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     needs.  A1 is a finiteness note; the rest quantify over U.
 
     `we` is asked once per map of `U.all_maps()`, in that order, and A2
-    reads the verdicts per hom-set; `WeClass.from_generators(ctx, U)`
+    reads the verdicts per hom-set; `WeClass.from_generators(U)`
     decides each class key once.  A3 reads `U.is_triv_fib`, and A5 tests
     J-fibrations once per class key, so every sweep of a map decides one
     member of its class.  Two-out-of-three goes one run at a time: a
@@ -1037,7 +1036,7 @@ def classify_map(f: PresheafMap, U: BoundedUniverse) -> MapClassification:
 def enumerate_weak_equivalences(U: BoundedUniverse) -> VerdictReport:
     """Every map between universe objects in the decided class, as
     witnesses, in enumeration order."""
-    we = WeClass.from_generators(U.ctx, U)
+    we = WeClass.from_generators(U)
     params = {"generators": U.generators.label, **U.describe()}
     found = []
     undecided = 0

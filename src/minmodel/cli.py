@@ -359,7 +359,7 @@ def _cmd_checker(run):
         raise UsageError(f"{run.command} takes GENSET")
     U = _universe(run, ws.genset(run.arguments[0]))
     if run.command == "verify-axioms":
-        J, we = build_jset(U.ctx), WeClass.from_generators(U.ctx, U)
+        J, we = build_jset(U.ctx), WeClass.from_generators(U)
         outcome = verify_axioms(J, we, U)
     else:
         outcome = _CHECKERS[run.command](U)

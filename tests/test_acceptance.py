@@ -106,7 +106,7 @@ def test_criterion_02_finset_i2_bijections_and_axioms():
     assert len(got) == 10
     assert check_main_condition(U).passed
     J = build_jset(U.ctx)
-    we = WeClass.from_generators(U.ctx)
+    we = WeClass.from_generators(U)
     outcome = verify_axioms(J, we, U)
     assert outcome.passed
     assert len(outcome.subchecks) == 6
@@ -122,7 +122,7 @@ def test_criterion_03_main_condition_implies_axioms():
         if not main.passed:
             continue
         J = build_jset(U.ctx)
-        we = WeClass.from_generators(U.ctx)
+        we = WeClass.from_generators(U)
         assert verify_axioms(J, we, U).passed, I.label
         exercised += 1
     assert exercised >= 2
@@ -132,7 +132,7 @@ def test_criterion_04_trivial_cofibration_iff_strong_deformation_retract():
     for ws, I in ((WS_I1, I1), (WS_I2, I2)):
         U = universe(ws, I)
         assert check_main_condition(U).passed
-        we = WeClass.from_generators(U.ctx)
+        we = WeClass.from_generators(U)
         cofs = 0
         for f in U.all_maps():
             if U.is_cof(f) is not Verdict.YES:

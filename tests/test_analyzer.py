@@ -28,7 +28,7 @@ from minmodel.errors import FunctorialityViolation, SizeLimitExceeded
 from minmodel.factorization import GeneratingSet, Verdict, in_cof, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
 from minmodel.lifting import has_rlp
-from minmodel.presheaf import Presheaf, compose, is_mono, is_retract_of, load_base
+from minmodel.presheaf import Presheaf, PresheafMap, compose, is_mono, is_retract_of, load_base
 from minmodel.workspace import parse_workspace
 
 import oracle_finset as of
@@ -263,7 +263,7 @@ def test_we_class_memoizes():
     assert wc(f) is Verdict.YES
     assert wc(f) is Verdict.YES
     assert len(calls) == 1
-    canonical = WeClass.from_generators(HomotopyContext(I1))
+    canonical = WeClass.from_generators(finset_universe(I1))
     assert canonical.label == "rlp-up-to-homotopy(I1)"
     assert canonical(fsmap(0, 1, ())) is Verdict.NO
 
@@ -375,15 +375,26 @@ def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
 def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
     # the sweep decides each pair of classes once on its own; a sum cached
     # on the universe would keep its coproducts and their extension tables
-    # alive as long as the universe
+    # alive as long as the universe.  The universe's per-class memos keep
+    # class keys, which hold no presheaf or map.
+    def leaves(key):
+        if isinstance(key, tuple):
+            for part in key:
+                yield from leaves(part)
+        else:
+            yield key
+
     for U in (finset_universe(I2), gph_universe()):
         asked = []
-        cached = U.is_triv_fib
-        U.is_triv_fib = lambda f: asked.append(f) or cached(f)
+        shared = U.is_triv_fib
+        U.is_triv_fib = lambda f: asked.append(f) or shared(f)
         check_properness_condition(U)
-        assert asked and cached.cache_info().currsize == len(set(asked))
+        assert asked and U._triv_fib_by_class
         for f in asked:
             assert U.index(f.source) is not None and U.index(f.target) is not None
+        memos = (U._triv_fib_by_class, U._class_keys, U._class_index)
+        kept = [x for memo in memos for key in memo for x in leaves(key)]
+        assert not any(isinstance(x, (Presheaf, PresheafMap)) for x in kept)
 
 
 def test_properness_condition_verdicts():
@@ -410,7 +421,7 @@ def test_axioms_pass_on_finite_sets():
     for gens in (I1, I2):
         U = finset_universe(gens)
         J = build_jset(U.ctx)
-        we = WeClass.from_generators(U.ctx)
+        we = WeClass.from_generators(U)
         report = verify_axioms(J, we, U)
         assert report.verdict is Verdict.YES, gens.label
         assert [s.check for s in report.subchecks] == [
@@ -427,7 +438,7 @@ def test_axioms_pass_on_finite_sets():
 def test_axioms_fail_on_graphs_with_a_real_counterexample():
     U = gph_universe()
     J = build_jset(U.ctx)
-    we = WeClass.from_generators(U.ctx)
+    we = WeClass.from_generators(U)
     report = verify_axioms(J, we, U)
     assert report.verdict is Verdict.NO
     by_name = {s.check: s for s in report.subchecks}
@@ -579,7 +590,7 @@ def test_two_out_of_three_composes_no_table_where_every_hom_set_is_uniform(
     compose_tables = analyzer._compose_tables
     monkeypatch.setattr(analyzer, "_compose_tables", counting)
     U = finset_universe(I1, bound=4)
-    report = verify_axioms(build_jset(U.ctx), WeClass.from_generators(U.ctx), U)
+    report = verify_axioms(build_jset(U.ctx), WeClass.from_generators(U), U)
     by_name = {s.check: s for s in report.subchecks}
     two_three = by_name["A2-two-out-of-three"]
     assert two_three.verdict is Verdict.YES
@@ -653,7 +664,7 @@ def test_universe_caches_fibration_verdicts_and_lifting_keeps_none():
     before = lifting.STATS["solver_calls"]
     assert U.is_triv_fib(f)
     assert lifting.STATS["solver_calls"] == before
-    assert U.is_triv_fib.cache_info().hits == 1
+    assert len(U._triv_fib_by_class) == 1
     # a rebuilt J is equal and reuses the context's cylinder
     assert build_jset(U.ctx) == build_jset(U.ctx)
     info = U.ctx.cylinder.cache_info()
@@ -784,7 +795,7 @@ def test_class_keys_share_verdicts_exactly_within_isomorphism_classes():
         ]
         ctx, gens = U.ctx, U.generators
         J = build_jset(ctx)
-        we = WeClass.from_generators(ctx, U)
+        we = WeClass.from_generators(U)
         jfibrations: dict = {}
         for f in maps:
             assert U.is_triv_fib(f) == in_inj(f, gens)
