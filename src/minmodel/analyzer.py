@@ -187,29 +187,30 @@ class BoundedUniverse:
     be decided within fuel are left out of the cofibrant family and
     counted.
 
-    `iso_class(f)` numbers the isomorphism classes of arrows (`iso_key`)
-    densely in first-seen order.  Membership verdicts are invariant under
-    isomorphism, so a decided `is_cof` verdict serves every map of its
-    class, as do the appropriateness verdict of a comparison map and the
-    coproduct-sweep verdict of a pair of classes.  An INCONCLUSIVE `is_cof`
-    stays with its map: the fuel a factorization spends can differ between
-    isomorphic maps, and an isomorphic map still gets its own run.
+    `class_key(f)` is an exact key of f's isomorphism class of arrows for
+    the maps the sweeps walk: the fibre-size profile over a discrete base,
+    and over any other base the least table of f's orbit under the
+    automorphisms of its ends' representatives, at most
+    |Aut(R_A)| * |Aut(R_B)| table compositions (16 on graphs at v=2 e=2)
+    instead of a canonical-labelling search.  A map with an end outside
+    the universe has no class key over a base with arrows.  `iso_class(f)`
+    is `class_key(f)`, or `iso_key(f)` for a map with none, so labelling
+    runs only for `_representatives` and for such maps, and they share
+    a key only with maps like them.
 
-    `class_key(f)` is a cheaper exact key for the maps the sweeps walk: the
-    fibre-size profile over a discrete base, and over any other base the
-    least table of f's orbit under the automorphisms of its ends'
-    representatives, at most |Aut(R_A)| * |Aut(R_B)| table compositions
-    (16 on graphs at v=2 e=2) instead of a canonical-labelling search.
-    Over a base with arrows `iso_class` runs `iso_key` once per class key.
-    `per_class` shares a decided verdict between the maps of one class
-    key, by the same rule as `is_cof`.  `is_triv_fib` goes through it, and
-    so do the weak equivalences of `WeClass.from_generators(U)` and A5's
-    J-fibration test.  A map with an end outside the universe has no class
-    key over a base with arrows and is decided on its own.
+    Membership verdicts are invariant under isomorphism, so `per_class`
+    keeps a decided verdict under the key of its map for every map of its
+    class.  An INCONCLUSIVE verdict stays with its map, and so does a map
+    with no key: the fuel a factorization spends can differ between
+    isomorphic maps, and an isomorphic map still gets its own run.
+    `is_cof` shares per `iso_class`; `is_triv_fib`, the weak equivalences
+    of `WeClass.from_generators(U)` and A5's J-fibration test share per
+    `class_key`.  The appropriateness verdict of a comparison map is kept
+    per `iso_class`, and the coproduct sweep numbers the classes of its
+    maps to decide each pair of classes once.
 
     When every generator is a mono, so is every cofibration, and `is_cof`
-    answers NO for a non-mono before it computes an `iso_key` or factors
-    anything.  Proof: `in_cof` says YES only when it finds a lift l with
+    answers NO for a non-mono before it keys f or factors anything.  Proof: `in_cof` says YES only when it finds a lift l with
     l after f = j, where j is the cell map of the factorization, a
     composite of pushouts of generators.  Colimits of presheaves are
     computed pointwise in Set, where a pushout of an injection is an
@@ -219,21 +220,16 @@ class BoundedUniverse:
 
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
-    It caches per instance what the checks ask again (`hom`, `iso_class`,
-    `is_cof`, `factors_through`, `cofibrations_between_cofibrant`,
-    `all_undecided`); each answers `cache_info()`.  `is_triv_fib` keeps
-    its verdicts per class key only.  The per-class memos keep keys and
-    verdicts, and the class keys of maps between universe objects are
-    kept under object indices and a component table, so no memo keeps a
-    transient presheaf alive.  A J-fibration is
-    `has_rlp(f, J.maps)`, shared per class only inside `verify_axioms`.
+    It caches per instance what the checks ask again (`hom`, `is_cof`,
+    `factors_through`, `cofibrations_between_cofibrant`, `all_undecided`);
+    each answers `cache_info()`.  The per-class memos keep keys and
+    verdicts, and the class keys of maps between universe objects are kept
+    under object indices and a component table, so no memo keeps a
+    transient presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`,
+    shared per class only inside `verify_axioms`.
     `all_undecided()` counts the INCONCLUSIVE `is_cof` verdicts over every
     `initial_map(X)`, then every map between cofibrant objects: the maps
     `cofibrant` and `cofibrations_between_cofibrant` ask, in their order.
-    `automorphisms(A)` is Aut(A): the maps of hom(A, A) whose components
-    are bijections (injective, since the carriers are finite), in
-    enumeration order.  `check_appropriate` builds one pushout per orbit
-    of its pairs under Aut(A).
 
     The hot loops work on component tables, not on maps.  `factors_through`
     returns the component tables of the extending maps, which `is_pure`
@@ -275,15 +271,13 @@ class BoundedUniverse:
         self.ctx = HomotopyContext(generators, fuel)
         self.objects: tuple[Presheaf, ...] = tuple(self._enumerate())
         self._index = {X: k for k, X in enumerate(self.objects)}
-        self._classes: dict[tuple, int] = {}  # iso_key -> iso class
-        self._class_index: dict[tuple, int] = {}  # class key -> iso class
         # (source index, target index, table) -> class key
         self._class_keys: dict[tuple, tuple] = {}
-        # decided cofibration verdicts per iso class; never INCONCLUSIVE
-        self._cof_by_class: dict[int, Verdict] = {}
+        # decided verdicts per iso class (`per_class`); never INCONCLUSIVE
+        self._cof_by_class: dict[tuple, Verdict] = {}
         self._triv_fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "iso_class", "is_cof", "factors_through",
+        for name in ("hom", "is_cof", "factors_through",
                      "cofibrations_between_cofibrant", "all_undecided", "_frame"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
@@ -313,10 +307,6 @@ class BoundedUniverse:
 
     def hom(self, X: Presheaf, Y: Presheaf) -> tuple[PresheafMap, ...]:
         return tuple(hom_enumerate(X, Y))
-
-    def automorphisms(self, A: Presheaf) -> tuple[PresheafMap, ...]:
-        """The bijective maps of hom(A, A), in enumeration order."""
-        return tuple(PresheafMap._make(A, A, comp) for comp in _isos(A, A))
 
     def maps_from(self, X: Presheaf) -> Iterator[PresheafMap]:
         for Y in self.objects:
@@ -384,13 +374,15 @@ class BoundedUniverse:
         return key
 
     def per_class(
-        self, memo: dict, f: PresheafMap, decide: Callable[[PresheafMap], object]
+        self,
+        memo: dict,
+        key: tuple | None,
+        f: PresheafMap,
+        decide: Callable[[PresheafMap], object],
     ) -> object:
-        """decide(f), kept in `memo` under f's class key for every map of
-        its class.  A map with no class key and an INCONCLUSIVE verdict are
-        decided on their own: fuel can run out differently on isomorphic
-        maps."""
-        key = self.class_key(f)
+        """decide(f), kept in `memo` under `key` for every map of f's class.
+        A map with no key (None) and an INCONCLUSIVE verdict are decided on
+        their own: fuel can run out differently on isomorphic maps."""
         if key is None:
             return decide(f)
         verdict = memo.get(key)
@@ -400,30 +392,25 @@ class BoundedUniverse:
                 memo[key] = verdict
         return verdict
 
-    def iso_class(self, f: PresheafMap) -> int:
-        """The index of f's isomorphism class of arrows, in first-seen order.
-        Over a base with arrows `iso_key` runs once per class key, and for
-        each map with none."""
-        if not self.base.nonidentity:
-            return self._number(f)
-        return self.per_class(self._class_index, f, self._number)
-
-    def _number(self, f: PresheafMap) -> int:
-        return self._classes.setdefault(iso_key(f), len(self._classes))
+    def iso_class(self, f: PresheafMap) -> tuple:
+        """An exact key of f's isomorphism class of arrows: `class_key(f)`,
+        or `iso_key(f)` for a map with none.  The two kinds never meet, so
+        a map with an end outside the universe shares its key only with
+        maps like it."""
+        key = self.class_key(f)
+        return iso_key(f) if key is None else key
 
     def is_cof(self, f: PresheafMap) -> Verdict:
         if self.monic_generators and not is_mono(f):
             return Verdict.NO
-        k = self.iso_class(f)
-        verdict = self._cof_by_class.get(k)
-        if verdict is None:
-            verdict = in_cof(f, self.generators, self.fuel)
-            if verdict is not Verdict.INCONCLUSIVE:
-                self._cof_by_class[k] = verdict
-        return verdict
+        return self.per_class(self._cof_by_class, self.iso_class(f), f, self._in_cof)
+
+    def _in_cof(self, f: PresheafMap) -> Verdict:
+        return in_cof(f, self.generators, self.fuel)
 
     def is_triv_fib(self, f: PresheafMap) -> bool:
-        return self.per_class(self._triv_fib_by_class, f, self._in_inj)
+        key = self.class_key(f)
+        return self.per_class(self._triv_fib_by_class, key, f, self._in_inj)
 
     def _in_inj(self, f: PresheafMap) -> bool:
         return in_inj(f, self.generators)
@@ -472,18 +459,25 @@ def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
     """
     X = f.source
     params = {"map": f, **U.describe()}
-    checked = 0
-    for i in U.cofibrations_between_cofibrant():
-        factorable = U.factors_through(i, X)
-        for u in U.hom(i.source, X):
-            checked += 1
-            if u._comp in factorable:
-                continue
-            w = _compose_tables(u._comp, f._comp)
-            v = _first_map(i.target, f.target, _pin((i._comp, w)))
-            if v is not None:
-                failure = {"cofibration": i, "top": u, "bottom": v}
-                return _report("pure", params, failure)
+
+    def squares() -> Iterator[Outcome]:
+        yes = Verdict.YES  # looked up once: this loop runs once per square
+        for i in U.cofibrations_between_cofibrant():
+            factorable = U.factors_through(i, X)
+            for u in U.hom(i.source, X):
+                if u._comp in factorable:
+                    yield yes
+                    continue
+                w = _compose_tables(u._comp, f._comp)
+                v = _first_map(i.target, f.target, _pin((i._comp, w)))
+                if v is None:
+                    yield yes
+                else:
+                    yield {"cofibration": i, "top": u, "bottom": v}
+
+    failure, checked, _ = _first_failure(squares())
+    if failure:
+        return _report("pure", params, failure)
     undecided = U.all_undecided()
     return _report(
         "pure",
@@ -536,7 +530,7 @@ class WeClass:
 
         return cls(
             f"rlp-up-to-homotopy({ctx.generators.label})",
-            lambda f: U.per_class(shared, f, decide),
+            lambda f: U.per_class(shared, U.class_key(f), f, decide),
         )
 
 
@@ -570,7 +564,7 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     Every pair (t, c) of a trivial fibration t and a cofibration c out of
     A = t.source counts in `pushouts_checked`.  A pair equal to
     (t after s, c after s) for an earlier pair and an automorphism s of A
-    (`U.automorphisms(A)`) builds no pushout: both pairs glue the same
+    (a table of `_isos(A, A)`) builds no pushout: both pairs glue the same
     element pairs of t.target + c.target, and the union-find roots are
     class minima, so the apex, both legs and the comparison map come out
     identical and the comparison is already seen.  Both conditions are
@@ -589,7 +583,7 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     pushouts_checked = 0
     inconclusive = 0
     seen: set[PresheafMap] = set()
-    settled: dict[int, bool] = {}  # iso class -> whether purity was undecided
+    settled: dict[tuple, bool] = {}  # iso class -> whether purity was undecided
     source = None
     try:
         cofibrant = U.cofibrant
@@ -597,7 +591,7 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
         for t in U.trivial_fibrations_between_cofibrant():
             if t.source is not source:
                 source = t.source
-                automorphisms = [s._comp for s in U.automorphisms(source)]
+                automorphisms = list(_isos(source, source))
                 translates: set[tuple] = set()
             for c in U.maps_from(source):
                 vc = U.is_cof(c)
@@ -700,7 +694,9 @@ def _coproduct_outcomes(
     isomorphic to t1, t2, and lifting is invariant under isomorphism, so
     one verdict per unordered pair of iso classes serves every pair.
     """
-    kinds = [U.iso_class(t) for t in maps]
+    # small ints, so the pair loop compares and hashes no class keys
+    numbers: dict[tuple, int] = {}
+    kinds = [numbers.setdefault(U.iso_class(t), len(numbers)) for t in maps]
     lifts: dict[tuple[int, int], bool] = {}
     for t1, k1 in zip(maps, kinds):
         for t2, k2 in zip(maps, kinds):
@@ -957,7 +953,7 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
 
     def jinjective_weak_equivalences() -> Iterator[Outcome]:
         for f in U.all_maps():
-            if not U.per_class(jfibrations, f, jfibration):
+            if not U.per_class(jfibrations, U.class_key(f), f, jfibration):
                 continue
             v = we(f)
             if v is Verdict.YES:

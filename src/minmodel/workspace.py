@@ -29,11 +29,13 @@ based and diff friendly:
 
 Carrier lines may be omitted for empty carriers, component lines for
 components on empty carriers.  Sections may appear in any order; names
-must be unique per kind.  There is one [base] section and at most one
-[config] section, which gives each key at most once.  A repeated section
-is a parse error at its line, and so is a presheaf or map that no section
-defines.  A presheaf or map whose contents are inconsistent raises its
-validation error with the section and its header's line in front.
+must be unique per kind.  A header's keyword ends at its first
+whitespace, so [presheafA] is an unknown section, not presheaf A.  There
+is one [base] section and at most one [config] section, which gives each
+key at most once.  A repeated section is a parse error at its line, and so
+is a presheaf or map that no section defines.  A presheaf or map whose
+contents are inconsistent raises its validation error with the section and
+its header's line in front.
 """
 
 from __future__ import annotations
@@ -181,6 +183,8 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
     base_numbers: list[int] = []
     bound_line = None
     for header, start, body in _split_sections(text):
+        keyword, *rest = header.split(maxsplit=1) or [""]
+        title = rest[0] if rest else ""
         if header == "config":
             if seen_config:
                 raise ParseError("more than one [config] section", line=start)
@@ -219,18 +223,16 @@ def parse_workspace_text(text: str, name: str = "workspace") -> Workspace:
             seen_base = True
             base_lines = [line for _, line in body]
             base_numbers = [n for n, _ in body]
-        elif header.startswith("presheaf"):
-            pname = header[len("presheaf"):].strip()
-            if not pname:
+        elif keyword == "presheaf":
+            if not title:
                 raise ParseError("presheaf section without a name", line=start)
-            presheaf_sections.append((pname, start, body))
-        elif header.startswith("map"):
-            map_sections.append((header[len("map"):].strip(), start, body))
-        elif header.startswith("genset"):
-            gname = header[len("genset"):].strip()
-            if not gname:
+            presheaf_sections.append((title, start, body))
+        elif keyword == "map":
+            map_sections.append((title, start, body))
+        elif keyword == "genset":
+            if not title:
                 raise ParseError("genset section without a name", line=start)
-            genset_sections.append((gname, start, body))
+            genset_sections.append((title, start, body))
         else:
             raise ParseError(f"unknown section {header!r}", line=start)
 

@@ -4,6 +4,7 @@ The oracle modules speak plain tuples; everything here converts between
 those and engine objects without assuming anything about element names.
 """
 
+import itertools
 from pathlib import Path
 from importlib.resources import files
 
@@ -126,3 +127,31 @@ def is_bijective(f: PresheafMap) -> bool:
     return is_surjective(f) and all(
         len(set(col)) == len(col) for col in f._comp
     )
+
+
+def brute_iso_class(sizes, relabel):
+    """The least relabelling of a tuple-encoded map over every permutation
+    of each of its carriers; `relabel` applies one tuple of permutations."""
+    perms = [itertools.permutations(range(n)) for n in sizes]
+    return min(relabel(*ps) for ps in itertools.product(*perms))
+
+
+def graph_iso_class(f):
+    """Brute-force class of an oracle graph map (G, H, vmap, emap): the least
+    relabelling over every permutation of its four carriers."""
+    (nv, ge), (nw, he), vmap, emap = f
+
+    def relabel(pv, pe, qv, qe):
+        g_edges, h_edges = [None] * len(ge), [None] * len(he)
+        for k, (s, t) in enumerate(ge):
+            g_edges[pe[k]] = (pv[s], pv[t])
+        for k, (s, t) in enumerate(he):
+            h_edges[qe[k]] = (qv[s], qv[t])
+        vs, es = [0] * nv, [0] * len(ge)
+        for x, y in enumerate(vmap):
+            vs[pv[x]] = qv[y]
+        for k, y in enumerate(emap):
+            es[pe[k]] = qe[y]
+        return tuple(g_edges), tuple(h_edges), tuple(vs), tuple(es)
+
+    return (nv, nw, brute_iso_class((nv, len(ge), nw, len(he)), relabel))

@@ -40,6 +40,7 @@ from helpers import (
     fs_to_oracle,
     fsmap,
     gph_to_oracle,
+    graph_iso_class,
     i1_set,
     i2_set,
     ig_set,
@@ -104,15 +105,50 @@ def test_cofibrant_families():
     assert len(V.cofibrations_between_cofibrant()) == 60
 
 
-def test_iso_classes_are_dense_in_first_seen_order():
-    U = finset_universe(I1)
-    by_size = {X.total_size(): X for X in U.objects}
-    inclusions = U.hom(by_size[1], by_size[3])
-    folds = U.hom(by_size[2], by_size[1])
-    assert [U.iso_class(f) for f in inclusions] == [0, 0, 0]
-    assert [U.iso_class(f) for f in folds] == [1]
-    assert U.iso_class(inclusions[1]) == 0
-    assert U.iso_class.cache_info().misses == 4
+def _renamed(f: PresheafMap, rng: random.Random) -> PresheafMap:
+    """f with the elements of both ends renamed and put in a random order,
+    so that an end with elements is no universe object."""
+
+    def renamed(X):
+        carriers = {
+            o: rng.sample([f"r{x}" for x in X.carrier(o)], len(X.carrier(o)))
+            for o in X.base.objects
+        }
+        actions = {
+            m: {f"r{x}": f"r{y}" for x, y in X.action(m).items()}
+            for m in X.base.nonidentity
+        }
+        return Presheaf(X.base, carriers, actions)
+
+    components = {
+        o: {f"r{x}": f"r{y}" for x, y in f.component(o).items()}
+        for o in f.source.base.objects
+    }
+    return PresheafMap(renamed(f.source), renamed(f.target), components)
+
+
+def test_iso_class_is_exact_on_each_kind_of_map():
+    # universe maps are keyed by orbit; relabelled copies and sums, whose
+    # targets are no universe objects, by iso_key.  Within each kind two
+    # maps share a key exactly when a brute-force search over every
+    # carrier permutation finds them isomorphic, and no key of one kind is
+    # a key of the other.
+    U = gph_universe()
+    rng = random.Random(7)
+    maps = list(U.all_maps())
+    copies = [_renamed(f, rng) for f in maps[::4] if f.target.total_size()]
+    small = [f for f in maps if 0 < f.target.total_size() <= 2]
+    sums = [_coproduct_map(t1, t2) for k, t1 in enumerate(small) for t2 in small[k:]]
+    assert all(U.class_key(f) is None for f in copies + sums)
+    universe, copied, summed = (
+        [(U.iso_class(f), graph_iso_class(gph_to_oracle(f))) for f in kind]
+        for kind in (maps, copies, sums)
+    )
+    kinds = ((universe, 168), (copied, 116), (summed, 205), (copied + summed, 294))
+    for pairs, count in kinds:
+        keys, classes = zip(*pairs)
+        assert len(set(keys)) == len(set(classes)) == len(set(pairs)) == count
+    assert not {k for k, _ in universe} & {k for k, _ in copied + summed}
 
 
 def test_an_inconclusive_cofibration_verdict_stays_with_its_map(monkeypatch):
@@ -317,12 +353,12 @@ def test_appropriateness_builds_one_pushout_per_automorphism_orbit(monkeypatch):
 
 
 def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
-    # over FinSet a map's class key is its fibre-size profile, so the 273
-    # maps check_appropriate keys at bound 4 start no canonical-labelling
-    # search.  Over graphs iso_class searches once per class key it sees,
-    # not once per map: with the 25 searches that find each object's
-    # representative and one per comparison map, whose end at a pushout
-    # apex gives it no class key, 191 searches serve 376 maps.
+    # over FinSet a map's class key is its fibre-size profile, so the maps
+    # check_appropriate keys at bound 4 start no canonical-labelling
+    # search.  Over graphs a universe map's key is its orbit, so labelling
+    # searches only find each object's representative (25 searches) and
+    # key each comparison map, whose end at a pushout apex gives it no
+    # class key.  The properness sweeps key universe maps only.
     keyed, searches = [], []
     real_key, real_search = analyzer.iso_key, presheaf._canonical_table
     monkeypatch.setattr(analyzer, "iso_key", lambda f: keyed.append(f) or real_key(f))
@@ -333,14 +369,16 @@ def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
     )
     U = finset_universe(I1, bound=4)
     assert check_appropriate(U).verdict is Verdict.YES
-    assert (U.iso_class.cache_info().misses, len(searches)) == (273, 0)
-    assert keyed
+    assert keyed and not searches
     U = gph_universe()
     assert check_appropriate(U).verdict is Verdict.NO
     keyless = [f for f in searches if U.class_key(f) is None]
-    assert len(searches) == len(U.objects) + len(U._class_index) + len(keyless)
-    assert (len(searches), len(U._class_index), len(keyless)) == (191, 65, 101)
-    assert U.iso_class.cache_info().misses == 376
+    assert len(searches) == len(U.objects) + len(keyless)
+    assert (len(searches), len(keyless)) == (126, 101)
+    searches.clear()
+    U = gph_universe()
+    assert check_properness_condition(U).verdict is Verdict.NO
+    assert len(searches) == len(U.objects) == 25
 
 
 def test_main_condition_verdicts():
@@ -392,7 +430,7 @@ def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
         assert asked and U._triv_fib_by_class
         for f in asked:
             assert U.index(f.source) is not None and U.index(f.target) is not None
-        memos = (U._triv_fib_by_class, U._class_keys, U._class_index)
+        memos = (U._triv_fib_by_class, U._class_keys, U._cof_by_class)
         kept = [x for memo in memos for key in memo for x in leaves(key)]
         assert not any(isinstance(x, (Presheaf, PresheafMap)) for x in kept)
 
@@ -788,11 +826,8 @@ def test_class_keys_share_verdicts_exactly_within_isomorphism_classes():
         # the two keys induce one partition
         assert len(set(keys)) == len(set(zip(keys, shared))) == classes
         assert len(set(shared)) == classes
-        # iso_class numbers classes densely in first-seen order of iso_key
-        first_seen: dict = {}
-        assert [U.iso_class(f) for f in maps] == [
-            first_seen.setdefault(k, len(first_seen)) for k in keys
-        ]
+        # a universe map's iso class is its class key
+        assert [U.iso_class(f) for f in maps] == shared
         ctx, gens = U.ctx, U.generators
         J = build_jset(ctx)
         we = WeClass.from_generators(U)
@@ -800,7 +835,8 @@ def test_class_keys_share_verdicts_exactly_within_isomorphism_classes():
         for f in maps:
             assert U.is_triv_fib(f) == in_inj(f, gens)
             assert we(f) is is_weak_equivalence(f, ctx).verdict
-            jfib = U.per_class(jfibrations, f, lambda g: has_rlp(g, J.maps))
+            key = U.class_key(f)
+            jfib = U.per_class(jfibrations, key, f, lambda g: has_rlp(g, J.maps))
             assert jfib == has_rlp(f, J.maps)
     # a map whose ends are not universe objects has no key over graphs
     U = gph_universe()

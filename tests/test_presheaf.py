@@ -33,7 +33,17 @@ from minmodel.presheaf import (
 
 import oracle_finset as of
 import oracle_gph as og
-from helpers import FS_BASE, GPH_BASE, fs, fs_to_oracle, fsmap, gph, gph_to_oracle
+from helpers import (
+    FS_BASE,
+    GPH_BASE,
+    brute_iso_class,
+    fs,
+    fs_to_oracle,
+    fsmap,
+    gph,
+    gph_to_oracle,
+    graph_iso_class,
+)
 
 P = gph(1, [])
 DA = gph(2, [])
@@ -382,13 +392,6 @@ def _relabelled(f: PresheafMap, rng: random.Random) -> PresheafMap:
     return PresheafMap(shuffled(f.source), shuffled(f.target), components)
 
 
-def _brute_iso_class(sizes, relabel):
-    """The least relabelling of a tuple-encoded map over every permutation
-    of each of its carriers; `relabel` applies one tuple of permutations."""
-    perms = [itertools.permutations(range(n)) for n in sizes]
-    return min(relabel(*ps) for ps in itertools.product(*perms))
-
-
 def _discrete_iso_class(f):
     """Brute-force class of a map over a discrete base, given per object as
     (source size, target size, image of each source element)."""
@@ -403,7 +406,7 @@ def _discrete_iso_class(f):
             out.append(tuple(row))
         return tuple(out)
 
-    return (sizes, _brute_iso_class(sizes, relabel))
+    return (sizes, brute_iso_class(sizes, relabel))
 
 
 def _discrete_to_tuples(f: PresheafMap):
@@ -414,25 +417,6 @@ def _discrete_to_tuples(f: PresheafMap):
         index = {e: k for k, e in enumerate(dst)}
         out.append((len(src), len(dst), tuple(index[f.apply(o, e)] for e in src)))
     return tuple(out)
-
-
-def _graph_iso_class(f):
-    (nv, ge), (nw, he), vmap, emap = f
-
-    def relabel(pv, pe, qv, qe):
-        g_edges, h_edges = [None] * len(ge), [None] * len(he)
-        for k, (s, t) in enumerate(ge):
-            g_edges[pe[k]] = (pv[s], pv[t])
-        for k, (s, t) in enumerate(he):
-            h_edges[qe[k]] = (qv[s], qv[t])
-        vs, es = [0] * nv, [0] * len(ge)
-        for x, y in enumerate(vmap):
-            vs[pv[x]] = qv[y]
-        for k, y in enumerate(emap):
-            es[pe[k]] = qe[y]
-        return tuple(g_edges), tuple(h_edges), tuple(vs), tuple(es)
-
-    return (nv, nw, _brute_iso_class((nv, len(ge), nw, len(he)), relabel))
 
 
 AB_BASE = load_base("objects: a b")
@@ -457,7 +441,7 @@ def test_iso_key_classes_are_the_isomorphism_classes():
     graph_maps = _maps(GPH_BASE, {"v": 2, "e": 2})
     encoded = [gph_to_oracle(f) for f in graph_maps]
     assert sorted(encoded) == sorted(og.universe_maps(2, 2))
-    assert len({_graph_iso_class(f) for f in og.universe_maps(2, 2)}) == 168
+    assert len({graph_iso_class(f) for f in og.universe_maps(2, 2)}) == 168
     # FinSet at bound 4: the classes of m -> n are the partitions of m
     # into at most n parts; two discrete objects multiply their classes
     set_maps = _maps(FS_BASE, 4)
@@ -465,7 +449,7 @@ def test_iso_key_classes_are_the_isomorphism_classes():
     two_maps = _maps(AB_BASE, {"a": 2, "b": 2})
     assert (len(set_maps), len(two_maps)) == (499, 121)
     for maps, classes, count in (
-        (graph_maps, [_graph_iso_class(f) for f in encoded], 168),
+        (graph_maps, [graph_iso_class(f) for f in encoded], 168),
         (set_maps, [_discrete_iso_class(_discrete_to_tuples(f)) for f in set_maps], 38),
         (two_maps, [_discrete_iso_class(_discrete_to_tuples(f)) for f in two_maps], 64),
     ):

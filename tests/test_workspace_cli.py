@@ -341,6 +341,15 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
         ("carrier0.ws", b"[base]\nobjects: v\n[presheaf A]\nv:\nv:\n", 5),
         # so is a [base] section, and each name of a kind
         *_DUPLICATES_AND_DANGLING,
+        # a section keyword ends at whitespace, so a glued name is unknown
+        ("presheaf_glued.ws", b"[base]\nobjects: x\n[presheafA]\nx: a\n", 3),
+        ("genset_glued.ws", b"[base]\nobjects: x\n[gensetI]\nmaps:\n", 3),
+        (
+            "map_glued.ws",
+            b"[base]\nobjects: x\n[presheaf A]\nx: a\n"
+            b"[mapping : A -> A]\ncomponent x: a->a\n",
+            5,
+        ),
     ):
         ws = tmp_path / name
         ws.write_bytes(data)
