@@ -108,6 +108,18 @@ def _first_failure(candidates: Iterable[Outcome]) -> tuple[dict | None, int, int
     return None, walked, undecided
 
 
+def _first_of_each_class(items: Iterable, key: Callable) -> tuple[tuple[object, int], ...]:
+    """The first item of each class of `items` under `key`, in walk order,
+    each with the number of items in its class."""
+    first: dict = {}
+    sizes: Counter = Counter()
+    for item in items:
+        k = key(item)
+        first.setdefault(k, item)
+        sizes[k] += 1
+    return tuple((item, sizes[k]) for k, item in first.items())
+
+
 def _combine(check: str, parameters: dict, subchecks: list[VerdictReport]) -> VerdictReport:
     """The first failing subcheck's counterexample, else INCONCLUSIVE when
     any subcheck is, else YES."""
@@ -207,7 +219,10 @@ class BoundedUniverse:
     of `WeClass.from_generators(U)` and A5's J-fibration test share per
     `class_key`.  The appropriateness verdict of a comparison map is kept
     per `iso_class`, and the coproduct sweep numbers the classes of its
-    maps to decide each pair of classes once.
+    maps to decide each pair of classes once.  `cofibration_classes()`
+    groups `cofibrations_between_cofibrant()` by `iso_class`, so that
+    `is_pure` walks its squares against the first-seen cofibration of each
+    class alone.
 
     When every generator is a mono, so is every cofibration, and `is_cof`
     answers NO for a non-mono before it keys f or factors anything.  Proof: `in_cof` says YES only when it finds a lift l with
@@ -221,12 +236,12 @@ class BoundedUniverse:
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
     It caches per instance what the checks ask again (`hom`, `is_cof`,
-    `factors_through`, `cofibrations_between_cofibrant`, `all_undecided`);
-    each answers `cache_info()`.  The per-class memos keep keys and
-    verdicts, and the class keys of maps between universe objects are kept
-    under object indices and a component table, so no memo keeps a
-    transient presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`,
-    shared per class only inside `verify_axioms`.
+    `factors_through`, `cofibration_classes`, `all_undecided`); each
+    answers `cache_info()`.  The per-class memos keep keys and verdicts,
+    and the class keys of maps between universe objects are kept under
+    object indices and a component table, so no memo keeps a transient
+    presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`, shared per
+    class only inside `verify_axioms`.
     `all_undecided()` counts the INCONCLUSIVE `is_cof` verdicts over every
     `initial_map(X)`, then every map between cofibrant objects: the maps
     `cofibrant` and `cofibrations_between_cofibrant` ask, in their order.
@@ -277,8 +292,8 @@ class BoundedUniverse:
         self._cof_by_class: dict[tuple, Verdict] = {}
         self._triv_fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "is_cof", "factors_through",
-                     "cofibrations_between_cofibrant", "all_undecided", "_frame"):
+        for name in ("hom", "is_cof", "factors_through", "cofibration_classes",
+                     "all_undecided", "_frame"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -429,6 +444,12 @@ class BoundedUniverse:
         maps = self._maps_between_cofibrant()
         return tuple(f for f in maps if self.is_cof(f) is Verdict.YES)
 
+    def cofibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
+        """The first-seen cofibration of each `iso_class` among
+        `cofibrations_between_cofibrant()`, in their order, each with the
+        size of its class."""
+        return _first_of_each_class(self.cofibrations_between_cofibrant(), self.iso_class)
+
     def trivial_fibrations_between_cofibrant(self) -> Iterator[PresheafMap]:
         return filter(self.is_triv_fib, self._maps_between_cofibrant())
 
@@ -456,13 +477,24 @@ def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
     The extension requirement does not mention f, so a square only matters
     when the bottom exists; that is checked last, after the cheap
     factor-through test fails.
+
+    Squares are walked against the first-seen cofibration of each class of
+    `U.cofibration_classes()` alone.  An isomorphism of cofibrations i' ~ i
+    carries the squares against i' one-to-one onto those against i, tops
+    that extend onto tops that extend, so a class of n cofibrations adds
+    n * |hom(i.source, X)| to `squares_considered`.  A failing square
+    against a later member transports to one against its class's first
+    member, which the full walk reaches earlier, so the first failure
+    always lies at a first member and the counterexample is the full
+    walk's.
     """
     X = f.source
     params = {"map": f, **U.describe()}
+    classes = U.cofibration_classes()
 
     def squares() -> Iterator[Outcome]:
         yes = Verdict.YES  # looked up once: this loop runs once per square
-        for i in U.cofibrations_between_cofibrant():
+        for i, _ in classes:
             factorable = U.factors_through(i, X)
             for u in U.hom(i.source, X):
                 if u._comp in factorable:
@@ -475,9 +507,11 @@ def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
                 else:
                     yield {"cofibration": i, "top": u, "bottom": v}
 
-    failure, checked, _ = _first_failure(squares())
+    failure, _, _ = _first_failure(squares())
     if failure:
         return _report("pure", params, failure)
+    # isomorphic cofibrations have sources with hom-sets of equal size
+    checked = sum(n * len(U.hom(i.source, X)) for i, n in classes)
     undecided = U.all_undecided()
     return _report(
         "pure",
@@ -571,6 +605,14 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     invariant under isomorphism, so a comparison map whose iso class
     passed them is settled.
 
+    The object lifts run against the first-seen cofibrant object of each
+    isomorphism class (keyed by `U._representatives`) alone.  A lift
+    against the empty map into V is one against any V' isomorphic to V,
+    so a decided answer at the first member serves its class, the rule of
+    `per_class`, and the first failing object of the full walk is a first
+    member.  A FuelExhausted at a first member still ends the check
+    INCONCLUSIVE.
+
     `undecided_membership` sums three counts: the universe's undecided
     memberships (`U.all_undecided()`); the candidate cofibrations whose
     `is_cof` is INCONCLUSIVE, once per trivial fibration they are walked
@@ -586,7 +628,10 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     settled: dict[tuple, bool] = {}  # iso class -> whether purity was undecided
     source = None
     try:
-        cofibrant = U.cofibrant
+        classes = _first_of_each_class(
+            U.cofibrant, lambda V: U._representatives[U.index(V)]
+        )
+        cofibrant = [V for V, _ in classes]
         # trivial fibrations come grouped by source
         for t in U.trivial_fibrations_between_cofibrant():
             if t.source is not source:
@@ -658,6 +703,7 @@ def check_main_condition(U: BoundedUniverse) -> VerdictReport:
     domains = list(dict.fromkeys(i.source for i in I.maps))
 
     def pushed_out(J: GeneratingSet) -> Iterator[Outcome]:
+        yes = Verdict.YES  # looked up once: this loop runs once per pushout
         for jk, j in enumerate(J.maps):
             for u in U.maps_from(j.source):
                 pushed = pushout(j, u).right
@@ -665,7 +711,7 @@ def check_main_condition(U: BoundedUniverse) -> VerdictReport:
                 if bad is not None:
                     yield {"j-generator": jk, "along": u, "pushed": pushed, **bad}
                 else:
-                    yield Verdict.YES
+                    yield yes
 
     try:
         failure, checked, _ = _first_failure(pushed_out(build_jset(U.ctx)))
@@ -698,6 +744,7 @@ def _coproduct_outcomes(
     numbers: dict[tuple, int] = {}
     kinds = [numbers.setdefault(U.iso_class(t), len(numbers)) for t in maps]
     lifts: dict[tuple[int, int], bool] = {}
+    yes = Verdict.YES  # looked up once: this loop runs once per pair
     for t1, k1 in zip(maps, kinds):
         for t2, k2 in zip(maps, kinds):
             pair = (k1, k2) if k1 <= k2 else (k2, k1)
@@ -705,7 +752,7 @@ def _coproduct_outcomes(
             if ok is None:
                 ok = lifts[pair] = in_inj(_coproduct_map(t1, t2), U.generators)
             if ok:
-                yield Verdict.YES
+                yield yes
             else:
                 yield {"first": t1, "second": t2, "coproduct": _coproduct_map(t1, t2)}
 
@@ -720,6 +767,7 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     tfibs = list(U.trivial_fibrations_between_cofibrant())
 
     def comparisons() -> Iterator[Outcome]:
+        no = Verdict.NO  # looked up once: this loop runs once per comparison
         for k, i in enumerate(I.maps):
             for u in U.maps_from(i.source):
                 po1 = pushout(u, i)
@@ -729,7 +777,7 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
                     po2 = pushout(compose(u, g), i)
                     induced = po1.mediator(compose(g, po2.left), po2.right)
                     v = we(induced)
-                    if v is Verdict.NO:
+                    if v is no:
                         yield {
                             "generator": k,
                             "attach": u,
@@ -909,7 +957,7 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
         for f in U.all_maps():
             if U.is_triv_fib(f):
                 v = we(f)
-                yield {"map": f} if v is Verdict.NO else v
+                yield {"map": f} if v is no else v
 
     failure, count, skipped = _first_failure(trivial_fibrations())
     subchecks.append(
@@ -928,7 +976,7 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
             for u in U.maps_from(j.source):
                 pushed = pushout(j, u).right
                 v = _conj(we(pushed), U.is_cof(pushed))
-                if v is Verdict.NO:
+                if v is no:
                     yield {"j-generator": jk, "along": u, "pushed": pushed}
                 else:
                     yield v
@@ -956,9 +1004,9 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
             if not U.per_class(jfibrations, U.class_key(f), f, jfibration):
                 continue
             v = we(f)
-            if v is Verdict.YES:
-                yield Verdict.YES if U.is_triv_fib(f) else {"map": f}
-            elif v is Verdict.INCONCLUSIVE:
+            if v is yes:
+                yield yes if U.is_triv_fib(f) else {"map": f}
+            elif v is inconclusive:
                 yield v
 
     failure, walked, skipped = _first_failure(jinjective_weak_equivalences())

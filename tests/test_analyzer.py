@@ -23,12 +23,22 @@ from minmodel.analyzer import (
     is_weak_equivalence,
     verify_axioms,
 )
-from minmodel.colimits import initial_map
+from minmodel.colimits import initial_map, pushout
 from minmodel.errors import FunctorialityViolation, SizeLimitExceeded
 from minmodel.factorization import GeneratingSet, Verdict, in_cof, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
 from minmodel.lifting import has_rlp
-from minmodel.presheaf import Presheaf, PresheafMap, compose, is_mono, is_retract_of, load_base
+from minmodel.presheaf import (
+    Presheaf,
+    PresheafMap,
+    _compose_tables,
+    _first_map,
+    _pin,
+    compose,
+    is_mono,
+    is_retract_of,
+    load_base,
+)
 from minmodel.workspace import parse_workspace
 
 import oracle_finset as of
@@ -260,6 +270,73 @@ def test_purity_verdicts():
     assert u.source == i.source
 
 
+def test_cofibration_classes_partition_the_cofibrations_in_walk_order():
+    cases = (
+        (finset_universe(I1, bound=4), 89, 15),
+        (finset_universe(I2), 60, 18),
+        (gph_universe(), 275, 65),
+    )
+    for U, count, classes in cases:
+        cofibrations = U.cofibrations_between_cofibrant()
+        grouped = U.cofibration_classes()
+        assert grouped is U.cofibration_classes()
+        assert (len(cofibrations), len(grouped)) == (count, classes)
+        assert sum(n for _, n in grouped) == count
+        keys = [U.iso_class(i) for i, _ in grouped]
+        assert len(set(keys)) == classes
+        # each representative is the first member of its class in the walk
+        position = {id(i): k for k, i in enumerate(cofibrations)}
+        first = dict(zip(keys, (position[id(i)] for i, _ in grouped)))
+        sizes = dict(zip(keys, (n for _, n in grouped)))
+        members = {key: 0 for key in keys}
+        for k, i in enumerate(cofibrations):
+            key = U.iso_class(i)
+            assert first[key] <= k
+            members[key] += 1
+        assert members == sizes
+
+
+def _purity_by_full_walk(f: PresheafMap, U: BoundedUniverse, cofibrations):
+    """is_pure's verdict, counterexample and squares_considered from a walk
+    of the squares against every cofibration of `cofibrations`, the
+    cofibrations between cofibrant objects of U, copies of one class
+    included."""
+    X = f.source
+    squares = 0
+    for i in cofibrations:
+        factorable = U.factors_through(i, X)
+        for u in U.hom(i.source, X):
+            squares += 1
+            if u._comp in factorable:
+                continue
+            w = _compose_tables(u._comp, f._comp)
+            v = _first_map(i.target, f.target, _pin((i._comp, w)))
+            if v is not None:
+                return Verdict.NO, {"cofibration": i, "top": u, "bottom": v}, None
+    verdict = Verdict.INCONCLUSIVE if U.all_undecided() else Verdict.YES
+    return verdict, None, squares
+
+
+def test_purity_walks_one_cofibration_per_class_like_the_full_walk():
+    cases = (
+        (finset_universe(I1, bound=4), 1),
+        (finset_universe(I2), 1),
+        (gph_universe(), 3),  # a stride of the 929 graph maps
+    )
+    for U, stride in cases:
+        maps = list(U.all_maps())[::stride]
+        cofibrations = U.cofibrations_between_cofibrant()
+        failing = 0
+        for f in maps:
+            report = is_pure(f, U)
+            verdict, counterexample, squares = _purity_by_full_walk(f, U, cofibrations)
+            assert report.verdict is verdict
+            assert report.counterexample == counterexample
+            assert report.diagnostics.get("squares_considered") == squares
+            failing += verdict is Verdict.NO
+        assert 0 < failing < len(maps)
+
+
 def test_weak_equivalence_verdicts_and_fuel():
     ctx = HomotopyContext(I1)
     assert is_weak_equivalence(fsmap(2, 1, (0, 0)), ctx).verdict is Verdict.YES
@@ -350,6 +427,40 @@ def test_appropriateness_builds_one_pushout_per_automorphism_orbit(monkeypatch):
     assert report.diagnostics["pushouts_checked"] == 2265
     assert len(built) == 185
     assert len({po.right for po in built}) == 185
+
+
+def test_object_lifts_walk_one_cofibrant_object_per_class_like_the_full_walk(
+    monkeypatch,
+):
+    # check_appropriate lifts against the first-seen cofibrant object of
+    # each isomorphism class; on every comparison map of the graph sweep
+    # that walk gives the same first failure as a walk of every object
+    U = gph_universe()
+    walked = []
+    real = analyzer._object_square_failure
+    monkeypatch.setattr(
+        analyzer,
+        "_object_square_failure",
+        lambda g, objects, ctx: walked.append(objects) or real(g, objects, ctx),
+    )
+    assert check_appropriate(U).verdict is Verdict.NO
+    objects = walked[0]
+    assert all(w is objects for w in walked)
+    assert (len(U.cofibrant), len(objects)) == (25, 13)
+    classes = [U._representatives[U.index(V)] for V in U.cofibrant]
+    firsts = [V for k, V in enumerate(U.cofibrant) if classes.index(classes[k]) == k]
+    assert list(objects) == firsts
+    comparisons = {}
+    for t in U.trivial_fibrations_between_cofibrant():
+        for c in U.maps_from(t.source):
+            if U.is_cof(c) is Verdict.YES:
+                comparisons.setdefault(pushout(t, c).right, None)
+    failures = 0
+    for g in comparisons:
+        bad = real(g, objects, U.ctx)
+        assert bad == real(g, U.cofibrant, U.ctx)
+        failures += bad is not None
+    assert 0 < failures < len(comparisons)
 
 
 def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
