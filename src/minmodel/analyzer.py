@@ -41,7 +41,6 @@ from .presheaf import (
     identity_map,
     is_mono,
     is_retract_of,
-    iso_key,
 )
 
 
@@ -176,11 +175,26 @@ def candidate_presheaves(base: BaseCategory, bound: dict[str, int]) -> int | Non
     return total
 
 
+def _invariant(X: Presheaf) -> tuple:
+    """An isomorphism invariant of X: per base object b, the sorted tuples
+    that give, for each element of X(b), the size of its fibre under the
+    action of each non-identity m : b -> a.  The tuple count per object is
+    its carrier size."""
+    base = X.base
+    counts: list[list[Counter]] = [[] for _ in base.objects]
+    for m in base.nonidentity:
+        counts[base._dom[m]].append(Counter(X._act[m]))
+    return tuple(
+        tuple(sorted(tuple(c[y] for c in cs) for y in range(len(col))))
+        for col, cs in zip(X.carriers, counts)
+    )
+
+
 def _isos(X: Presheaf, Y: Presheaf) -> Iterator[Components]:
     """The component tables of the isomorphisms X -> Y, in enumeration
     order: the maps whose components are injective, when the carriers of X
     and Y have equal sizes."""
-    for comp in _enumerate_components(X, Y):
+    for comp in _enumerate_components(X, Y, injective=True):
         if all(len(set(col)) == len(col) for col in comp):
             yield comp
 
@@ -199,16 +213,24 @@ class BoundedUniverse:
     be decided within fuel are left out of the cofibrant family and
     counted.
 
-    `class_key(f)` is an exact key of f's isomorphism class of arrows for
-    the maps the sweeps walk: the fibre-size profile over a discrete base,
-    and over any other base the least table of f's orbit under the
-    automorphisms of its ends' representatives, at most
-    |Aut(R_A)| * |Aut(R_B)| table compositions (16 on graphs at v=2 e=2)
-    instead of a canonical-labelling search.  A map with an end outside
-    the universe has no class key over a base with arrows.  `iso_class(f)`
-    is `class_key(f)`, or `iso_key(f)` for a map with none, so labelling
-    runs only for `_representatives` and for such maps, and they share
-    a key only with maps like them.
+    A registry numbers the isomorphism classes of presheaves over the base
+    and keeps the first presheaf registered in each (`_register`): a
+    presheaf joins the first registered one with its `_invariant` that
+    `_isos` finds an isomorphism to, or else starts a class.  The universe
+    objects register first, in order (`_representatives`), so each of their
+    classes is represented by its first-seen object.  A presheaf that no
+    universe object is isomorphic to, such as one of A4's pushout apexes,
+    registers when a map ending at it is keyed, and stays registered as
+    long as the universe.
+
+    `iso_class(f)` is an exact key of f's isomorphism class of arrows, for
+    any map over the base: the fibre-size profile over a discrete base,
+    and over any other base the class numbers of f's ends with the least
+    table of f's orbit under the automorphisms of their registered
+    presheaves, at most |Aut(R_A)| * |Aut(R_B)| table compositions (16 on
+    graphs at v=2 e=2).  `class_key(f)` is that key for a map between
+    universe objects, and None for a map with an end outside the universe
+    over a base with arrows.
 
     Membership verdicts are invariant under isomorphism, so `per_class`
     keeps a decided verdict under the key of its map for every map of its
@@ -225,9 +247,10 @@ class BoundedUniverse:
     class alone.
 
     When every generator is a mono, so is every cofibration, and `is_cof`
-    answers NO for a non-mono before it keys f or factors anything.  Proof: `in_cof` says YES only when it finds a lift l with
-    l after f = j, where j is the cell map of the factorization, a
-    composite of pushouts of generators.  Colimits of presheaves are
+    answers NO for a non-mono before it keys f or factors anything.
+    Proof: `in_cof` says YES only when it finds a lift l with l after
+    f = j, where j is the cell map of the factorization, a composite of
+    pushouts of generators.  Colimits of presheaves are
     computed pointwise in Set, where a pushout of an injection is an
     injection, so j is a mono, and l after f = j makes f one too.  Without
     monic generators (FinSet's I2 holds the non-monic fold) every map goes
@@ -236,10 +259,11 @@ class BoundedUniverse:
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
     It caches per instance what the checks ask again (`hom`, `is_cof`,
-    `factors_through`, `cofibration_classes`, `all_undecided`); each
-    answers `cache_info()`.  The per-class memos keep keys and verdicts,
-    and the class keys of maps between universe objects are kept under
-    object indices and a component table, so no memo keeps a transient
+    `factors_through`, `cofibration_classes`, `all_undecided`,
+    `_automorphisms`); each answers `cache_info()`.  The per-class memos
+    keep keys and verdicts, class keys of maps between universe objects
+    are kept under object indices and a component table, and `_frame`
+    keeps tables for universe objects alone, so no memo keeps a transient
     presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`, shared per
     class only inside `verify_axioms`.
     `all_undecided()` counts the INCONCLUSIVE `is_cof` verdicts over every
@@ -286,6 +310,12 @@ class BoundedUniverse:
         self.ctx = HomotopyContext(generators, fuel)
         self.objects: tuple[Presheaf, ...] = tuple(self._enumerate())
         self._index = {X: k for k, X in enumerate(self.objects)}
+        # the first-seen presheaf of each isomorphism class, by class
+        # number, and the class numbers per `_invariant` (`_register`)
+        self._registered: list[Presheaf] = []
+        self._buckets: dict[tuple, list[int]] = {}
+        # object index -> `_frame` of that universe object
+        self._frames: dict[int, tuple] = {}
         # (source index, target index, table) -> class key
         self._class_keys: dict[tuple, tuple] = {}
         # decided verdicts per iso class (`per_class`); never INCONCLUSIVE
@@ -293,7 +323,7 @@ class BoundedUniverse:
         self._triv_fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
         for name in ("hom", "is_cof", "factors_through", "cofibration_classes",
-                     "all_undecided", "_frame"):
+                     "all_undecided", "_automorphisms"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -333,59 +363,91 @@ class BoundedUniverse:
 
     @functools.cached_property
     def _representatives(self) -> list[int]:
-        """Per object index x, r(x): the index of the first-seen object
-        isomorphic to objects[x]."""
-        first: dict[tuple, int] = {}
-        return [
-            first.setdefault(iso_key(identity_map(X)), x)
-            for x, X in enumerate(self.objects)
-        ]
+        """Per object index x, r(x): the class number of objects[x].  The
+        universe objects register first, in order, so the representative
+        of each of their classes is its first-seen object."""
+        return [self._register(X)[0] for X in self.objects]
 
-    def _frame(self, x: int) -> tuple[int, list[Components], list[Components]]:
-        """r(x) and, for X = objects[x], R = objects[r(x)] and the first iso
-        phi : X -> R in enumeration order, the component tables of
-        alpha;phi^-1 : R -> X and of phi;beta : X -> R over alpha, beta in
-        Aut(R).  Only tables are kept, and no hom-set is cached."""
-        r = self._representatives[x]
-        X, R = self.objects[x], self.objects[r]
-        phi = next(_isos(X, R))
-        inverse = tuple(
-            tuple(sorted(range(len(col)), key=col.__getitem__)) for col in phi
-        )
-        automorphisms = list(_isos(R, R))
-        return (
-            r,
-            [_compose_tables(a, inverse) for a in automorphisms],
-            [_compose_tables(phi, b) for b in automorphisms],
-        )
+    def _register(self, X: Presheaf) -> tuple[int, Components]:
+        """The number of X's isomorphism class and the first iso X -> R in
+        enumeration order, R being the class's registered presheaf.  X's
+        class is the first registered presheaf with X's `_invariant` that
+        X is isomorphic to; X registers as a new class when there is none."""
+        bucket = self._buckets.setdefault(_invariant(X), [])
+        for k in bucket:
+            phi = next(_isos(X, self._registered[k]), None)
+            if phi is not None:
+                return k, phi
+        bucket.append(len(self._registered))
+        self._registered.append(X)
+        return bucket[-1], identity_map(X)._comp
+
+    def _frame(self, X: Presheaf) -> tuple[int, list[Components], list[Components]]:
+        """X's class number k and, for R its registered presheaf and phi
+        the iso of `_register`, the component tables of alpha;phi^-1 : R -> X
+        and of phi;beta : X -> R over alpha, beta in Aut(R).  Only tables
+        are kept, and only for universe objects."""
+        x = self._index.get(X)
+        frame = self._frames.get(x)
+        if frame is None:
+            self._representatives  # the universe objects register first
+            k, phi = self._register(X)
+            inverse = tuple(
+                tuple(sorted(range(len(col)), key=col.__getitem__)) for col in phi
+            )
+            automorphisms = self._automorphisms(k)
+            frame = (
+                k,
+                [_compose_tables(a, inverse) for a in automorphisms],
+                [_compose_tables(phi, b) for b in automorphisms],
+            )
+            if x is not None:
+                self._frames[x] = frame
+        return frame
+
+    def _automorphisms(self, k: int) -> list[Components]:
+        """The component tables of Aut(R), R the registered presheaf of
+        class k."""
+        R = self._registered[k]
+        return list(_isos(R, R))
+
+    def _orbit_key(self, f: PresheafMap) -> tuple:
+        """(k_A, k_B, the least table of alpha;phi_A^-1;f;phi_B;beta over
+        alpha in Aut(R_A) and beta in Aut(R_B)) for f : A -> B, with k_X,
+        R_X and phi_X as in `_frame`."""
+        ka, lefts, _ = self._frame(f.source)
+        kb, _, rights = self._frame(f.target)
+        transported = [_compose_tables(left, f._comp) for left in lefts]
+        least = min(_compose_tables(t, right) for t in transported for right in rights)
+        return ka, kb, least
 
     def class_key(self, f: PresheafMap) -> tuple | None:
         """A key that two maps share exactly when they are isomorphic
         arrows, or None when f has none.
 
-        Over a discrete base it is `iso_key(f)`, a fibre-size profile.
+        Over a discrete base it is a fibre-size profile: the carrier sizes
+        of both ends and, per object, the sorted sizes of the non-empty
+        fibres of f's component.  That is exact: natural isomorphisms are
+        then any bijections per object, and two components with equal
+        source sizes, target sizes and fibre-size multisets are matched by
+        a bijection of the targets that sends fibres to fibres of the same
+        size, then by bijections between matched fibres.
+
         Otherwise, when both ends of f : A -> B are universe objects, it is
-        (r(A), r(B), the least table of alpha;phi_A^-1;f;phi_B;beta over
-        alpha in Aut(R_A) and beta in Aut(R_B)), with R_X, phi_X as in
-        `_frame`: f and f' are isomorphic exactly when their ends share
-        representatives and their transports to R_A -> R_B lie in one orbit
-        of Aut(R_A) x Aut(R_B), and the least table names the orbit.  Any
-        other map has no key.
+        `_orbit_key(f)`: f and f' are isomorphic exactly when their ends
+        lie in the same classes and their transports to R_A -> R_B lie in
+        one orbit of Aut(R_A) x Aut(R_B), and the least table names the
+        orbit.  Any other map has no class key.
         """
         if not self.base.nonidentity:
-            return iso_key(f)
+            sizes = tuple(len(c) for X in (f.source, f.target) for c in X.carriers)
+            return sizes, tuple(tuple(sorted(Counter(c).values())) for c in f._comp)
         a, b = self._index.get(f.source), self._index.get(f.target)
         if a is None or b is None:
             return None
         key = self._class_keys.get((a, b, f._comp))
         if key is None:
-            ra, lefts, _ = self._frame(a)
-            rb, _, rights = self._frame(b)
-            transported = [_compose_tables(left, f._comp) for left in lefts]
-            least = min(
-                _compose_tables(t, right) for t in transported for right in rights
-            )
-            key = self._class_keys[a, b, f._comp] = (ra, rb, least)
+            key = self._class_keys[a, b, f._comp] = self._orbit_key(f)
         return key
 
     def per_class(
@@ -409,11 +471,11 @@ class BoundedUniverse:
 
     def iso_class(self, f: PresheafMap) -> tuple:
         """An exact key of f's isomorphism class of arrows: `class_key(f)`,
-        or `iso_key(f)` for a map with none.  The two kinds never meet, so
-        a map with an end outside the universe shares its key only with
-        maps like it."""
+        or `_orbit_key(f)` for a map with none, whose ends then register
+        in the universe's classes.  So a map with an end outside the
+        universe shares its key with the universe maps isomorphic to it."""
         key = self.class_key(f)
-        return iso_key(f) if key is None else key
+        return self._orbit_key(f) if key is None else key
 
     def is_cof(self, f: PresheafMap) -> Verdict:
         if self.monic_generators and not is_mono(f):

@@ -6,8 +6,8 @@ decided by searching for a map out of that apex with the two end inclusions
 pinned.  Any homotopy through some other valid cylinder transports onto the
 canonical one along a lift (the canonical left part is a cell complex, the
 other cylinder's projection is injective), so deciding on the canonical apex
-loses nothing; `cross_check` re-decides on an alternate apex to watch that
-in practice.
+loses nothing; `homotopic_cross_check` re-decides on an alternate apex to
+watch that in practice.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ package is deterministic.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -611,6 +610,7 @@ def _enumerate_components(
     Y: Presheaf,
     seeds: Seeds | None = None,
     allowed: Allowed | None = None,
+    injective: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Enumerate component tables of natural maps X -> Y.
 
@@ -619,7 +619,9 @@ def _enumerate_components(
     lexicographic order.  Choosing a value propagates every naturality
     constraint it touches immediately; contradictions backtrack, so no
     post-filtering happens.  `seeds` pins slots up front, `allowed` restricts
-    per-slot value sets (both in index form).
+    per-slot value sets (both in index form).  `injective` skips a chosen
+    value that a slot of the same object already holds; a value forced
+    through naturality is not checked, so the caller still filters.
 
     The slots are numbered flat (`Presheaf._slots`).  Every slot set goes
     on one shared trail; a choice point keeps the trail's length as its mark
@@ -642,6 +644,8 @@ def _enumerate_components(
         ]
     assign = [-1] * n
     trail: list[int] = []
+    # per slot, the slots of its object, when `injective`
+    same = [slice(a, b) for a, b in spans for _ in range(a, b)] if injective else None
     if seeds:
         for (o, x), v in seeds.items():
             if not 0 <= v < len(Y.carriers[o]) or not _force(
@@ -666,11 +670,14 @@ def _enumerate_components(
             stack.pop()
             continue
         point[1] = k + 1
+        v = values[k]
+        if same is not None and v in assign[same[s]]:
+            continue
         if not edges[s]:
             # nothing to propagate, and `choices` already respects `doms`
-            assign[s] = values[k]
+            assign[s] = v
             trail.append(s)
-        elif not _force(assign, trail, edges, Yact, doms, s, values[k]):
+        elif not _force(assign, trail, edges, Yact, doms, s, v):
             continue
         s += 1
         while s < n and assign[s] != -1:
@@ -799,156 +806,3 @@ def is_retract_of(f: PresheafMap, g: PresheafMap) -> MorphismRetraction | None:
                         retraction_bottom=rb,
                     )
     return None
-
-
-def iso_key(f: PresheafMap) -> tuple:
-    """A canonical form of f: two maps get equal keys exactly when they are
-    isomorphic in the arrow category, that is, related by natural
-    isomorphisms of the sources and of the targets that commute with them.
-
-    The key is (base, carrier sizes of source and target, profile).  Over
-    a discrete base (no non-identity morphism) the profile is, per object,
-    the sorted sizes of the non-empty fibres of f's component; the target
-    size fixes how many fibres are empty.  That is exact: natural
-    isomorphisms are then any bijections per object, and two components
-    with equal source sizes, target sizes and fibre-size multisets are
-    matched by a bijection of the targets that sends fibres to fibres of
-    the same size, then by bijections between matched fibres.
-    Over any other base the profile is `_canonical_table(f, sizes)`.
-    """
-    base = f.source.base
-    sizes = tuple(len(c) for X in (f.source, f.target) for c in X.carriers)
-    if not base.nonidentity:
-        return base, sizes, tuple(tuple(sorted(Counter(c).values())) for c in f._comp)
-    return base, sizes, _canonical_table(f, sizes)
-
-
-def _canonical_table(f: PresheafMap, sizes: tuple[int, ...]) -> tuple:
-    """The least relabelled edge table of f over a canonical-labelling
-    search, `sizes` being the carrier sizes of f's source, then its target.
-
-    The elements of source and target are the vertices; actions and
-    components are labelled edges, one out of each element per label.
-    Colour refinement splits the elements by isomorphism-invariant
-    signatures.  A search then individualizes each element of the first
-    cell with more than one element and refines again, as in McKay's
-    canonical labelling (Practical Graph Isomorphism, 1981).  Each leaf
-    orders every element; the table is the least relabelled edge table
-    over the leaves.  Two leaves with equal tables differ by an
-    automorphism, and subtrees an automorphism maps onto each other are
-    walked once, so a symmetric map costs a few leaves, not every
-    permutation of a cell.
-    """
-    base = f.source.base
-    sides = (f.source, f.target)
-    nobj = len(base.objects)
-    # sort s * nobj + o holds the elements of sides[s] at object o
-    start = [sum(sizes[:k]) for k in range(len(sizes))]
-    outs: list[list[int]] = [[] for _ in range(sum(sizes))]
-    ins: list[list[list[int]]] = [[] for _ in outs]
-
-    def label(src: int, dst: int, table: Sequence[int]) -> None:
-        for y in range(sizes[dst]):
-            ins[start[dst] + y].append([])
-        for x, y in enumerate(table):
-            outs[start[src] + x].append(start[dst] + y)
-            ins[start[dst] + y][-1].append(start[src] + x)
-
-    for m in base.nonidentity:
-        for s, X in enumerate(sides):
-            label(s * nobj + base._cod[m], s * nobj + base._dom[m], X._act[m])
-    for o, table in enumerate(f._comp):
-        label(o, nobj + o, table)
-
-    def refine(colours: list[int]) -> list[int]:
-        """Split colours by the colours along and against each label until
-        nothing splits; new colours are ranks of sorted signatures, which
-        keeps them canonical and each cell's parts in the cell's place."""
-        count = len(set(colours))
-        while True:
-            sigs = [
-                (
-                    c,
-                    tuple([colours[y] for y in out]),
-                    tuple([tuple(sorted([colours[x] for x in xs])) for xs in inn]),
-                )
-                for c, out, inn in zip(colours, outs, ins)
-            ]
-            rank = {sig: k for k, sig in enumerate(sorted(set(sigs)))}
-            colours = [rank[sig] for sig in sigs]
-            if len(rank) == count:
-                return colours
-            count = len(rank)
-
-    first = best = None  # (table, order) of the first and the least leaf
-    first_path: list[int] = []
-    path: list[int] = []  # the elements individualized so far
-    automorphisms: list[list[int]] = []
-
-    def leaf(colours: list[int]) -> int | None:
-        nonlocal first, best
-        order = sorted(range(len(colours)), key=colours.__getitem__)
-        table = tuple(tuple(colours[y] for y in outs[x]) for x in order)
-        if first is None:
-            first = best = (table, order)
-            first_path[:] = path
-            return None
-        for seen in (first, best):
-            if table == seen[0]:
-                gamma = [0] * len(order)
-                for x, y in zip(seen[1], order):
-                    gamma[x] = y
-                automorphisms.append(gamma)
-                if seen is first:
-                    # gamma fixes the paths' common prefix and maps the
-                    # first path's subtree below it onto this one
-                    return next(
-                        k for k, (x, y) in enumerate(zip(first_path, path)) if x != y
-                    )
-                return None
-        if table < best[0]:
-            best = (table, order)
-        return None
-
-    def visit(colours: list[int]) -> int | None:
-        """Search below one node.  Returns the depth to unwind to when a
-        leaf below matched the first leaf: the subtree the path enters at
-        that depth then repeats the first path's."""
-        colours = refine(colours)
-        ordered = sorted(colours)
-        cell = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
-        if cell is None:
-            return leaf(colours)
-        depth = len(path)
-        tried: list[int] = []
-        for x, c in enumerate(colours):
-            if c != cell or tried and _in_orbit(x, tried, path, automorphisms):
-                continue
-            path.append(x)
-            # x takes the lower half of its cell's colour, the rest the upper
-            split = [2 * d + (d == cell and y != x) for y, d in enumerate(colours)]
-            jump = visit(split)
-            path.pop()
-            tried.append(x)
-            if jump is not None and jump < depth:
-                return jump
-        return None
-
-    visit([k for k, n in enumerate(sizes) for _ in range(n)])
-    return best[0]
-
-
-def _in_orbit(
-    x: int, tried: list[int], fixed: list[int], automorphisms: list[list[int]]
-) -> bool:
-    """Whether x is in the orbit of `tried` under the automorphisms that
-    fix every element of `fixed`."""
-    group = [g for g in automorphisms if all(g[p] == p for p in fixed)]
-    orbit, frontier = set(tried), list(tried)
-    while frontier:
-        y = frontier.pop()
-        for g in group:
-            if g[y] not in orbit:
-                orbit.add(g[y])
-                frontier.append(g[y])
-    return x in orbit

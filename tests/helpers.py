@@ -155,3 +155,35 @@ def graph_iso_class(f):
         return tuple(g_edges), tuple(h_edges), tuple(vs), tuple(es)
 
     return (nv, nw, brute_iso_class((nv, len(ge), nw, len(he)), relabel))
+
+
+def map_iso_class(f: PresheafMap):
+    """Brute-force class of an engine map over any base: the least
+    relabelling of both ends' actions and of f's components over every
+    permutation of each carrier of its source and target."""
+    X, Y = f.source, f.target
+    base = X.base
+    n = len(base.objects)
+    sizes = tuple(len(c) for c in X.carriers + Y.carriers)
+
+    def relabel(*perms):
+        def actions(Z, p):
+            out = []
+            for m in base.nonidentity:
+                a, b = base._dom[m], base._cod[m]
+                row = [0] * len(Z.carriers[b])
+                for x, y in enumerate(Z._act[m]):
+                    row[p[b][x]] = p[a][y]
+                out.append(tuple(row))
+            return tuple(out)
+
+        p, q = perms[:n], perms[n:]
+        comp = []
+        for o, col in enumerate(f._comp):
+            row = [0] * len(col)
+            for x, y in enumerate(col):
+                row[p[o][x]] = q[o][y]
+            comp.append(tuple(row))
+        return actions(X, p), actions(Y, q), tuple(comp)
+
+    return sizes, brute_iso_class(sizes, relabel)

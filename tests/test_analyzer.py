@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from minmodel import analyzer, lifting, presheaf
+from minmodel import analyzer, lifting
 from minmodel.analyzer import (
     BoundedUniverse,
     WeClass,
@@ -35,6 +35,7 @@ from minmodel.presheaf import (
     _first_map,
     _pin,
     compose,
+    identity_map,
     is_mono,
     is_retract_of,
     load_base,
@@ -54,6 +55,8 @@ from helpers import (
     i1_set,
     i2_set,
     ig_set,
+    is_bijective,
+    map_iso_class,
 )
 
 I1 = i1_set()
@@ -138,15 +141,16 @@ def _renamed(f: PresheafMap, rng: random.Random) -> PresheafMap:
 
 
 def test_iso_class_is_exact_on_each_kind_of_map():
-    # universe maps are keyed by orbit; relabelled copies and sums, whose
-    # targets are no universe objects, by iso_key.  Within each kind two
-    # maps share a key exactly when a brute-force search over every
-    # carrier permutation finds them isomorphic, and no key of one kind is
-    # a key of the other.
+    # universe maps, renamed copies and sums, whose targets are no universe
+    # objects, are all keyed by their orbit over the universe's registered
+    # classes.  Two maps of any kinds share a key exactly when a brute-force
+    # search over every carrier permutation finds them isomorphic, so a
+    # copy gets its original's key.
     U = gph_universe()
     rng = random.Random(7)
     maps = list(U.all_maps())
-    copies = [_renamed(f, rng) for f in maps[::4] if f.target.total_size()]
+    originals = [f for f in maps[::4] if f.target.total_size()]
+    copies = [_renamed(f, rng) for f in originals]
     small = [f for f in maps if 0 < f.target.total_size() <= 2]
     sums = [_coproduct_map(t1, t2) for k, t1 in enumerate(small) for t2 in small[k:]]
     assert all(U.class_key(f) is None for f in copies + sums)
@@ -154,11 +158,47 @@ def test_iso_class_is_exact_on_each_kind_of_map():
         [(U.iso_class(f), graph_iso_class(gph_to_oracle(f))) for f in kind]
         for kind in (maps, copies, sums)
     )
-    kinds = ((universe, 168), (copied, 116), (summed, 205), (copied + summed, 294))
+    kinds = (
+        (universe, 168),
+        (copied, 116),
+        (summed, 205),
+        (copied + summed, 294),
+        (universe + copied + summed, 334),
+    )
     for pairs, count in kinds:
         keys, classes = zip(*pairs)
         assert len(set(keys)) == len(set(classes)) == len(set(pairs)) == count
-    assert not {k for k, _ in universe} & {k for k, _ in copied + summed}
+    assert [k for k, _ in copied] == [U.iso_class(f) for f in originals]
+
+
+def test_representatives_match_brute_force_one_bound_up():
+    # no golden reaches these bounds: the registry partitions the objects
+    # as the brute-force classes of their identities do, each class is
+    # represented by its first-seen object even when a later object is
+    # keyed first, and every table of a frame is a natural bijection
+    for bound, count, classes in (
+        ({"v": 3, "e": 2}, 116, 26),
+        ({"v": 2, "e": 3}, 90, 24),
+    ):
+        U = BoundedUniverse(IG.base_of(), bound, GeneratingSet("none", ()))
+        U._frame(U.objects[-1])
+        r = U._representatives
+        brute = [graph_iso_class(gph_to_oracle(identity_map(X))) for X in U.objects]
+        assert (len(U.objects), len(set(r))) == (count, classes)
+        assert len(set(zip(r, brute))) == len(set(brute)) == classes
+        for x, X in enumerate(U.objects):
+            k, lefts, rights = U._frame(X)
+            R = U._registered[k]
+            assert k == r[x] and R is U.objects[r.index(k)]
+            assert len(lefts) == len(rights) == len(U._automorphisms(k))
+            for table in lefts:
+                back = PresheafMap._make(R, X, table)
+                back._check_naturality()
+                assert is_bijective(back)
+            for table in rights:
+                there = PresheafMap._make(X, R, table)
+                there._check_naturality()
+                assert is_bijective(there)
 
 
 def test_an_inconclusive_cofibration_verdict_stays_with_its_map(monkeypatch):
@@ -216,7 +256,7 @@ def test_shared_cofibration_verdicts_agree_with_per_map_runs():
 
 def test_monic_generators_decide_non_monos_without_a_factorization(monkeypatch):
     # IG and I1 are monos, so their cofibrations are monos: a non-mono is a
-    # NO even at fuel 0, with no iso_key and no factorization
+    # NO even at fuel 0, with no class key and no factorization
     cases = (
         (IG.base_of(), {"v": 2, "e": 2}, IG, 654),
         (FS_BASE, 4, I1, 410),
@@ -230,7 +270,7 @@ def test_monic_generators_decide_non_monos_without_a_factorization(monkeypatch):
         U = BoundedUniverse(base, bound, gens, 0)
         calls = []
         monkeypatch.setattr(analyzer, "in_cof", lambda *a: calls.append(a))
-        monkeypatch.setattr(analyzer, "iso_key", lambda *a: calls.append(a))
+        monkeypatch.setattr(U, "iso_class", lambda *a: calls.append(a))
         assert [U.is_cof(f) for f in non_monos] == [Verdict.NO] * count
         assert calls == []
         assert U.monic_generators
@@ -465,31 +505,29 @@ def test_object_lifts_walk_one_cofibrant_object_per_class_like_the_full_walk(
 
 def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
     # over FinSet a map's class key is its fibre-size profile, so the maps
-    # check_appropriate keys at bound 4 start no canonical-labelling
-    # search.  Over graphs a universe map's key is its orbit, so labelling
-    # searches only find each object's representative (25 searches) and
-    # key each comparison map, whose end at a pushout apex gives it no
-    # class key.  The properness sweeps key universe maps only.
-    keyed, searches = [], []
-    real_key, real_search = analyzer.iso_key, presheaf._canonical_table
-    monkeypatch.setattr(analyzer, "iso_key", lambda f: keyed.append(f) or real_key(f))
+    # check_appropriate keys at bound 4 start no isomorphism search: its
+    # only `_isos` calls list the automorphisms of the trivial fibrations'
+    # sources.  Over graphs every key is an orbit over the registered
+    # classes.  Every comparison apex is isomorphic to a universe object,
+    # so the registry holds the 13 first-seen objects alone, and the
+    # searches are its lookups, one automorphism list per class and those
+    # of the sources.  The properness sweeps key universe maps only.
+    searches = []
+    real = analyzer._isos
     monkeypatch.setattr(
-        presheaf,
-        "_canonical_table",
-        lambda f, sizes: searches.append(f) or real_search(f, sizes),
+        analyzer, "_isos", lambda X, Y: searches.append((X, Y)) or real(X, Y)
     )
     U = finset_universe(I1, bound=4)
     assert check_appropriate(U).verdict is Verdict.YES
-    assert keyed and not searches
-    U = gph_universe()
-    assert check_appropriate(U).verdict is Verdict.NO
-    keyless = [f for f in searches if U.class_key(f) is None]
-    assert len(searches) == len(U.objects) + len(keyless)
-    assert (len(searches), len(keyless)) == (126, 101)
-    searches.clear()
-    U = gph_universe()
-    assert check_properness_condition(U).verdict is Verdict.NO
-    assert len(searches) == len(U.objects) == 25
+    assert len(searches) == 5 and all(X is Y for X, Y in searches)
+    assert not U._frames
+    for check, count in ((check_appropriate, 166), (check_properness_condition, 54)):
+        searches.clear()
+        U = gph_universe()
+        assert check(U).verdict is Verdict.NO
+        assert (len(searches), len(U._registered)) == (count, 13)
+        assert all(U.index(R) is not None for R in U._registered)
+        assert U._automorphisms.cache_info().misses == 13
 
 
 def test_main_condition_verdicts():
@@ -524,8 +562,9 @@ def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
 def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
     # the sweep decides each pair of classes once on its own; a sum cached
     # on the universe would keep its coproducts and their extension tables
-    # alive as long as the universe.  The universe's per-class memos keep
-    # class keys, which hold no presheaf or map.
+    # alive as long as the universe.  The universe's per-class memos and
+    # its frames keep class keys and object indices, which hold no
+    # presheaf or map, and no presheaf outside the universe registers.
     def leaves(key):
         if isinstance(key, tuple):
             for part in key:
@@ -541,9 +580,11 @@ def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
         assert asked and U._triv_fib_by_class
         for f in asked:
             assert U.index(f.source) is not None and U.index(f.target) is not None
-        memos = (U._triv_fib_by_class, U._class_keys, U._cof_by_class)
+        memos = (U._triv_fib_by_class, U._class_keys, U._cof_by_class, U._frames)
         kept = [x for memo in memos for key in memo for x in leaves(key)]
         assert not any(isinstance(x, (Presheaf, PresheafMap)) for x in kept)
+        # the registry of isomorphism classes holds universe objects alone
+        assert all(U.index(R) is not None for R in U._registered)
 
 
 def test_properness_condition_verdicts():
@@ -931,10 +972,10 @@ def test_class_keys_share_verdicts_exactly_within_isomorphism_classes():
     for U, count, classes in cases:
         maps = list(U.all_maps())
         assert len(maps) == count
-        keys = [presheaf.iso_key(f) for f in maps]
+        keys = [map_iso_class(f) for f in maps]
         shared = [U.class_key(f) for f in maps]
         assert None not in shared
-        # the two keys induce one partition
+        # the class keys induce the brute-force partition
         assert len(set(keys)) == len(set(zip(keys, shared))) == classes
         assert len(set(shared)) == classes
         # a universe map's iso class is its class key

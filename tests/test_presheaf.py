@@ -27,7 +27,6 @@ from minmodel.presheaf import (
     identity_map,
     is_mono,
     is_retract_of,
-    iso_key,
     load_base,
 )
 
@@ -374,8 +373,11 @@ def test_renaming_preserves_hom_counts_and_mono(names):
     assert find_retraction(f) is not None
 
 
-def _maps(base, bound):
-    return list(BoundedUniverse(base, bound, GeneratingSet("none", ())).all_maps())
+def _keyed(base, bound):
+    """A universe with no generators over `base`, whose `iso_class` keys
+    maps inside and outside it, and its maps."""
+    U = BoundedUniverse(base, bound, GeneratingSet("none", ()))
+    return U, list(U.all_maps())
 
 
 def _relabelled(f: PresheafMap, rng: random.Random) -> PresheafMap:
@@ -422,38 +424,40 @@ def _discrete_to_tuples(f: PresheafMap):
 AB_BASE = load_base("objects: a b")
 
 
-def test_iso_key_is_invariant_under_relabelling():
+def test_iso_class_is_invariant_under_relabelling():
     rng = random.Random(3)
-    for f in (
-        _maps(GPH_BASE, {"v": 2, "e": 2})
-        + _maps(FS_BASE, 4)
-        + _maps(AB_BASE, {"a": 2, "b": 2})
+    for base, bound in (
+        (GPH_BASE, {"v": 2, "e": 2}),
+        (FS_BASE, 4),
+        (AB_BASE, {"a": 2, "b": 2}),
     ):
-        key = iso_key(f)
-        for _ in range(3):
-            g = _relabelled(f, rng)
-            assert iso_key(g) == key, f
+        U, maps = _keyed(base, bound)
+        for f in maps:
+            key = U.iso_class(f)
+            for _ in range(3):
+                g = _relabelled(f, rng)
+                assert U.iso_class(g) == key, f
 
 
-def test_iso_key_classes_are_the_isomorphism_classes():
+def test_iso_classes_are_the_isomorphism_classes():
     # equal keys exactly when a brute-force search over every carrier
     # permutation finds the tuple encodings isomorphic
-    graph_maps = _maps(GPH_BASE, {"v": 2, "e": 2})
+    U, graph_maps = _keyed(GPH_BASE, {"v": 2, "e": 2})
     encoded = [gph_to_oracle(f) for f in graph_maps]
     assert sorted(encoded) == sorted(og.universe_maps(2, 2))
     assert len({graph_iso_class(f) for f in og.universe_maps(2, 2)}) == 168
     # FinSet at bound 4: the classes of m -> n are the partitions of m
     # into at most n parts; two discrete objects multiply their classes
-    set_maps = _maps(FS_BASE, 4)
+    V, set_maps = _keyed(FS_BASE, 4)
     assert sorted(map(fs_to_oracle, set_maps)) == sorted(of.all_maps(4))
-    two_maps = _maps(AB_BASE, {"a": 2, "b": 2})
+    W, two_maps = _keyed(AB_BASE, {"a": 2, "b": 2})
     assert (len(set_maps), len(two_maps)) == (499, 121)
-    for maps, classes, count in (
-        (graph_maps, [graph_iso_class(f) for f in encoded], 168),
-        (set_maps, [_discrete_iso_class(_discrete_to_tuples(f)) for f in set_maps], 38),
-        (two_maps, [_discrete_iso_class(_discrete_to_tuples(f)) for f in two_maps], 64),
+    for universe, maps, classes, count in (
+        (U, graph_maps, [graph_iso_class(f) for f in encoded], 168),
+        (V, set_maps, [_discrete_iso_class(_discrete_to_tuples(f)) for f in set_maps], 38),
+        (W, two_maps, [_discrete_iso_class(_discrete_to_tuples(f)) for f in two_maps], 64),
     ):
-        keys = [iso_key(f) for f in maps]
+        keys = [universe.iso_class(f) for f in maps]
         assert len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes)))
         assert len(set(keys)) == count
 
@@ -467,19 +471,21 @@ def _cycles(*lengths):
     return gph(start, edges)
 
 
-def test_iso_key_beyond_colour_refinement():
+def test_iso_class_beyond_colour_refinement():
     # every vertex of a union of directed cycles has one edge in and one
-    # out, so colour refinement alone cannot tell 6 from 3 + 3, nor order
-    # the vertices; the individualizing search has to
+    # out, so the element signatures of `_invariant` cannot tell 6 from
+    # 3 + 3, nor order the vertices; the isomorphism search has to.  No
+    # cycle is a universe object, so each shape registers on first sight.
+    U, _ = _keyed(GPH_BASE, {"v": 1, "e": 1})
     shapes = [(6,), (3, 3), (2, 4), (2, 2, 2), (4, 2)]
     maps = [identity_map(_cycles(*shape)) for shape in shapes]
     maps += [next(hom_enumerate(_cycles(*shape), _cycles(1))) for shape in shapes]
     maps += list(hom_enumerate(_cycles(2, 4), _cycles(2, 2)))
     rng = random.Random(5)
-    keys = [iso_key(f) for f in maps]
+    keys = [U.iso_class(f) for f in maps]
     for f, key in zip(maps, keys):
         for _ in range(10):
-            assert iso_key(_relabelled(f, rng)) == key
+            assert U.iso_class(_relabelled(f, rng)) == key
     # 2 + 4 and 4 + 2 are one shape; the others are told apart
     assert keys[2] == keys[4] and keys[7] == keys[9]
     assert len(set(keys[:10])) == 8
