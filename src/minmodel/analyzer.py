@@ -217,7 +217,7 @@ class BoundedUniverse:
     and keeps the first presheaf registered in each (`_register`): a
     presheaf joins the first registered one with its `_invariant` that
     `_isos` finds an isomorphism to, or else starts a class.  The universe
-    objects register first, in order (`_representatives`), so each of their
+    objects register first, in order (`_frames`), so each of their
     classes is represented by its first-seen object.  A presheaf that no
     universe object is isomorphic to, such as one of A4's pushout apexes,
     registers when a map ending at it is keyed, and stays registered as
@@ -262,7 +262,7 @@ class BoundedUniverse:
     `factors_through`, `cofibration_classes`, `all_undecided`,
     `_automorphisms`); each answers `cache_info()`.  The per-class memos
     keep keys and verdicts, class keys of maps between universe objects
-    are kept under object indices and a component table, and `_frame`
+    are kept under object indices and a component table, and `_frames`
     keeps tables for universe objects alone, so no memo keeps a transient
     presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`, shared per
     class only inside `verify_axioms`.
@@ -314,8 +314,6 @@ class BoundedUniverse:
         # number, and the class numbers per `_invariant` (`_register`)
         self._registered: list[Presheaf] = []
         self._buckets: dict[tuple, list[int]] = {}
-        # object index -> `_frame` of that universe object
-        self._frames: dict[int, tuple] = {}
         # (source index, target index, table) -> class key
         self._class_keys: dict[tuple, tuple] = {}
         # decided verdicts per iso class (`per_class`); never INCONCLUSIVE
@@ -362,11 +360,16 @@ class BoundedUniverse:
             yield from self.maps_from(X)
 
     @functools.cached_property
+    def _frames(self) -> list[tuple[int, list[Components], list[Components]]]:
+        """`_frame` of each universe object, by index.  The universe objects
+        register first, in order, so the representative of each of their
+        classes is its first-seen object."""
+        return [self._new_frame(*self._register(X)) for X in self.objects]
+
+    @functools.cached_property
     def _representatives(self) -> list[int]:
-        """Per object index x, r(x): the class number of objects[x].  The
-        universe objects register first, in order, so the representative
-        of each of their classes is its first-seen object."""
-        return [self._register(X)[0] for X in self.objects]
+        """Per object index x, r(x): the class number of objects[x]."""
+        return [k for k, _, _ in self._frames]
 
     def _register(self, X: Presheaf) -> tuple[int, Components]:
         """The number of X's isomorphism class and the first iso X -> R in
@@ -385,25 +388,20 @@ class BoundedUniverse:
     def _frame(self, X: Presheaf) -> tuple[int, list[Components], list[Components]]:
         """X's class number k and, for R its registered presheaf and phi
         the iso of `_register`, the component tables of alpha;phi^-1 : R -> X
-        and of phi;beta : X -> R over alpha, beta in Aut(R).  Only tables
-        are kept, and only for universe objects."""
+        and of phi;beta : X -> R over alpha, beta in Aut(R).  Kept for
+        universe objects alone (`_frames`), which register first."""
+        frames = self._frames
         x = self._index.get(X)
-        frame = self._frames.get(x)
-        if frame is None:
-            self._representatives  # the universe objects register first
-            k, phi = self._register(X)
-            inverse = tuple(
-                tuple(sorted(range(len(col)), key=col.__getitem__)) for col in phi
-            )
-            automorphisms = self._automorphisms(k)
-            frame = (
-                k,
-                [_compose_tables(a, inverse) for a in automorphisms],
-                [_compose_tables(phi, b) for b in automorphisms],
-            )
-            if x is not None:
-                self._frames[x] = frame
-        return frame
+        return self._new_frame(*self._register(X)) if x is None else frames[x]
+
+    def _new_frame(self, k: int, phi: Components) -> tuple:
+        """The frame of a presheaf whose `_register` answer is (k, phi)."""
+        inverse = tuple(
+            tuple(sorted(range(len(col)), key=col.__getitem__)) for col in phi
+        )
+        automorphisms = self._automorphisms(k)
+        lefts = [_compose_tables(a, inverse) for a in automorphisms]
+        return k, lefts, [_compose_tables(phi, b) for b in automorphisms]
 
     def _automorphisms(self, k: int) -> list[Components]:
         """The component tables of Aut(R), R the registered presheaf of

@@ -73,9 +73,22 @@ def cylinder(
     )
 
 
-def _require_parallel(f0: PresheafMap, f1: PresheafMap) -> None:
+def _relative_part(
+    f0: PresheafMap, f1: PresheafMap, rel: PresheafMap | None, kind: str = "homotopy"
+) -> PresheafMap:
+    """rel, or the map from the empty presheaf for None, once f0 and f1 are
+    parallel, rel lands in their source and they agree on it."""
     if f0.source != f1.source or f0.target != f1.target:
         raise NonComposable("homotopy needs parallel maps")
+    if rel is None:
+        rel = initial_map(f0.source)
+    if rel.target != f0.source:
+        raise NonComposable("relative part must land in the source of the maps")
+    if _compose_tables(rel._comp, f0._comp) != _compose_tables(rel._comp, f1._comp):
+        raise IncompatibleOnRelativePart(
+            f"maps disagree on the relative part, no {kind} is posable"
+        )
+    return rel
 
 
 def homotopic(
@@ -91,15 +104,7 @@ def homotopic(
     `rel` is the map the ends must agree on; None means the map from the
     empty presheaf, i.e. the absolute relation.
     """
-    _require_parallel(f0, f1)
-    if rel is None:
-        rel = initial_map(f0.source)
-    if rel.target != f0.source:
-        raise NonComposable("relative part must land in the source of the maps")
-    if compose(rel, f0) != compose(rel, f1):
-        raise IncompatibleOnRelativePart(
-            "maps disagree on the relative part, no homotopy is posable"
-        )
+    rel = _relative_part(f0, f1, rel)
     if cyl is None:
         cyl = cylinder(rel, I, fuel)
     seeds = _pin((cyl.incl0._comp, f0._comp), (cyl.incl1._comp, f1._comp))
@@ -116,9 +121,9 @@ def homotopic_cross_check(
 ) -> tuple[HomotopyWitness | None, bool]:
     """Decide on the canonical cylinder, re-decide on the reversed-order
     cylinder, and report whether the verdicts agree."""
+    rel = _relative_part(f0, f1, rel)
     canonical = homotopic(f0, f1, rel, I, fuel)
-    rel_map = rel if rel is not None else initial_map(f0.source)
-    alternate_cyl = cylinder(rel_map, I, fuel, order="reversed")
+    alternate_cyl = cylinder(rel, I, fuel, order="reversed")
     alternate = homotopic(f0, f1, rel, I, fuel, cyl=alternate_cyl)
     return canonical, (canonical is None) == (alternate is None)
 
@@ -141,7 +146,7 @@ class HomotopyContext:
     the collapse is a homotopy, since the collapse after either end
     inclusion is the identity.  Any other pair is one search over the
     apex with both end tables pinned, kept per (rel, target) by table pair.
-    `homotopic` answers it for maps, uncached, with a map witness.
+    `homotopic` asks it about maps and wraps the table as a map witness.
     """
 
     def __init__(self, I: GeneratingSet, fuel: int | None = None):
@@ -156,9 +161,12 @@ class HomotopyContext:
     def homotopic(
         self, f0: PresheafMap, f1: PresheafMap, rel: PresheafMap | None = None
     ) -> HomotopyWitness | None:
-        if rel is None:
-            rel = initial_map(f0.source)
-        return homotopic(f0, f1, rel, self.generators, self.fuel, self.cylinder(rel))
+        rel = _relative_part(f0, f1, rel)
+        h = self.oracle(rel)(f0.target, f0._comp, f1._comp)
+        if h is None:
+            return None
+        cyl = self.cylinder(rel)
+        return HomotopyWitness(cyl, PresheafMap._make(cyl.apex, f0.target, h))
 
     def unliftable_square(
         self, left: PresheafMap, right: PresheafMap
@@ -275,16 +283,8 @@ def right_homotopic(
 ) -> RightHomotopyWitness | None:
     """First right homotopy from f0 to f1 through the canonical path object,
     constant on `rel` (None for the absolute form)."""
-    _require_parallel(f0, f1)
+    rel = _relative_part(f0, f1, rel, "right homotopy")
     Y, Z = f0.source, f0.target
-    if rel is None:
-        rel = initial_map(Y)
-    if rel.target != Y:
-        raise NonComposable("relative part must land in the source of the maps")
-    if compose(rel, f0) != compose(rel, f1):
-        raise IncompatibleOnRelativePart(
-            "maps disagree on the relative part, no right homotopy is posable"
-        )
     if path is None:
         path = path_object(Z, J, fuel)
     # per-slot values must project to f0 and f1

@@ -506,12 +506,14 @@ def test_object_lifts_walk_one_cofibrant_object_per_class_like_the_full_walk(
 def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
     # over FinSet a map's class key is its fibre-size profile, so the maps
     # check_appropriate keys at bound 4 start no isomorphism search: its
-    # only `_isos` calls list the automorphisms of the trivial fibrations'
-    # sources.  Over graphs every key is an orbit over the registered
-    # classes.  Every comparison apex is isomorphic to a universe object,
-    # so the registry holds the 13 first-seen objects alone, and the
-    # searches are its lookups, one automorphism list per class and those
-    # of the sources.  The properness sweeps key universe maps only.
+    # only `_isos` calls list automorphisms, one list per class for the
+    # frames its object classes are read from and those of the trivial
+    # fibrations' sources.  Over graphs every key is an orbit over the
+    # registered classes.  Every comparison apex is isomorphic to a
+    # universe object, so the registry holds the 13 first-seen objects
+    # alone, and the searches are its lookups, made once per universe
+    # object, one automorphism list per class and those of the sources.
+    # The properness sweeps key universe maps only.
     searches = []
     real = analyzer._isos
     monkeypatch.setattr(
@@ -519,9 +521,9 @@ def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
     )
     U = finset_universe(I1, bound=4)
     assert check_appropriate(U).verdict is Verdict.YES
-    assert len(searches) == 5 and all(X is Y for X, Y in searches)
-    assert not U._frames
-    for check, count in ((check_appropriate, 166), (check_properness_condition, 54)):
+    assert len(searches) == 10 and all(X is Y for X, Y in searches)
+    assert U._automorphisms.cache_info().misses == len(U.objects) == 5
+    for check, count in ((check_appropriate, 139), (check_properness_condition, 27)):
         searches.clear()
         U = gph_universe()
         assert check(U).verdict is Verdict.NO

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from minmodel import homotopy
 from minmodel.analyzer import BoundedUniverse, build_jset
 from minmodel.colimits import initial_map
 from minmodel.errors import (
@@ -97,14 +98,23 @@ def test_relative_homotopy_requires_agreement_on_the_relative_part():
     iota1 = fsmap(1, 2, (1,))
     f = fsmap(2, 2, (0, 1))
     g = fsmap(2, 2, (0, 0))
-    # f and g agree on the first point only
-    assert homotopic(f, g, iota0, I1) is not None
-    with pytest.raises(IncompatibleOnRelativePart):
-        homotopic(f, g, iota1, I1)
-    with pytest.raises(NonComposable):
-        homotopic(f, g, fsmap(1, 3, (0,)), I1)
-    with pytest.raises(NonComposable):
-        homotopic(f, fsmap(1, 2, (0,)), None, I1)
+    J1 = build_jset(HomotopyContext(I1))
+    # every entry point checks the relative part the same way
+    entry_points = (
+        ("homotopy", lambda f0, f1, rel: homotopic(f0, f1, rel, I1)),
+        ("homotopy", lambda f0, f1, rel: homotopic_cross_check(f0, f1, rel, I1)[0]),
+        ("homotopy", HomotopyContext(I1).homotopic),
+        ("right homotopy", lambda f0, f1, rel: right_homotopic(f0, f1, rel, J1)),
+    )
+    for kind, decide in entry_points:
+        # f and g agree on the first point only
+        assert decide(f, g, iota0) is not None
+        with pytest.raises(IncompatibleOnRelativePart, match=f"no {kind} is posable"):
+            decide(f, g, iota1)
+        with pytest.raises(NonComposable, match="must land in the source"):
+            decide(f, g, fsmap(1, 3, (0,)))
+        with pytest.raises(NonComposable, match="needs parallel maps"):
+            decide(f, fsmap(1, 2, (0,)), None)
 
 
 def test_cross_check_agrees_on_small_pairs():
@@ -115,6 +125,60 @@ def test_cross_check_agrees_on_small_pairs():
                     continue
                 witness, agree = homotopic_cross_check(f0, f1, None, gens)
                 assert agree
+
+
+def test_context_homotopic_answers_from_its_oracle_tables(monkeypatch):
+    # every parallel pair that agrees on rel, reflexive pairs included: the
+    # context's verdict is the map-level search's, its witness is a natural
+    # map out of the cylinder that restricts to both ends, and a question
+    # asked again runs no search
+    searches = []
+    real = homotopy._enumerate_components
+    monkeypatch.setattr(
+        homotopy,
+        "_enumerate_components",
+        lambda *args, **kwargs: searches.append(args) or real(*args, **kwargs),
+    )
+    counts = {}
+    for U in (
+        BoundedUniverse(FS_BASE, 2, I1, 1024),
+        BoundedUniverse(FS_BASE, 2, I2, 1024),
+        BoundedUniverse(IG.base_of(), {"v": 2, "e": 1}, IG, 1024),
+    ):
+        ctx = HomotopyContext(U.generators, U.fuel)
+        asked = related = 0
+        for rel in [*U.generators.maps, *U.all_maps()]:
+            cyl = ctx.cylinder(rel)
+            for D in U.objects:
+                by_restriction = {}
+                for f in U.hom(rel.target, D):
+                    by_restriction.setdefault(compose(rel, f), []).append(f)
+                pairs = [
+                    pair
+                    for maps in by_restriction.values()
+                    for pair in itertools.product(maps, repeat=2)
+                ]
+                for f0, f1 in pairs:
+                    got = ctx.homotopic(f0, f1, rel)
+                    want = homotopic(f0, f1, rel, U.generators, U.fuel)
+                    assert (got is None) == (want is None), (rel, f0, f1)
+                    asked += 1
+                    if got is None:
+                        continue
+                    related += 1
+                    assert got.cylinder is cyl
+                    got.map._check_naturality()
+                    assert compose(cyl.incl0, got.map) == f0
+                    assert compose(cyl.incl1, got.map) == f1
+                searched = len(searches)
+                for f0, f1 in pairs:
+                    ctx.homotopic(f0, f1, rel)
+                assert len(searches) == searched
+        counts[U.generators.label] = asked, related, len(searches)
+        searches.clear()
+    # (pairs asked, pairs related, table searches): on I2 the end
+    # inclusions meet, so the pinned end tables alone decide every pair
+    assert counts == {"I1": (82, 82, 32), "I2": (85, 53, 0), "IG": (693, 693, 224)}
 
 
 def test_point_inclusion_is_a_strong_deformation_retract():
