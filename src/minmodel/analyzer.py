@@ -191,9 +191,10 @@ def _invariant(X: Presheaf) -> tuple:
 
 
 def _isos(X: Presheaf, Y: Presheaf) -> Iterator[Components]:
-    """The component tables of the isomorphisms X -> Y, in enumeration
-    order: the maps whose components are injective, when the carriers of X
-    and Y have equal sizes."""
+    """The component tables of the isomorphisms X -> Y, in the order of
+    the injective search, which assigns the most constrained objects
+    first: the maps whose components are injective, when the carriers of
+    X and Y have equal sizes."""
     for comp in _enumerate_components(X, Y, injective=True):
         if all(len(set(col)) == len(col) for col in comp):
             yield comp
@@ -213,15 +214,17 @@ class BoundedUniverse:
     be decided within fuel are left out of the cofibrant family and
     counted.
 
-    A registry numbers the isomorphism classes of presheaves over the base
-    and keeps the first presheaf registered in each (`_register`): a
-    presheaf joins the first registered one with its `_invariant` that
-    `_isos` finds an isomorphism to, or else starts a class.  The universe
-    objects register first, in order (`_frames`), so each of their
-    classes is represented by its first-seen object.  A presheaf that no
-    universe object is isomorphic to, such as one of A4's pushout apexes,
-    registers when a map ending at it is keyed, and stays registered as
-    long as the universe.
+    A registry numbers the isomorphism classes of presheaves over a base
+    with arrows and keeps the first presheaf registered in each
+    (`_register`): a presheaf joins the first registered one with its
+    `_invariant` that `_isos` finds an isomorphism to, or else starts a
+    class.  The universe objects register first, in order (`_frames`), so
+    each of their classes is represented by its first-seen object.  A
+    presheaf that no universe object is isomorphic to, such as one of A4's
+    pushout apexes, registers when a map ending at it is keyed, and stays
+    registered as long as the universe.  Over a discrete base the object
+    classes are the carrier sizes (`_representatives`), and no frame is
+    built.
 
     `iso_class(f)` is an exact key of f's isomorphism class of arrows, for
     any map over the base: the fibre-size profile over a discrete base,
@@ -246,6 +249,18 @@ class BoundedUniverse:
     `is_pure` walks its squares against the first-seen cofibration of each
     class alone.
 
+    It finds those classes by a representative walk (`_representative_walk`):
+    hom(A, B) alone, for A and B the first cofibrant objects of their
+    classes, the first YES map of each `iso_class` kept with its count
+    there times the cofibrant objects of A's class and of B's.  A
+    first-seen object has the least index in its class, so the first
+    members and their order are the full walk's.  A map asked while its
+    class was undecided keeps its INCONCLUSIVE in the `is_cof` cache, so
+    `is_cof` raises a universe-wide flag on every INCONCLUSIVE answer;
+    with the flag up, or at its own first INCONCLUSIVE verdict, the walk
+    gives way to the full walk, and `cofibrant` may then not be closed
+    under isomorphism.  `all_undecided()` is 0 while the flag stays down.
+
     When every generator is a mono, so is every cofibration, and `is_cof`
     answers NO for a non-mono before it keys f or factors anything.
     Proof: `in_cof` says YES only when it finds a lift l with l after
@@ -264,11 +279,12 @@ class BoundedUniverse:
     keep keys and verdicts, class keys of maps between universe objects
     are kept under object indices and a component table, and `_frames`
     keeps tables for universe objects alone, so no memo keeps a transient
-    presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`, shared per
-    class only inside `verify_axioms`.
-    `all_undecided()` counts the INCONCLUSIVE `is_cof` verdicts over every
-    `initial_map(X)`, then every map between cofibrant objects: the maps
-    `cofibrant` and `cofibrations_between_cofibrant` ask, in their order.
+    presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`, and whether
+    one map is a retract of another, shared per class only inside
+    `verify_axioms`.  `all_undecided()` counts the INCONCLUSIVE `is_cof`
+    verdicts over every `initial_map(X)`, then every map between cofibrant
+    objects: the maps `cofibrant` and `cofibrations_between_cofibrant`
+    ask, in their order.
 
     The hot loops work on component tables, not on maps.  `factors_through`
     returns the component tables of the extending maps, which `is_pure`
@@ -318,6 +334,8 @@ class BoundedUniverse:
         self._class_keys: dict[tuple, tuple] = {}
         # decided verdicts per iso class (`per_class`); never INCONCLUSIVE
         self._cof_by_class: dict[tuple, Verdict] = {}
+        # whether any `is_cof` call has answered INCONCLUSIVE
+        self._cof_undecided = False
         self._triv_fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
         for name in ("hom", "is_cof", "factors_through", "cofibration_classes",
@@ -363,17 +381,27 @@ class BoundedUniverse:
     def _frames(self) -> list[tuple[int, list[Components], list[Components]]]:
         """`_frame` of each universe object, by index.  The universe objects
         register first, in order, so the representative of each of their
-        classes is its first-seen object."""
+        classes is its first-seen object.  Read over a base with arrows
+        alone."""
         return [self._new_frame(*self._register(X)) for X in self.objects]
 
     @functools.cached_property
     def _representatives(self) -> list[int]:
-        """Per object index x, r(x): the class number of objects[x]."""
-        return [k for k, _, _ in self._frames]
+        """Per object index x, r(x): the class number of objects[x].  Over
+        a discrete base two presheaves are isomorphic exactly when their
+        carriers have equal sizes, so the classes are numbered by carrier
+        sizes, in order of first appearance, and no frame is built."""
+        if self.base.nonidentity:
+            return [k for k, _, _ in self._frames]
+        numbers: dict[tuple[int, ...], int] = {}
+        return [
+            numbers.setdefault(tuple(map(len, X.carriers)), len(numbers))
+            for X in self.objects
+        ]
 
     def _register(self, X: Presheaf) -> tuple[int, Components]:
-        """The number of X's isomorphism class and the first iso X -> R in
-        enumeration order, R being the class's registered presheaf.  X's
+        """The number of X's isomorphism class and the first iso X -> R
+        that `_isos` finds, R being the class's registered presheaf.  X's
         class is the first registered presheaf with X's `_invariant` that
         X is isomorphic to; X registers as a new class when there is none."""
         bucket = self._buckets.setdefault(_invariant(X), [])
@@ -478,7 +506,10 @@ class BoundedUniverse:
     def is_cof(self, f: PresheafMap) -> Verdict:
         if self.monic_generators and not is_mono(f):
             return Verdict.NO
-        return self.per_class(self._cof_by_class, self.iso_class(f), f, self._in_cof)
+        verdict = self.per_class(self._cof_by_class, self.iso_class(f), f, self._in_cof)
+        if verdict is Verdict.INCONCLUSIVE:
+            self._cof_undecided = True
+        return verdict
 
     def _in_cof(self, f: PresheafMap) -> Verdict:
         return in_cof(f, self.generators, self.fuel)
@@ -495,6 +526,14 @@ class BoundedUniverse:
         initial = map(initial_map, self.objects)
         return tuple(i.target for i in initial if self.is_cof(i) is Verdict.YES)
 
+    @functools.cached_property
+    def cofibrant_classes(self) -> tuple[tuple[Presheaf, int], ...]:
+        """The first cofibrant object of each isomorphism class, in
+        universe order, each with the number of cofibrant objects in its
+        class."""
+        r, index = self._representatives, self._index
+        return _first_of_each_class(self.cofibrant, lambda V: r[index[V]])
+
     def _maps_between_cofibrant(self) -> Iterator[PresheafMap]:
         for A in self.cofibrant:
             for B in self.cofibrant:
@@ -507,8 +546,38 @@ class BoundedUniverse:
     def cofibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
         """The first-seen cofibration of each `iso_class` among
         `cofibrations_between_cofibrant()`, in their order, each with the
-        size of its class."""
-        return _first_of_each_class(self.cofibrations_between_cofibrant(), self.iso_class)
+        size of its class: `_representative_walk()`, or the full walk when
+        that gives up."""
+        classes = self._representative_walk()
+        if classes is None:
+            classes = _first_of_each_class(
+                self.cofibrations_between_cofibrant(), self.iso_class
+            )
+        return classes
+
+    def _representative_walk(self) -> tuple[tuple[PresheafMap, int], ...] | None:
+        """`cofibration_classes()` from the hom-sets between the objects of
+        `cofibrant_classes` alone, or None when some `is_cof` call on this
+        universe, before or during the walk, answered INCONCLUSIVE.  The
+        walk stops at its first INCONCLUSIVE verdict, so every class it
+        decides is decided at the map the full walk asks first."""
+        objects = self.cofibrant_classes  # asks every initial map first
+        if self._cof_undecided:
+            return None
+        yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
+        first: dict[tuple, PresheafMap] = {}
+        sizes: Counter = Counter()
+        for A, m in objects:
+            for B, n in objects:
+                for f in self.hom(A, B):
+                    verdict = self.is_cof(f)
+                    if verdict is inconclusive:
+                        return None
+                    if verdict is yes:
+                        k = self.iso_class(f)
+                        first.setdefault(k, f)
+                        sizes[k] += m * n
+        return tuple((f, sizes[k]) for k, f in first.items())
 
     def trivial_fibrations_between_cofibrant(self) -> Iterator[PresheafMap]:
         return filter(self.is_triv_fib, self._maps_between_cofibrant())
@@ -525,6 +594,13 @@ class BoundedUniverse:
         ) and any(find_retraction(s) is not None for s in self.hom(X, A))
 
     def all_undecided(self) -> int:
+        """The INCONCLUSIVE `is_cof` verdicts over every `initial_map(X)`,
+        then every map between cofibrant objects.  After
+        `cofibration_classes()`, that is 0 without a walk while no `is_cof`
+        call has answered INCONCLUSIVE."""
+        self.cofibration_classes()
+        if not self._cof_undecided:
+            return 0
         initial = map(initial_map, self.objects)
         maps = itertools.chain(initial, self._maps_between_cofibrant())
         return sum(self.is_cof(f) is Verdict.INCONCLUSIVE for f in maps)
@@ -539,7 +615,9 @@ def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
     factor-through test fails.
 
     Squares are walked against the first-seen cofibration of each class of
-    `U.cofibration_classes()` alone.  An isomorphism of cofibrations i' ~ i
+    `U.cofibration_classes()` alone, which the universe finds in the
+    hom-sets between first-seen cofibrant objects, with each class's
+    full size.  An isomorphism of cofibrations i' ~ i
     carries the squares against i' one-to-one onto those against i, tops
     that extend onto tops that extend, so a class of n cofibrations adds
     n * |hom(i.source, X)| to `squares_considered`.  A failing square
@@ -666,7 +744,7 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     passed them is settled.
 
     The object lifts run against the first-seen cofibrant object of each
-    isomorphism class (keyed by `U._representatives`) alone.  A lift
+    isomorphism class (`U.cofibrant_classes`) alone.  A lift
     against the empty map into V is one against any V' isomorphic to V,
     so a decided answer at the first member serves its class, the rule of
     `per_class`, and the first failing object of the full walk is a first
@@ -688,10 +766,7 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     settled: dict[tuple, bool] = {}  # iso class -> whether purity was undecided
     source = None
     try:
-        classes = _first_of_each_class(
-            U.cofibrant, lambda V: U._representatives[U.index(V)]
-        )
-        cofibrant = [V for V, _ in classes]
+        cofibrant = [V for V, _ in U.cofibrant_classes]
         # trivial fibrations come grouped by source
         for t in U.trivial_fibrations_between_cofibrant():
             if t.source is not source:
@@ -892,7 +967,11 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     keep the order of the pairwise sweep over `all_maps()`, add the counts
     it would add, and stop at its first counterexample.  Retract closure
     searches only the hom-sets between objects that the ends of the map
-    are object retracts of, in the order of the pairwise sweep.
+    are object retracts of, in the order of the pairwise sweep, and asks
+    `is_retract_of` once per pair of class keys: f is a retract of g
+    exactly when any arrow isomorphic to f is one of any arrow isomorphic
+    to g.  Every pair still counts in `pairs_searched`, and the first
+    pair found is the sweep's counterexample.
     """
     params = {
         "generators": U.generators.label,
@@ -981,11 +1060,23 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     # it can violate closure, so the retract search runs on those pairs,
     # and only on hom-sets between objects that f's ends are retracts of.
     skipped = sum(v is inconclusive for line in rows for row in line for *_, v in row)
-    members = [[[f for f, _, v in row if v is yes] for row in line] for line in rows]
+    # small numbers for the class keys, so the pair loop hashes no key
+    numbers: dict[tuple, int] = {}
+
+    def number(f: PresheafMap) -> int:
+        return numbers.setdefault(U.class_key(f), len(numbers))
+
+    @functools.cache  # numbers each hom-set's members once
+    def members(c: int, d: int) -> list[tuple[PresheafMap, int]]:
+        return [(g, number(g)) for g, _, v in rows[c][d] if v is yes]
 
     @functools.cache  # asks each pair of objects once
     def retract_of(a: int) -> list[int]:
         return [c for c in range(n) if U.is_object_retract(objects[a], objects[c])]
+
+    # whether f is a retract of g, per pair of class numbers: being a
+    # retract is invariant under isomorphism of arrows
+    retracts: dict[tuple[int, int], bool] = {}
 
     def retract_candidates() -> Iterator[Outcome]:
         for a in range(n):
@@ -993,13 +1084,14 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
                 for f, _, vf in rows[a][b]:
                     if vf is not no:
                         continue
+                    kf = number(f)
                     for c in retract_of(a):
                         for d in retract_of(b):
-                            for g in members[c][d]:
-                                if is_retract_of(f, g) is None:
-                                    yield yes
-                                else:
-                                    yield {"map": f, "of": g}
+                            for g, kg in members(c, d):
+                                found = retracts.get((kf, kg))
+                                if found is None:
+                                    found = retracts[kf, kg] = is_retract_of(f, g) is not None
+                                yield {"map": f, "of": g} if found else yes
 
     failure, searched, _ = _first_failure(retract_candidates())
     subchecks.append(

@@ -29,6 +29,10 @@ from .errors import (
 MAX_BASE_OBJECTS = 16
 MAX_CARRIER_SIZE = 64
 
+# (per base object, its range of flat slots; per slot, the (slot, morphism)
+# pairs a value there forces), as `Presheaf._layout` builds it
+SlotLayout = tuple[list[tuple[int, int]], list[tuple[tuple[int, str], ...]]]
+
 
 class BaseCategory:
     """A finite category given by an explicit, fully checked composition table.
@@ -66,6 +70,12 @@ class BaseCategory:
                 if self._cod[name] == b
             )
             for b in range(len(self.objects))
+        )
+        # the slot order of injective searches: the objects with the most
+        # outgoing actions first, ties in base order.  On graphs the edges,
+        # whose values force those of their ends, come before the vertices.
+        self._iso_order = tuple(
+            sorted(range(len(self.objects)), key=lambda b: -len(self._incoming[b]))
         )
         self._key = (
             self.objects,
@@ -276,22 +286,29 @@ class Presheaf:
         self._hash = hash(self._key)
 
     @functools.cached_property
-    def _slots(self) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, str], ...]]]:
+    def _slots(self) -> SlotLayout:
         """The flat slot layout of maps out of this presheaf, one slot per
-        element: each object's range of slots, and per slot the (slot, base
-        morphism m) pairs whose value a value at that slot forces through
-        the action of m."""
-        starts = []
+        element, objects in base order: each object's range of slots, and
+        per slot the (slot, base morphism m) pairs whose value a value at
+        that slot forces through the action of m."""
+        return self._layout(range(len(self.carriers)))
+
+    def _layout(self, order: Iterable[int]) -> SlotLayout:
+        """The slot layout with the objects' slot ranges in `order`; the
+        ranges stay listed by base object."""
+        carriers = self.carriers
+        starts = [0] * len(carriers)
         n = 0
-        for col in self.carriers:
-            starts.append(n)
-            n += len(col)
-        spans = [(a, a + len(col)) for a, col in zip(starts, self.carriers)]
-        edges = [
-            tuple((starts[a] + self._act[m][x], m) for m, a in self.base._incoming[o])
-            for o, col in enumerate(self.carriers)
-            for x in range(len(col))
-        ]
+        for o in order:
+            starts[o] = n
+            n += len(carriers[o])
+        spans = [(a, a + len(col)) for a, col in zip(starts, carriers)]
+        edges: list = [()] * n
+        for o, col in enumerate(carriers):
+            for x in range(len(col)):
+                edges[starts[o] + x] = tuple(
+                    (starts[a] + self._act[m][x], m) for m, a in self.base._incoming[o]
+                )
         return spans, edges
 
     @functools.cached_property
@@ -621,7 +638,10 @@ def _enumerate_components(
     post-filtering happens.  `seeds` pins slots up front, `allowed` restricts
     per-slot value sets (both in index form).  `injective` skips a chosen
     value that a slot of the same object already holds; a value forced
-    through naturality is not checked, so the caller still filters.
+    through naturality is not checked, so the caller still filters.  An
+    injective search lays its slots out in `BaseCategory._iso_order`, the
+    most constrained objects first, so its tables are lexicographic in that
+    slot order, not in base order.
 
     The slots are numbered flat (`Presheaf._slots`).  Every slot set goes
     on one shared trail; a choice point keeps the trail's length as its mark
@@ -629,15 +649,17 @@ def _enumerate_components(
     """
     if X.base != Y.base:
         raise BaseMismatch("hom enumeration needs a shared base")
-    spans, edges = X._slots
+    spans, edges = X._layout(X.base._iso_order) if injective else X._slots
     Yact = Y._act
     n = len(edges)
-    choices: list = []
+    choices: list = [None] * n
     for (a, b), col in zip(spans, Y.carriers):
-        choices += [range(len(col))] * (b - a)
+        choices[a:b] = [range(len(col))] * (b - a)
     doms = None
     if allowed is not None:
-        doms = [dom for row in allowed for dom in row]
+        doms = [None] * n
+        for (a, b), row in zip(spans, allowed):
+            doms[a:b] = row
         choices = [
             values if dom is None else [v for v in values if v in dom]
             for values, dom in zip(choices, doms)
@@ -645,7 +667,11 @@ def _enumerate_components(
     assign = [-1] * n
     trail: list[int] = []
     # per slot, the slots of its object, when `injective`
-    same = [slice(a, b) for a, b in spans for _ in range(a, b)] if injective else None
+    same = None
+    if injective:
+        same = [None] * n
+        for a, b in spans:
+            same[a:b] = [slice(a, b)] * (b - a)
     if seeds:
         for (o, x), v in seeds.items():
             if not 0 <= v < len(Y.carriers[o]) or not _force(

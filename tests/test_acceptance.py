@@ -450,3 +450,18 @@ def test_fuel_starved_reports_match_their_goldens(tmp_path):
         out = tmp_path / f"{name}.json"
         assert cli.run(argv + ["--out", str(out)]) == code, name
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
+def test_one_bound_up_reports_match_their_goldens(tmp_path):
+    # the graph fixture one bound up, where the class walks save most:
+    # each report is frozen, `timing` included
+    gph = fixture("gph_ig.ws")
+    plans = (
+        ("gph_ig_verify_axioms_bound_v2e3", 1, ["verify-axioms", gph, "IG", "--bound", "v=2,e=3"]),
+        ("gph_ig_check_main_bound_v3e2", 1, ["check-main", gph, "IG", "--bound", "v=3,e=2"]),
+        ("gph_ig_classify_bound_v3e2", 0, ["classify", gph, "cA", "IG", "--bound", "v=3,e=2"]),
+    )
+    for name, code, argv in plans:
+        out = tmp_path / f"{name}.json"
+        assert cli.run(argv + ["--out", str(out)]) == code, name
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes(), name
