@@ -17,7 +17,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .colimits import coproduct, initial_map, pushout
 from .errors import FuelExhausted, SizeLimitExceeded
@@ -243,23 +243,24 @@ class BoundedUniverse:
     `is_cof` shares per `iso_class`; `is_triv_fib`, the weak equivalences
     of `WeClass.from_generators(U)` and A5's J-fibration test share per
     `class_key`.  The appropriateness verdict of a comparison map is kept
-    per `iso_class`, and the coproduct sweep numbers the classes of its
-    maps to decide each pair of classes once.  `cofibration_classes()`
-    groups `cofibrations_between_cofibrant()` by `iso_class`, so that
-    `is_pure` walks its squares against the first-seen cofibration of each
-    class alone.
+    per `iso_class`.  `cofibration_classes()` and
+    `trivial_fibration_classes()` group the cofibrations and the trivial
+    fibrations between cofibrant objects by `iso_class`, for `is_pure` and
+    `check_properness_condition` to walk one map per class.
 
-    It finds those classes by a representative walk (`_representative_walk`):
-    hom(A, B) alone, for A and B the first cofibrant objects of their
-    classes, the first YES map of each `iso_class` kept with its count
-    there times the cofibrant objects of A's class and of B's.  A
-    first-seen object has the least index in its class, so the first
-    members and their order are the full walk's.  A map asked while its
-    class was undecided keeps its INCONCLUSIVE in the `is_cof` cache, so
-    `is_cof` raises a universe-wide flag on every INCONCLUSIVE answer;
-    with the flag up, or at its own first INCONCLUSIVE verdict, the walk
-    gives way to the full walk, and `cofibrant` may then not be closed
-    under isomorphism.  `all_undecided()` is 0 while the flag stays down.
+    One walker finds both (`_representative_walk`): hom(A, B) alone, for A
+    and B the first cofibrant objects of their classes (`cofibrant_classes`;
+    `object_classes` likewise among all objects), the first accepted map
+    of each `iso_class` kept with its count there times the cofibrant
+    objects of A's class and of B's.  A first-seen object has the least
+    index in its class, so the first members and their order are the full
+    walk's.  The walk gives up at an INCONCLUSIVE verdict.  A map asked
+    while its class was undecided keeps its INCONCLUSIVE in the `is_cof`
+    cache, so `is_cof` raises a universe-wide flag on every INCONCLUSIVE
+    answer; with the flag up, or when the walk gives up,
+    `cofibration_classes()` takes the full walk, and `cofibrant` may then
+    not be closed under isomorphism.  `all_undecided()` is 0 while the
+    flag stays down.
 
     When every generator is a mono, so is every cofibration, and `is_cof`
     answers NO for a non-mono before it keys f or factors anything.
@@ -527,6 +528,13 @@ class BoundedUniverse:
         return tuple(i.target for i in initial if self.is_cof(i) is Verdict.YES)
 
     @functools.cached_property
+    def object_classes(self) -> tuple[tuple[Presheaf, int], ...]:
+        """The first universe object of each isomorphism class, in universe
+        order, each with the size of its class."""
+        r, index = self._representatives, self._index
+        return _first_of_each_class(self.objects, lambda X: r[index[X]])
+
+    @functools.cached_property
     def cofibrant_classes(self) -> tuple[tuple[Presheaf, int], ...]:
         """The first cofibrant object of each isomorphism class, in
         universe order, each with the number of cofibrant objects in its
@@ -546,34 +554,39 @@ class BoundedUniverse:
     def cofibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
         """The first-seen cofibration of each `iso_class` among
         `cofibrations_between_cofibrant()`, in their order, each with the
-        size of its class: `_representative_walk()`, or the full walk when
-        that gives up."""
-        classes = self._representative_walk()
+        size of its class: `_representative_walk(is_cof)`, or the full
+        walk when some `is_cof` call on this universe, before or during
+        that walk, answered INCONCLUSIVE."""
+        self.cofibrant_classes  # asks every initial map first
+        classes = None if self._cof_undecided else self._representative_walk(self.is_cof)
         if classes is None:
             classes = _first_of_each_class(
                 self.cofibrations_between_cofibrant(), self.iso_class
             )
         return classes
 
-    def _representative_walk(self) -> tuple[tuple[PresheafMap, int], ...] | None:
-        """`cofibration_classes()` from the hom-sets between the objects of
-        `cofibrant_classes` alone, or None when some `is_cof` call on this
-        universe, before or during the walk, answered INCONCLUSIVE.  The
-        walk stops at its first INCONCLUSIVE verdict, so every class it
-        decides is decided at the map the full walk asks first."""
-        objects = self.cofibrant_classes  # asks every initial map first
-        if self._cof_undecided:
-            return None
+    def trivial_fibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
+        """`_first_of_each_class(trivial_fibrations_between_cofibrant(),
+        iso_class)`, by the walker: `is_triv_fib` is never INCONCLUSIVE."""
+        return self._representative_walk(self.is_triv_fib)
+
+    def _representative_walk(
+        self, member: Callable[[PresheafMap], Verdict | bool]
+    ) -> tuple[tuple[PresheafMap, int], ...] | None:
+        """The first map of each `iso_class` that `member` accepts (YES or
+        True) among the maps between cofibrant objects, with its class size,
+        from the hom-sets between `cofibrant_classes` alone; None at the
+        first map that `member` answers INCONCLUSIVE."""
         yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
         first: dict[tuple, PresheafMap] = {}
         sizes: Counter = Counter()
-        for A, m in objects:
-            for B, n in objects:
+        for A, m in self.cofibrant_classes:
+            for B, n in self.cofibrant_classes:
                 for f in self.hom(A, B):
-                    verdict = self.is_cof(f)
+                    verdict = member(f)
                     if verdict is inconclusive:
                         return None
-                    if verdict is yes:
+                    if verdict is yes or verdict is True:
                         k = self.iso_class(f)
                         first.setdefault(k, f)
                         sizes[k] += m * n
@@ -871,17 +884,15 @@ def _coproduct_outcomes(
     """Whether t1 + t2 is a trivial fibration of U, for every ordered pair of `maps` in
     order: Verdict.YES, or the pair and its sum as counterexample.
 
-    t1 + t2 is isomorphic to t2 + t1 and to s1 + s2 for any arrows s1, s2
-    isomorphic to t1, t2, and lifting is invariant under isomorphism, so
-    one verdict per unordered pair of iso classes serves every pair.
+    t1 + t2 is isomorphic to t2 + t1, and lifting is invariant under
+    isomorphism, so one verdict serves a pair and its swap.  It is also
+    that of s1 + s2 for any arrows s1, s2 isomorphic to t1, t2, so
+    `check_properness_condition` passes one map per iso class.
     """
-    # small ints, so the pair loop compares and hashes no class keys
-    numbers: dict[tuple, int] = {}
-    kinds = [numbers.setdefault(U.iso_class(t), len(numbers)) for t in maps]
     lifts: dict[tuple[int, int], bool] = {}
     yes = Verdict.YES  # looked up once: this loop runs once per pair
-    for t1, k1 in zip(maps, kinds):
-        for t2, k2 in zip(maps, kinds):
+    for k1, t1 in enumerate(maps):
+        for k2, t2 in enumerate(maps):
             pair = (k1, k2) if k1 <= k2 else (k2, k1)
             ok = lifts.get(pair)
             if ok is None:
@@ -895,34 +906,58 @@ def _coproduct_outcomes(
 def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     """Coproduct closure of trivial fibrations between cofibrant objects,
     and weak-equivalence of the comparison maps between pushouts along
-    the generators."""
+    the generators.
+
+    Both sweeps walk one representative per isomorphism class (McKay's
+    isomorph-free walk): the pairs of `U.trivial_fibration_classes()`,
+    (sum of class sizes)^2 in all, and the comparisons for
+    u : i.source -> X and g : X -> Y with X and Y in `U.object_classes`,
+    each standing for its |class of X| * |class of Y| isomorphic copies.  A first-seen
+    member has the least index in its class, so a failure transports to
+    representatives that the walk reaches no later: the first
+    counterexample is the full walk's.  That needs decided verdicts, so a
+    comparison that `we` answers INCONCLUSIVE sends the sweep back to the
+    full walk, as `per_class` decides an undecided map on its own.
+    """
     I = U.generators
     params = {"generators": I.label, **U.describe()}
     we = WeClass.from_generators(U)
-    tfibs = list(U.trivial_fibrations_between_cofibrant())
+    yes, no, inconclusive = Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE
 
-    def comparisons() -> Iterator[Outcome]:
-        no = Verdict.NO  # looked up once: this loop runs once per comparison
+    def comparisons(objects: Sequence[tuple[Presheaf, int]]) -> Iterator[tuple[Outcome, int]]:
+        """Each comparison through X, Y of `objects`, with their weights' product."""
         for k, i in enumerate(I.maps):
-            for u in U.maps_from(i.source):
-                po1 = pushout(u, i)
-                for g in U.maps_from(u.target):
-                    if not U.is_triv_fib(g):
-                        continue
-                    po2 = pushout(compose(u, g), i)
-                    induced = po1.mediator(compose(g, po2.left), po2.right)
-                    v = we(induced)
-                    if v is no:
-                        yield {
-                            "generator": k,
-                            "attach": u,
-                            "trivial-fibration": g,
-                            "comparison": induced,
-                        }
-                    else:
-                        yield v
+            for X, mx in objects:
+                for u in U.hom(i.source, X):
+                    po1 = pushout(u, i)
+                    for Y, my in objects:
+                        for g in U.hom(X, Y):
+                            if not U.is_triv_fib(g):
+                                continue
+                            po2 = pushout(compose(u, g), i)
+                            induced = po1.mediator(compose(g, po2.left), po2.right)
+                            v = we(induced)
+                            if v is no:
+                                v = {
+                                    "generator": k,
+                                    "attach": u,
+                                    "trivial-fibration": g,
+                                    "comparison": induced,
+                                }
+                            yield v, mx * my
 
-    failure, checked, _ = _first_failure(_coproduct_outcomes(tfibs, U))
+    def class_walk() -> tuple[dict | None, int, int] | None:
+        checked = 0
+        for outcome, weight in comparisons(U.object_classes):
+            if outcome is inconclusive:
+                return None
+            checked += weight
+            if outcome is not yes:
+                return outcome, checked, 0
+        return None, checked, 0
+
+    tfibs = U.trivial_fibration_classes()
+    failure, _, _ = _first_failure(_coproduct_outcomes([t for t, _ in tfibs], U))
     if failure:
         closed = _report("tfib-coproducts", params, failure)
     else:
@@ -930,9 +965,11 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
             "tfib-coproducts",
             params,
             undecided=U.all_undecided(),
-            diagnostics={"pairs_checked": checked},
+            diagnostics={"pairs_checked": sum(n for _, n in tfibs) ** 2},
         )
-    failure, checked, undecided = _first_failure(comparisons())
+    failure, checked, undecided = class_walk() or _first_failure(
+        v for v, _ in comparisons([(X, 1) for X in U.objects])
+    )
     diagnostics = None if failure else {"comparisons_checked": checked}
     compared = _report("pushout-comparisons", params, failure, undecided, diagnostics)
     return _combine("properness-condition", params, [closed, compared])

@@ -24,7 +24,7 @@ from minmodel.analyzer import (
     verify_axioms,
 )
 from minmodel.colimits import initial_map, pushout
-from minmodel.errors import FunctorialityViolation, SizeLimitExceeded
+from minmodel.errors import FuelExhausted, FunctorialityViolation, SizeLimitExceeded
 from minmodel.factorization import GeneratingSet, Verdict, in_cof, in_inj
 from minmodel.homotopy import HomotopyContext, is_strong_deformation_retract
 from minmodel.lifting import has_rlp
@@ -348,6 +348,12 @@ def _full_walk(U: BoundedUniverse):
     return classes, sum(U.is_cof(f) is Verdict.INCONCLUSIVE for f in maps)
 
 
+def _walk_gives_up(U: BoundedUniverse) -> bool:
+    """Whether `cofibration_classes()` takes the full walk: some `is_cof`
+    call has answered INCONCLUSIVE, or the representative walk meets one."""
+    return U._cof_undecided or U._representative_walk(U.is_cof) is None
+
+
 def test_cofibration_classes_walk_representatives_like_the_full_walk():
     # the representative walk reads the hom-sets between the first
     # cofibrant objects of each class alone and gives each class its
@@ -374,7 +380,7 @@ def test_cofibration_classes_walk_representatives_like_the_full_walk():
         reference = BoundedUniverse(base, bound, gens, fuel)
         assert got == _full_walk(reference), case
         assert (got[1] > 0) is starved, case
-        assert (U._representative_walk() is None) is starved, case
+        assert _walk_gives_up(U) is starved, case
         # the walk leaves every later verdict as the full walk has it
         maps = list(reference._maps_between_cofibrant())
         assert list(map(U.is_cof, maps)) == list(map(reference.is_cof, maps)), case
@@ -410,7 +416,7 @@ def test_an_undecided_cofibration_sends_the_class_walk_to_the_full_walk(monkeypa
             for V in (got, reference):
                 assert V.is_cof(starved) is Verdict.INCONCLUSIVE
         classes, undecided = got.cofibration_classes(), got.all_undecided()
-        assert got._representative_walk() is None
+        assert _walk_gives_up(got)
         assert (classes, undecided) == _full_walk(reference)
         assert undecided == 1
         # the starved map's class lost that one member
@@ -671,7 +677,23 @@ def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
                     unshared.append({"first": t1, "second": t2, "coproduct": both})
         assert Verdict.YES in unshared
         assert any(outcome is not Verdict.YES for outcome in unshared)
+        # a pair and its swap share one verdict
         assert list(_coproduct_outcomes(maps, U)) == unshared
+        # one map per class, as check_properness_condition walks them: the
+        # verdict of a pair of first-seen members serves every pair of maps
+        # isomorphic to them, the first counterexample is the full walk's,
+        # and the class sizes count every pair
+        classes = analyzer._first_of_each_class(maps, U.iso_class)
+        firsts = [t for t, _ in classes]
+        assert len(firsts) < len(maps)
+        shared = list(_coproduct_outcomes(firsts, U))
+        number = {U.iso_class(t): c for c, t in enumerate(firsts)}
+        kinds = [number[U.iso_class(t)] for t in maps]
+        for (k1, k2), outcome in zip(itertools.product(kinds, repeat=2), unshared):
+            assert (outcome is Verdict.YES) is (shared[k1 * len(firsts) + k2] is Verdict.YES)
+        failure, _, _ = analyzer._first_failure(shared)
+        assert failure == next(o for o in unshared if o is not Verdict.YES)
+        assert sum(n for _, n in classes) ** 2 == len(unshared)
 
 
 def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
@@ -720,6 +742,164 @@ def test_properness_condition_verdicts():
     comparison = gph_to_oracle(ce["comparison"])
     assert og.is_inj(t) and og.weak_equivalence(t)
     assert not og.weak_equivalence(comparison)
+
+
+def _properness_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
+    """check_properness_condition as a walk of every pair of trivial
+    fibrations between cofibrant objects, and of every comparison through
+    every pair of universe objects."""
+    I = U.generators
+    params = {"generators": I.label, **U.describe()}
+    we = WeClass.from_generators(U)
+    tfibs = list(U.trivial_fibrations_between_cofibrant())
+
+    def comparisons():
+        for k, i in enumerate(I.maps):
+            for u in U.maps_from(i.source):
+                po1 = pushout(u, i)
+                for g in U.maps_from(u.target):
+                    if not U.is_triv_fib(g):
+                        continue
+                    po2 = pushout(compose(u, g), i)
+                    induced = po1.mediator(compose(g, po2.left), po2.right)
+                    v = we(induced)
+                    if v is Verdict.NO:
+                        yield {
+                            "generator": k,
+                            "attach": u,
+                            "trivial-fibration": g,
+                            "comparison": induced,
+                        }
+                    else:
+                        yield v
+
+    failure, checked, _ = analyzer._first_failure(_coproduct_outcomes(tfibs, U))
+    if failure:
+        closed = analyzer._report("tfib-coproducts", params, failure)
+    else:
+        closed = analyzer._report(
+            "tfib-coproducts",
+            params,
+            undecided=U.all_undecided(),
+            diagnostics={"pairs_checked": checked},
+        )
+    failure, checked, undecided = analyzer._first_failure(comparisons())
+    diagnostics = None if failure else {"comparisons_checked": checked}
+    compared = analyzer._report(
+        "pushout-comparisons", params, failure, undecided, diagnostics
+    )
+    return analyzer._combine("properness-condition", params, [closed, compared])
+
+
+def _solver_calls(check, U: BoundedUniverse):
+    """check(U) and the solver calls it made."""
+    before = lifting.STATS["solver_calls"]
+    report = check(U)
+    return report, lifting.STATS["solver_calls"] - before
+
+
+I0 = GeneratingSet("I0", IG.maps[:1])
+
+
+def test_properness_sweeps_walk_representatives_like_the_full_walk():
+    # both sweeps walk first-seen class members alone, with the full
+    # walk's report and no more solver calls, also where fuel runs out
+    gph = IG.base_of()
+    cases = [(gph, {"v": 2, "e": 2}, IG, fuel) for fuel in (0, 1, 2, 4)]
+    cases += [(gph, {"v": 2, "e": 1}, IG, 1024), (gph, {"v": 2, "e": 2}, I0, 1024)]
+    cases += [(FS_BASE, bound, gens, 1024) for gens in (I1, I2) for bound in (3, 4)]
+    cases += [(FS_BASE, 3, I2, fuel) for fuel in (0, 1, 3)]
+    saved = 0
+    for base, bound, gens, fuel in cases:
+        case = (bound, gens.label, fuel)
+        U = BoundedUniverse(base, bound, gens, fuel)
+        got, calls = _solver_calls(check_properness_condition, U)
+        want, reference_calls = _solver_calls(
+            _properness_by_full_walk, BoundedUniverse(base, bound, gens, fuel)
+        )
+        assert got == want, case
+        assert calls <= reference_calls, case
+        saved += calls < reference_calls
+        assert U.trivial_fibration_classes() == analyzer._first_of_each_class(
+            U.trivial_fibrations_between_cofibrant(), U.iso_class
+        ), case
+    assert saved
+
+
+def test_a_failing_comparison_through_a_class_of_several_objects(monkeypatch):
+    # the fixtures fail at objects alone in their classes, so a stand-in
+    # for `is_weak_equivalence` refuses the comparisons (X + point) ->
+    # (Y + point) for X and Y of 2 vertices and 1 edge, a class of two
+    # objects: the first failure is still the full walk's
+    real = analyzer.is_weak_equivalence
+    refused = analyzer._report("weak-equivalence", {}, {"generator": 0})
+
+    def sizes(X):
+        return tuple(map(len, X.carriers))
+
+    monkeypatch.setattr(
+        analyzer,
+        "is_weak_equivalence",
+        lambda f, ctx: refused
+        if (sizes(f.source), sizes(f.target)) == ((3, 1), (3, 1))
+        else real(f, ctx),
+    )
+    universes = [BoundedUniverse(IG.base_of(), {"v": 2, "e": 2}, I0, 1024) for _ in "ab"]
+    got = check_properness_condition(universes[0])
+    assert got == _properness_by_full_walk(universes[1])
+    assert got.verdict is Verdict.NO
+    U = universes[0]
+    weights = {U.index(X): n for X, n in U.object_classes}
+    for end in (got.counterexample["attach"], got.counterexample["trivial-fibration"]):
+        assert weights[U.index(end.target)] == 2
+
+
+def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
+    # a comparison on the representative walk that `we` cannot decide
+    # sends the comparison sweep to every comparison of the universe, so
+    # the first failure and the undecided count are the full walk's
+    real = analyzer.is_weak_equivalence
+    asked = []
+
+    def spy(f, ctx):
+        report = real(f, ctx)
+        asked.append((f, report.verdict))
+        return report
+
+    walks = []
+    first_failure = analyzer._first_failure
+    monkeypatch.setattr(
+        analyzer,
+        "_first_failure",
+        lambda candidates: walks.append(first_failure(candidates)) or walks[-1],
+    )
+    bound = {"v": 2, "e": 2}
+    for gens, verdict in ((IG, Verdict.NO), (I0, Verdict.INCONCLUSIVE)):
+        asked.clear()
+        monkeypatch.setattr(analyzer, "is_weak_equivalence", spy)
+        check_properness_condition(BoundedUniverse(IG.base_of(), bound, gens, 1024))
+        # the first comparison the walk decides YES
+        starved = next(f for f, v in asked if v is Verdict.YES)
+        spent = analyzer._out_of_fuel("weak-equivalence", {}, FuelExhausted("spent"))
+        monkeypatch.setattr(
+            analyzer,
+            "is_weak_equivalence",
+            lambda f, ctx: spent if f == starved else real(f, ctx),
+        )
+        results = []
+        for check in (check_properness_condition, _properness_by_full_walk):
+            walks.clear()
+            report = check(BoundedUniverse(IG.base_of(), bound, gens, 1024))
+            assert report.verdict is verdict
+            # the coproduct sweep, then the full walk of the comparisons:
+            # the class walk has no `_first_failure` of its own, so a
+            # second walk shows that it gave up
+            assert len(walks) == 2
+            results.append((report, walks[-1]))
+        assert results[0] == results[1]
+        failure, _, undecided = results[0][1]
+        assert undecided >= 1
+        assert (failure is None) is (verdict is Verdict.INCONCLUSIVE)
 
 
 def test_axioms_pass_on_finite_sets():
