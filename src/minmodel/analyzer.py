@@ -252,13 +252,14 @@ class BoundedUniverse:
     and B the first cofibrant objects of their classes (`cofibrant_classes`;
     `object_classes` likewise among all objects), the first accepted map
     of each `iso_class` kept with its count there times the cofibrant
-    objects of A's class and of B's.  A first-seen object has the least
-    index in its class, so the first members and their order are the full
-    walk's.  The walk gives up at an INCONCLUSIVE verdict.  A map asked
-    while its class was undecided keeps its INCONCLUSIVE in the `is_cof`
-    cache, so `is_cof` raises a universe-wide flag on every INCONCLUSIVE
-    answer; with the flag up, or when the walk gives up,
-    `cofibration_classes()` takes the full walk, and `cofibrant` may then
+    objects of A's class and of B's; `check_appropriate` walks its trivial
+    fibrations so too, lazily.  A first-seen object has the least index in
+    its class, so the first members and their order are the full walk's.
+    The walk gives up at an INCONCLUSIVE verdict.  A map asked while its
+    class was undecided keeps its INCONCLUSIVE in the `is_cof` cache, so
+    `is_cof` raises a universe-wide flag on every INCONCLUSIVE answer;
+    with the flag up, or when the walk gives up, `cofibration_classes()`
+    walks every cofibrant object with weight 1, and `cofibrant` may then
     not be closed under isomorphism.  `all_undecided()` is 0 while the
     flag stays down.
 
@@ -284,8 +285,7 @@ class BoundedUniverse:
     one map is a retract of another, shared per class only inside
     `verify_axioms`.  `all_undecided()` counts the INCONCLUSIVE `is_cof`
     verdicts over every `initial_map(X)`, then every map between cofibrant
-    objects: the maps `cofibrant` and `cofibrations_between_cofibrant`
-    ask, in their order.
+    objects, in the order of `cofibrant` and the full walk.
 
     The hot loops work on component tables, not on maps.  `factors_through`
     returns the component tables of the extending maps, which `is_pure`
@@ -547,41 +547,39 @@ class BoundedUniverse:
             for B in self.cofibrant:
                 yield from self.hom(A, B)
 
-    def cofibrations_between_cofibrant(self) -> tuple[PresheafMap, ...]:
-        maps = self._maps_between_cofibrant()
-        return tuple(f for f in maps if self.is_cof(f) is Verdict.YES)
-
     def cofibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
-        """The first-seen cofibration of each `iso_class` among
-        `cofibrations_between_cofibrant()`, in their order, each with the
-        size of its class: `_representative_walk(is_cof)`, or the full
-        walk when some `is_cof` call on this universe, before or during
-        that walk, answered INCONCLUSIVE."""
-        self.cofibrant_classes  # asks every initial map first
-        classes = None if self._cof_undecided else self._representative_walk(self.is_cof)
+        """The first-seen cofibration of each `iso_class` among the maps
+        between cofibrant objects, in their order, with its class size: the
+        walker over `cofibrant_classes`, or over every cofibrant object with
+        weight 1 once some `is_cof` call has answered INCONCLUSIVE."""
+        firsts = self.cofibrant_classes  # asks every initial map first
+        walk = self._representative_walk
+        classes = None if self._cof_undecided else walk(self.is_cof, firsts)
         if classes is None:
-            classes = _first_of_each_class(
-                self.cofibrations_between_cofibrant(), self.iso_class
-            )
+            everyone = [(V, 1) for V in self.cofibrant]
+            classes = walk(lambda f: self.is_cof(f) is Verdict.YES, everyone)
         return classes
 
     def trivial_fibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
-        """`_first_of_each_class(trivial_fibrations_between_cofibrant(),
-        iso_class)`, by the walker: `is_triv_fib` is never INCONCLUSIVE."""
-        return self._representative_walk(self.is_triv_fib)
+        """The trivial fibrations between cofibrant objects, one per
+        `iso_class`, by the walker: `is_triv_fib` is never INCONCLUSIVE."""
+        return self._representative_walk(self.is_triv_fib, self.cofibrant_classes)
 
     def _representative_walk(
-        self, member: Callable[[PresheafMap], Verdict | bool]
+        self,
+        member: Callable[[PresheafMap], Verdict | bool],
+        objects: Sequence[tuple[Presheaf, int]],
     ) -> tuple[tuple[PresheafMap, int], ...] | None:
         """The first map of each `iso_class` that `member` accepts (YES or
-        True) among the maps between cofibrant objects, with its class size,
-        from the hom-sets between `cofibrant_classes` alone; None at the
-        first map that `member` answers INCONCLUSIVE."""
+        True) in the hom-sets between `objects`, in order, each with its
+        class size: the sum, over its members there, of the product of
+        their ends' weights.  None at the first map that `member` answers
+        INCONCLUSIVE."""
         yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
         first: dict[tuple, PresheafMap] = {}
         sizes: Counter = Counter()
-        for A, m in self.cofibrant_classes:
-            for B, n in self.cofibrant_classes:
+        for A, m in objects:
+            for B, n in objects:
                 for f in self.hom(A, B):
                     verdict = member(f)
                     if verdict is inconclusive:
@@ -591,9 +589,6 @@ class BoundedUniverse:
                         first.setdefault(k, f)
                         sizes[k] += m * n
         return tuple((f, sizes[k]) for k, f in first.items())
-
-    def trivial_fibrations_between_cofibrant(self) -> Iterator[PresheafMap]:
-        return filter(self.is_triv_fib, self._maps_between_cofibrant())
 
     def factors_through(self, i: PresheafMap, X: Presheaf) -> frozenset[tuple]:
         """The component tables of the maps i.source -> X that extend along i."""
@@ -747,22 +742,19 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     cofibrant object of U.
 
     Every pair (t, c) of a trivial fibration t and a cofibration c out of
-    A = t.source counts in `pushouts_checked`.  A pair equal to
-    (t after s, c after s) for an earlier pair and an automorphism s of A
-    (a table of `_isos(A, A)`) builds no pushout: both pairs glue the same
-    element pairs of t.target + c.target, and the union-find roots are
-    class minima, so the apex, both legs and the comparison map come out
-    identical and the comparison is already seen.  Both conditions are
+    A = t.source counts in `pushouts_checked`.  Both conditions are
     invariant under isomorphism, so a comparison map whose iso class
-    passed them is settled.
-
-    The object lifts run against the first-seen cofibrant object of each
-    isomorphism class (`U.cofibrant_classes`) alone.  A lift
-    against the empty map into V is one against any V' isomorphic to V,
-    so a decided answer at the first member serves its class, the rule of
-    `per_class`, and the first failing object of the full walk is a first
-    member.  A FuelExhausted at a first member still ends the check
-    INCONCLUSIVE.
+    passed them is settled, and an isomorphism t' ~ t carries the pairs of
+    t' onto those of t, comparisons onto isomorphic ones.  So t runs over
+    the hom-sets between `U.cofibrant_classes` alone, as in
+    `_representative_walk`, and only the first t of each `iso_class` walks
+    the cofibrations out of A, their count standing for the m * n trivial
+    fibrations between its ends' classes.  The first counterexample is the
+    full walk's, as in `check_properness_condition`.  At the first
+    INCONCLUSIVE candidate cofibration or purity the sweep starts over
+    with every trivial fibration, keeping the settled classes.  The object
+    lifts run against `U.cofibrant_classes` alone too: a lift against the
+    empty map into V is one against any V' isomorphic to V.
 
     `undecided_membership` sums three counts: the universe's undecided
     memberships (`U.all_undecided()`); the candidate cofibrations whose
@@ -773,68 +765,75 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     membership, whatever the squares of the map itself.
     """
     params = {"generators": U.generators.label, **U.describe()}
-    pushouts_checked = 0
-    inconclusive = 0
-    seen: set[PresheafMap] = set()
+    yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
     settled: dict[tuple, bool] = {}  # iso class -> whether purity was undecided
-    source = None
-    try:
-        cofibrant = [V for V, _ in U.cofibrant_classes]
-        # trivial fibrations come grouped by source
-        for t in U.trivial_fibrations_between_cofibrant():
-            if t.source is not source:
-                source = t.source
-                automorphisms = list(_isos(source, source))
-                translates: set[tuple] = set()
-            for c in U.maps_from(source):
-                vc = U.is_cof(c)
-                if vc is Verdict.INCONCLUSIVE:
-                    inconclusive += 1
-                if vc is not Verdict.YES:
-                    continue
-                pushouts_checked += 1
-                pair = (t.target, t._comp, c.target, c._comp)
-                if pair in translates:
-                    continue
-                translates.update(
-                    (t.target, _compose_tables(s, t._comp),
-                     c.target, _compose_tables(s, c._comp))
-                    for s in automorphisms
-                )
-                comparison = pushout(t, c).right
-                if comparison in seen:
-                    continue
-                seen.add(comparison)
-                k = U.iso_class(comparison)
-                if k in settled:
-                    inconclusive += settled[k]
-                    continue
-                failure = {
-                    "trivial-fibration": t,
-                    "cofibration": c,
-                    "comparison": comparison,
-                }
+    cofibrant = [V for V, _ in U.cofibrant_classes]
+
+    def pairs(t: PresheafMap, seen: set[PresheafMap]) -> Iterator[tuple[bool, Outcome]]:
+        """Per map c out of t.source that `is_cof` does not refuse: whether
+        c is a cofibration, and the outcome of the pair (t, c)."""
+        for c in U.maps_from(t.source):
+            vc = U.is_cof(c)
+            if vc is not yes:
+                if vc is inconclusive:
+                    yield False, inconclusive
+                continue
+            comparison = pushout(t, c).right
+            if comparison in seen:
+                yield True, yes
+                continue
+            seen.add(comparison)
+            k = U.iso_class(comparison)
+            if k not in settled:
+                failure = {"trivial-fibration": t, "cofibration": c, "comparison": comparison}
                 purity = is_pure(comparison, U)
                 if purity.verdict is Verdict.NO:
-                    failure["purity"] = purity.counterexample
-                    return _report("appropriate", params, failure)
-                undecided = purity.verdict is Verdict.INCONCLUSIVE
-                inconclusive += undecided
+                    yield True, {**failure, "purity": purity.counterexample}
+                    return
                 bad = _object_square_failure(comparison, cofibrant, U.ctx)
                 if bad is not None:
-                    return _report("appropriate", params, {**failure, **bad})
-                settled[k] = undecided
+                    yield True, {**failure, **bad}
+                    return
+                settled[k] = purity.verdict is inconclusive
+            yield True, inconclusive if settled[k] else yes
+
+    def walk(objects: Sequence[tuple[Presheaf, int]], by_class: bool) -> tuple | None:
+        """The pairs of the trivial fibrations t between `objects`, each
+        weighted by t's ends.  By class, only the first t of each `iso_class`
+        walks its pairs, and the walk gives up (None) at an INCONCLUSIVE."""
+        checked = undecided = 0
+        seen: set[PresheafMap] = set()
+        counts: dict = {}  # t or its iso class -> cofibrations out of t.source
+        for A, m in objects:
+            for B, n in objects:
+                for t in filter(U.is_triv_fib, U.hom(A, B)):
+                    k = U.iso_class(t) if by_class else t
+                    if k not in counts:
+                        counts[k] = 0
+                        for cofibration, outcome in pairs(t, seen):
+                            counts[k] += cofibration
+                            if outcome is inconclusive:
+                                if by_class:
+                                    return None
+                                undecided += 1
+                            elif outcome is not yes:
+                                return outcome, 0, 0
+                    checked += m * n * counts[k]
+        return None, checked, undecided
+
+    try:
+        found = walk(U.cofibrant_classes, True) or walk([(V, 1) for V in U.cofibrant], False)
     except FuelExhausted as stop:
         return _out_of_fuel("appropriate", params, stop)
-    undecided = U.all_undecided() + inconclusive
+    failure, checked, undecided = found
+    if failure:
+        return _report("appropriate", params, failure)
+    undecided += U.all_undecided()
     return _report(
         "appropriate",
         params,
         undecided=undecided,
-        diagnostics={
-            "pushouts_checked": pushouts_checked,
-            "undecided_membership": undecided,
-        },
+        diagnostics={"pushouts_checked": checked, "undecided_membership": undecided},
     )
 
 
@@ -878,31 +877,6 @@ def _coproduct_map(t1: PresheafMap, t2: PresheafMap) -> PresheafMap:
     return sources.mediator(compose(t1, targets.left), compose(t2, targets.right))
 
 
-def _coproduct_outcomes(
-    maps: list[PresheafMap], U: BoundedUniverse
-) -> Iterator[Outcome]:
-    """Whether t1 + t2 is a trivial fibration of U, for every ordered pair of `maps` in
-    order: Verdict.YES, or the pair and its sum as counterexample.
-
-    t1 + t2 is isomorphic to t2 + t1, and lifting is invariant under
-    isomorphism, so one verdict serves a pair and its swap.  It is also
-    that of s1 + s2 for any arrows s1, s2 isomorphic to t1, t2, so
-    `check_properness_condition` passes one map per iso class.
-    """
-    lifts: dict[tuple[int, int], bool] = {}
-    yes = Verdict.YES  # looked up once: this loop runs once per pair
-    for k1, t1 in enumerate(maps):
-        for k2, t2 in enumerate(maps):
-            pair = (k1, k2) if k1 <= k2 else (k2, k1)
-            ok = lifts.get(pair)
-            if ok is None:
-                ok = lifts[pair] = in_inj(_coproduct_map(t1, t2), U.generators)
-            if ok:
-                yield yes
-            else:
-                yield {"first": t1, "second": t2, "coproduct": _coproduct_map(t1, t2)}
-
-
 def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     """Coproduct closure of trivial fibrations between cofibrant objects,
     and weak-equivalence of the comparison maps between pushouts along
@@ -918,6 +892,12 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     counterexample is the full walk's.  That needs decided verdicts, so a
     comparison that `we` answers INCONCLUSIVE sends the sweep back to the
     full walk, as `per_class` decides an undecided map on its own.
+
+    t1 + t2 is isomorphic to t2 + t1 and lifting is invariant under
+    isomorphism, so the sums run over the unordered pairs t1 <= t2 of the
+    representatives, in order, up to the first that `in_inj` refuses.
+    The ordered walk stops at the (least, greatest) form of that pair,
+    having decided the same sums, so the counterexample is its.
     """
     I = U.generators
     params = {"generators": I.label, **U.describe()}
@@ -957,7 +937,15 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
         return None, checked, 0
 
     tfibs = U.trivial_fibration_classes()
-    failure, _, _ = _first_failure(_coproduct_outcomes([t for t, _ in tfibs], U))
+    firsts = [t for t, _ in tfibs]
+    sums = (
+        (t1, t2, _coproduct_map(t1, t2)) for k, t1 in enumerate(firsts) for t2 in firsts[k:]
+    )
+    failure = next(
+        ({"first": t1, "second": t2, "coproduct": both}
+         for t1, t2, both in sums if not in_inj(both, I)),
+        None,
+    )
     if failure:
         closed = _report("tfib-coproducts", params, failure)
     else:

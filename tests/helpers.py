@@ -8,6 +8,7 @@ import itertools
 from pathlib import Path
 from importlib.resources import files
 
+from minmodel.factorization import Verdict
 from minmodel.presheaf import Presheaf, PresheafMap, load_base
 
 FIXDIR = Path(str(files("minmodel") / "fixtures"))
@@ -187,3 +188,20 @@ def map_iso_class(f: PresheafMap):
         return actions(X, p), actions(Y, q), tuple(comp)
 
     return sizes, brute_iso_class(sizes, relabel)
+
+
+def maps_between_cofibrant(U):
+    """Every map between cofibrant objects of the universe U, hom-set by
+    hom-set in the order of `U.cofibrant`."""
+    return [f for A in U.cofibrant for B in U.cofibrant for f in U.hom(A, B)]
+
+
+def cofibrations_between_cofibrant(U):
+    """The maps of `maps_between_cofibrant(U)` that `U.is_cof` answers YES."""
+    return [f for f in maps_between_cofibrant(U) if U.is_cof(f) is Verdict.YES]
+
+
+def trivial_fibrations_between_cofibrant(U):
+    """The maps of `maps_between_cofibrant(U)` that are trivial fibrations,
+    decided lazily, one at a time as the caller walks them."""
+    return (f for f in maps_between_cofibrant(U) if U.is_triv_fib(f))

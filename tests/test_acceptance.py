@@ -464,6 +464,10 @@ def test_one_bound_up_reports_match_their_goldens(tmp_path):
          ["check-properness", gph, "IG", "--bound", "v=3,e=2"]),
         ("gph_ig_check_properness_bound_v2e3", 1,
          ["check-properness", gph, "IG", "--bound", "v=2,e=3"]),
+        ("gph_ig_check_appropriate_bound_v3e2", 1,
+         ["check-appropriate", gph, "IG", "--bound", "v=3,e=2"]),
+        ("gph_ig_check_appropriate_bound_v2e3", 1,
+         ["check-appropriate", gph, "IG", "--bound", "v=2,e=3"]),
     )
     for name, code, argv in plans:
         out = tmp_path / f"{name}.json"

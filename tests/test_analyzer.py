@@ -11,7 +11,7 @@ from minmodel.analyzer import (
     BoundedUniverse,
     WeClass,
     _coproduct_map,
-    _coproduct_outcomes,
+    _isos,
     _object_square_failure,
     build_jset,
     check_appropriate,
@@ -46,6 +46,7 @@ import oracle_finset as of
 import oracle_gph as og
 from helpers import (
     FS_BASE,
+    cofibrations_between_cofibrant,
     fixture,
     fs,
     fs_to_oracle,
@@ -57,6 +58,7 @@ from helpers import (
     ig_set,
     is_bijective,
     map_iso_class,
+    trivial_fibrations_between_cofibrant,
 )
 
 I1 = i1_set()
@@ -111,11 +113,11 @@ def test_cofibrant_families():
     # cofibrations between them over the point inclusion are the monos
     U = finset_universe(I1)
     assert len(U.cofibrant) == 4
-    cbc = U.cofibrations_between_cofibrant()
+    cbc = cofibrations_between_cofibrant(U)
     assert len(cbc) == 24
     assert all(is_mono(i) for i in cbc)
     V = finset_universe(I2)
-    assert len(V.cofibrations_between_cofibrant()) == 60
+    assert len(cofibrations_between_cofibrant(V)) == 60
 
 
 def _renamed(f: PresheafMap, rng: random.Random) -> PresheafMap:
@@ -317,7 +319,7 @@ def test_cofibration_classes_partition_the_cofibrations_in_walk_order():
         (gph_universe(), 275, 65),
     )
     for U, count, classes in cases:
-        cofibrations = U.cofibrations_between_cofibrant()
+        cofibrations = cofibrations_between_cofibrant(U)
         grouped = U.cofibration_classes()
         assert grouped is U.cofibration_classes()
         assert (len(cofibrations), len(grouped)) == (count, classes)
@@ -342,7 +344,7 @@ def _full_walk(U: BoundedUniverse):
     `iso_class`, and the INCONCLUSIVE verdicts over every initial map and
     every map between cofibrant objects."""
     classes = analyzer._first_of_each_class(
-        U.cofibrations_between_cofibrant(), U.iso_class
+        cofibrations_between_cofibrant(U), U.iso_class
     )
     maps = itertools.chain(map(initial_map, U.objects), U._maps_between_cofibrant())
     return classes, sum(U.is_cof(f) is Verdict.INCONCLUSIVE for f in maps)
@@ -351,7 +353,7 @@ def _full_walk(U: BoundedUniverse):
 def _walk_gives_up(U: BoundedUniverse) -> bool:
     """Whether `cofibration_classes()` takes the full walk: some `is_cof`
     call has answered INCONCLUSIVE, or the representative walk meets one."""
-    return U._cof_undecided or U._representative_walk(U.is_cof) is None
+    return U._cof_undecided or U._representative_walk(U.is_cof, U.cofibrant_classes) is None
 
 
 def test_cofibration_classes_walk_representatives_like_the_full_walk():
@@ -397,7 +399,7 @@ def test_an_undecided_cofibration_sends_the_class_walk_to_the_full_walk(monkeypa
     # the first cofibrant object of each class, with the size of its class
     weight = dict(U.cofibrant_classes)
     # a cofibration out of an object that is not first in its class
-    late = next(f for f in U.cofibrations_between_cofibrant() if f.source not in weight)
+    late = next(f for f in cofibrations_between_cofibrant(U) if f.source not in weight)
     # a first-seen cofibration whose ends' classes hold more than one
     # object between them, so that its class has members off the walk
     walked = next(
@@ -482,7 +484,7 @@ def test_purity_walks_one_cofibration_per_class_like_the_full_walk():
     )
     for U, stride in cases:
         maps = list(U.all_maps())[::stride]
-        cofibrations = U.cofibrations_between_cofibrant()
+        cofibrations = cofibrations_between_cofibrant(U)
         failing = 0
         for f in maps:
             report = is_pure(f, U)
@@ -570,20 +572,28 @@ def test_starved_appropriateness_counts_undecided_purity_per_map():
     assert counts == {1: 12, 2: 25, 3: 53}
 
 
-def test_appropriateness_builds_one_pushout_per_automorphism_orbit(monkeypatch):
-    # a pair translated by an automorphism of its source glues the same
-    # elements, so only one pair per orbit is pushed out; every pair still
-    # counts as checked
+def test_appropriateness_pushes_out_along_one_trivial_fibration_per_class(monkeypatch):
+    # only the first-seen trivial fibration of each iso class pushes out
+    # the cofibrations out of its source; every trivial fibration between
+    # cofibrant objects still counts them in `pushouts_checked`
     built = []
     real = analyzer.pushout
     monkeypatch.setattr(
-        analyzer, "pushout", lambda f, g: built.append(real(f, g)) or built[-1]
+        analyzer, "pushout", lambda f, g: built.append((f, g)) or real(f, g)
     )
-    report = check_appropriate(finset_universe(I1, bound=4))
+    U = finset_universe(I1, bound=4)
+    report = check_appropriate(U)
     assert report.verdict is Verdict.YES
     assert report.diagnostics["pushouts_checked"] == 2265
-    assert len(built) == 185
-    assert len({po.right for po in built}) == 185
+    assert len(built) == 265
+    classes = U.trivial_fibration_classes()
+    assert list(dict.fromkeys(t for t, _ in built)) == [t for t, _ in classes]
+
+    def cofibrations(A):
+        return sum(U.is_cof(c) is Verdict.YES for c in U.maps_from(A))
+
+    assert sum(cofibrations(t.source) for t, _ in classes) == 265
+    assert sum(n * cofibrations(t.source) for t, n in classes) == 2265
 
 
 def test_object_lifts_walk_one_cofibrant_object_per_class_like_the_full_walk(
@@ -608,7 +618,7 @@ def test_object_lifts_walk_one_cofibrant_object_per_class_like_the_full_walk(
     firsts = [V for k, V in enumerate(U.cofibrant) if classes.index(classes[k]) == k]
     assert list(objects) == firsts
     comparisons = {}
-    for t in U.trivial_fibrations_between_cofibrant():
+    for t in trivial_fibrations_between_cofibrant(U):
         for c in U.maps_from(t.source):
             if U.is_cof(c) is Verdict.YES:
                 comparisons.setdefault(pushout(t, c).right, None)
@@ -620,17 +630,215 @@ def test_object_lifts_walk_one_cofibrant_object_per_class_like_the_full_walk(
     assert 0 < failures < len(comparisons)
 
 
+def _appropriate_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
+    """check_appropriate as a walk of every trivial fibration between
+    cofibrant objects and every cofibration out of its source.  A pair
+    equal to (t after s, c after s) for an earlier pair and an
+    automorphism s of the source builds no pushout: it glues the same
+    elements, so its comparison map is one already seen."""
+    params = {"generators": U.generators.label, **U.describe()}
+    pushouts_checked = 0
+    inconclusive = 0
+    seen = set()
+    settled = {}  # iso class -> whether purity was undecided
+    source = None
+    try:
+        cofibrant = [V for V, _ in U.cofibrant_classes]
+        for t in trivial_fibrations_between_cofibrant(U):
+            if t.source is not source:
+                source = t.source
+                automorphisms = list(_isos(source, source))
+                translates = set()
+            for c in U.maps_from(source):
+                vc = U.is_cof(c)
+                if vc is Verdict.INCONCLUSIVE:
+                    inconclusive += 1
+                if vc is not Verdict.YES:
+                    continue
+                pushouts_checked += 1
+                pair = (t.target, t._comp, c.target, c._comp)
+                if pair in translates:
+                    continue
+                translates.update(
+                    (t.target, _compose_tables(s, t._comp),
+                     c.target, _compose_tables(s, c._comp))
+                    for s in automorphisms
+                )
+                comparison = analyzer.pushout(t, c).right
+                if comparison in seen:
+                    continue
+                seen.add(comparison)
+                k = U.iso_class(comparison)
+                if k in settled:
+                    inconclusive += settled[k]
+                    continue
+                failure = {
+                    "trivial-fibration": t,
+                    "cofibration": c,
+                    "comparison": comparison,
+                }
+                purity = analyzer.is_pure(comparison, U)
+                if purity.verdict is Verdict.NO:
+                    failure["purity"] = purity.counterexample
+                    return analyzer._report("appropriate", params, failure)
+                undecided = purity.verdict is Verdict.INCONCLUSIVE
+                inconclusive += undecided
+                bad = analyzer._object_square_failure(comparison, cofibrant, U.ctx)
+                if bad is not None:
+                    return analyzer._report("appropriate", params, {**failure, **bad})
+                settled[k] = undecided
+    except FuelExhausted as stop:
+        return analyzer._out_of_fuel("appropriate", params, stop)
+    undecided = U.all_undecided() + inconclusive
+    return analyzer._report(
+        "appropriate",
+        params,
+        undecided=undecided,
+        diagnostics={
+            "pushouts_checked": pushouts_checked,
+            "undecided_membership": undecided,
+        },
+    )
+
+
+def _both_walks(base, bound, gens, fuel):
+    """check_appropriate and the full-walk reference, each on a fresh
+    universe, with the solver calls each made."""
+    return [
+        _solver_calls(check, BoundedUniverse(base, bound, gens, fuel))
+        for check in (check_appropriate, _appropriate_by_full_walk)
+    ]
+
+
+def test_appropriateness_walks_representatives_like_the_full_walk():
+    # the class walk gives the full walk's report with the same solver
+    # calls: on the graph fixture at every fuel, one bound up, with the
+    # generator ∅ -> • alone, and on FinSet, also where fuel runs out
+    gph = IG.base_of()
+    cases = [(gph, {"v": 2, "e": 2}, IG, fuel) for fuel in (0, 1, 2, 4, None)]
+    cases += [(gph, bound, IG, 1024) for bound in (
+        {"v": 2, "e": 1}, {"v": 3, "e": 2}, {"v": 2, "e": 3})]
+    cases += [(gph, {"v": 2, "e": 2}, I0, 1024)]
+    cases += [(FS_BASE, bound, gens, 1024) for gens in (I1, I2) for bound in (3, 4)]
+    cases += [(FS_BASE, 3, I2, fuel) for fuel in (0, 1, 3)]
+    verdicts = set()
+    for base, bound, gens, fuel in cases:
+        (got, calls), (want, reference_calls) = _both_walks(base, bound, gens, fuel)
+        assert (got, calls) == (want, reference_calls), (bound, gens.label, fuel)
+        verdicts.add(got.verdict)
+    assert verdicts == set(Verdict)
+
+
+def test_an_undecided_candidate_or_purity_sends_appropriateness_to_the_full_walk(
+    monkeypatch,
+):
+    # a candidate cofibration or a comparison's purity that the class walk
+    # meets undecided sends the sweep to every trivial fibration, which
+    # keeps the classes the class walk settled: the report and the solver
+    # calls stay the full walk's.  A candidate is starved through
+    # `_in_cof`, so that `per_class` still shares its class's decided
+    # verdicts, at maps whose run the sweep makes: the first, and the last
+    # of its source.  A purity is starved per `iso_class`, at the first and
+    # the last class that passes, and then at every comparison.
+    gph = IG.base_of()
+    real_in_cof, real_pure = BoundedUniverse._in_cof, analyzer.is_pure
+    spent = analyzer._report("pure", {}, undecided=1)
+    last_of_all = 0
+    for base, bound, gens in ((gph, {"v": 2, "e": 2}, IG),
+                              (gph, {"v": 2, "e": 2}, I0), (FS_BASE, 3, I2)):
+        case = (bound, gens.label)
+        U = BoundedUniverse(base, bound, gens, 1024)
+        U.cofibrant_classes
+        runs, pure = [], []
+        monkeypatch.setattr(
+            BoundedUniverse, "_in_cof", lambda V, f: runs.append(f) or real_in_cof(V, f)
+        )
+        monkeypatch.setattr(
+            analyzer, "is_pure", lambda f, V: pure.append((f, real_pure(f, V))) or pure[-1][1]
+        )
+        plain = check_appropriate(U)
+        monkeypatch.undo()
+        last = [f for f in runs if f.source == runs[0].source][-1]
+        later = list(U.maps_from(last.source))
+        later = later[later.index(last) + 1:]
+        # with no cofibration after it, the sweep moves on to the next
+        # trivial fibration right after the undecided answer
+        last_of_all += all(U.is_cof(f) is Verdict.NO for f in later)
+        passing = [U.iso_class(f) for f, report in pure if report.verdict is Verdict.YES]
+        starved = [
+            ("_in_cof", BoundedUniverse, lambda V, f, c=c: (
+                Verdict.INCONCLUSIVE if f == c else real_in_cof(V, f)))
+            for c in (runs[0], last)
+        ]
+        starved += [
+            ("is_pure", analyzer, lambda f, V, k=k: (
+                spent if k in (None, V.iso_class(f)) else real_pure(f, V)))
+            for k in (passing[0], passing[-1], None)
+        ]
+        for name, owner, stand_in in starved:
+            fired = []
+            monkeypatch.setattr(
+                owner, name, lambda *a, s=stand_in: fired.append(s(*a)) or fired[-1]
+            )
+            (got, calls), (want, reference_calls) = _both_walks(base, bound, gens, 1024)
+            monkeypatch.undo()
+            assert (got, calls) == (want, reference_calls), (case, name)
+            # the stand-in answered INCONCLUSIVE in both walks
+            undecided = [v for v in fired if v is Verdict.INCONCLUSIVE or v is spent]
+            assert len(undecided) >= 2, (case, name)
+            expected = Verdict.INCONCLUSIVE if plain.passed else Verdict.NO
+            assert got.verdict is expected, (case, name)
+    assert last_of_all
+
+
+def test_a_failure_through_a_class_of_several_trivial_fibrations(monkeypatch):
+    # the graph fixture fails at trivial fibrations between objects alone
+    # in their classes, so stand-ins answer every purity and the object
+    # lifts.  With every purity passing, then undecided, the counts are the
+    # full walk's; then the lifts refuse one comparison alone, the first
+    # decided along a trivial fibration between objects of classes of two
+    passed = analyzer._report("pure", {})
+    spent = analyzer._report("pure", {}, undecided=1)
+    built, decided = [], []
+    real = analyzer.pushout
+    monkeypatch.setattr(analyzer, "pushout", lambda f, g: built.append(f) or real(f, g))
+    monkeypatch.setattr(
+        analyzer,
+        "_object_square_failure",
+        lambda g, objects, ctx: decided.append((built[-1], g)),
+    )
+    bound = {"v": 2, "e": 2}
+    for purity in (spent, passed):
+        decided.clear()
+        monkeypatch.setattr(analyzer, "is_pure", lambda f, U, purity=purity: purity)
+        (got, calls), reference = _both_walks(IG.base_of(), bound, IG, 1024)
+        assert (got, calls) == reference
+        assert got.verdict is (Verdict.YES if purity is passed else Verdict.INCONCLUSIVE)
+    U = BoundedUniverse(IG.base_of(), bound, IG, 1024)
+    weight = dict(U.cofibrant_classes)
+    refused = next(g for t, g in decided if weight[t.source] * weight[t.target] > 1)
+    bad = {"against": "stand-in"}
+    monkeypatch.setattr(
+        analyzer,
+        "_object_square_failure",
+        lambda g, objects, ctx: bad if g == refused else None,
+    )
+    (got, calls), reference = _both_walks(IG.base_of(), bound, IG, 1024)
+    assert (got, calls) == reference
+    assert got.verdict is Verdict.NO and got.counterexample["comparison"] == refused
+    t = got.counterexample["trivial-fibration"]
+    assert weight[t.source] * weight[t.target] > 1
+
+
 def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
     # over FinSet a map's class key is its fibre-size profile and an
     # object's class its carrier sizes, so the maps check_appropriate keys
-    # at bound 4 start no isomorphism search and build no frame: its only
-    # `_isos` calls list the automorphisms of the trivial fibrations'
-    # sources.  Over graphs every key is an orbit over the
-    # registered classes.  Every comparison apex is isomorphic to a
-    # universe object, so the registry holds the 13 first-seen objects
-    # alone, and the searches are its lookups, made once per universe
-    # object, one automorphism list per class and those of the sources.
-    # The properness sweeps key universe maps only.
+    # at bound 4 start no isomorphism search and build no frame.  Over
+    # graphs every key is an orbit over the registered classes.  Every
+    # comparison apex is isomorphic to a universe object, so the registry
+    # holds the 13 first-seen objects alone, and the searches are its
+    # lookups, made once per universe object, and one automorphism list
+    # per class.  The properness sweeps key universe maps only.
     searches = []
     real = analyzer._isos
     monkeypatch.setattr(
@@ -638,11 +846,10 @@ def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
     )
     U = finset_universe(I1, bound=4)
     assert check_appropriate(U).verdict is Verdict.YES
-    assert len(searches) == len(U.objects) == 5
-    assert all(X is Y for X, Y in searches)
+    assert searches == []
     assert U._automorphisms.cache_info().misses == 0
     assert "_frames" not in vars(U)
-    for check, count in ((check_appropriate, 139), (check_properness_condition, 27)):
+    for check, count in ((check_appropriate, 134), (check_properness_condition, 27)):
         searches.clear()
         U = gph_universe()
         assert check(U).verdict is Verdict.NO
@@ -657,6 +864,22 @@ def test_main_condition_verdicts():
     assert [s.check for s in report.subchecks] == ["appropriate", "jcell-rlp"]
     assert check_main_condition(finset_universe(I2)).verdict is Verdict.YES
     assert check_main_condition(gph_universe()).verdict is Verdict.NO
+
+
+def _ordered_sums(maps, U: BoundedUniverse):
+    """Whether t1 + t2 is a trivial fibration of U, for every ordered pair
+    of `maps` in order: Verdict.YES, or the pair and its sum as
+    counterexample.  A pair and its swap share one `in_inj` decision."""
+    lifts = {}
+    for k1, t1 in enumerate(maps):
+        for k2, t2 in enumerate(maps):
+            pair = (min(k1, k2), max(k1, k2))
+            if pair not in lifts:
+                lifts[pair] = analyzer.in_inj(_coproduct_map(t1, t2), U.generators)
+            if lifts[pair]:
+                yield Verdict.YES
+            else:
+                yield {"first": t1, "second": t2, "coproduct": _coproduct_map(t1, t2)}
 
 
 def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
@@ -678,22 +901,52 @@ def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
         assert Verdict.YES in unshared
         assert any(outcome is not Verdict.YES for outcome in unshared)
         # a pair and its swap share one verdict
-        assert list(_coproduct_outcomes(maps, U)) == unshared
+        assert list(_ordered_sums(maps, U)) == unshared
         # one map per class, as check_properness_condition walks them: the
-        # verdict of a pair of first-seen members serves every pair of maps
-        # isomorphic to them, the first counterexample is the full walk's,
-        # and the class sizes count every pair
+        # verdict of an unordered pair of first-seen members serves every
+        # pair of maps isomorphic to them, the first failing one is the
+        # full ordered walk's first counterexample, and the class sizes
+        # count every pair
         classes = analyzer._first_of_each_class(maps, U.iso_class)
         firsts = [t for t, _ in classes]
         assert len(firsts) < len(maps)
-        shared = list(_coproduct_outcomes(firsts, U))
+        shared = {
+            (k1, k2): in_inj(_coproduct_map(t1, t2), gens)
+            for k1, t1 in enumerate(firsts)
+            for k2, t2 in enumerate(firsts[k1:], k1)
+        }
         number = {U.iso_class(t): c for c, t in enumerate(firsts)}
         kinds = [number[U.iso_class(t)] for t in maps]
         for (k1, k2), outcome in zip(itertools.product(kinds, repeat=2), unshared):
-            assert (outcome is Verdict.YES) is (shared[k1 * len(firsts) + k2] is Verdict.YES)
-        failure, _, _ = analyzer._first_failure(shared)
+            assert (outcome is Verdict.YES) is shared[min(k1, k2), max(k1, k2)]
+        k1, k2 = next(pair for pair, ok in shared.items() if not ok)
+        t1, t2 = firsts[k1], firsts[k2]
+        failure = {"first": t1, "second": t2, "coproduct": _coproduct_map(t1, t2)}
         assert failure == next(o for o in unshared if o is not Verdict.YES)
         assert sum(n for _, n in classes) ** 2 == len(unshared)
+
+
+def test_a_failing_sum_of_trivial_fibrations_is_the_ordered_walks_first(monkeypatch):
+    # every sum of the fixtures' trivial fibrations is one, so a stand-in
+    # for `in_inj` refuses the sums whose target has 3 vertices and 1 edge:
+    # the unordered walk stops at the ordered walk's first counterexample
+    real = analyzer.in_inj
+
+    def refuse(f, I):
+        summed = any(x.startswith("r.") for col in f.source.carriers for x in col)
+        return not (summed and tuple(map(len, f.target.carriers)) == (3, 1)) and real(f, I)
+
+    monkeypatch.setattr(analyzer, "in_inj", refuse)
+    bound = {"v": 2, "e": 1}
+    got, want = (
+        check(BoundedUniverse(IG.base_of(), bound, IG, 1024))
+        for check in (check_properness_condition, _properness_by_full_walk)
+    )
+    assert got == want
+    closed = got.subchecks[0]
+    assert closed.verdict is Verdict.NO
+    first, second = closed.counterexample["first"], closed.counterexample["second"]
+    assert first != second
 
 
 def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
@@ -751,7 +1004,7 @@ def _properness_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
     I = U.generators
     params = {"generators": I.label, **U.describe()}
     we = WeClass.from_generators(U)
-    tfibs = list(U.trivial_fibrations_between_cofibrant())
+    tfibs = list(trivial_fibrations_between_cofibrant(U))
 
     def comparisons():
         for k, i in enumerate(I.maps):
@@ -773,7 +1026,7 @@ def _properness_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
                     else:
                         yield v
 
-    failure, checked, _ = analyzer._first_failure(_coproduct_outcomes(tfibs, U))
+    failure, checked, _ = analyzer._first_failure(_ordered_sums(tfibs, U))
     if failure:
         closed = analyzer._report("tfib-coproducts", params, failure)
     else:
@@ -821,7 +1074,7 @@ def test_properness_sweeps_walk_representatives_like_the_full_walk():
         assert calls <= reference_calls, case
         saved += calls < reference_calls
         assert U.trivial_fibration_classes() == analyzer._first_of_each_class(
-            U.trivial_fibrations_between_cofibrant(), U.iso_class
+            trivial_fibrations_between_cofibrant(U), U.iso_class
         ), case
     assert saved
 
@@ -891,10 +1144,10 @@ def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
             walks.clear()
             report = check(BoundedUniverse(IG.base_of(), bound, gens, 1024))
             assert report.verdict is verdict
-            # the coproduct sweep, then the full walk of the comparisons:
-            # the class walk has no `_first_failure` of its own, so a
-            # second walk shows that it gave up
-            assert len(walks) == 2
+            # the class walk of the comparisons has no `_first_failure` of
+            # its own, so a walk shows that it gave up; the reference walks
+            # the ordered coproduct sweep with one too
+            assert len(walks) == (1 if check is check_properness_condition else 2)
             results.append((report, walks[-1]))
         assert results[0] == results[1]
         failure, _, undecided = results[0][1]
