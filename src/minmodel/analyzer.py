@@ -119,6 +119,36 @@ def _first_of_each_class(items: Iterable, key: Callable) -> tuple[tuple[object, 
     return tuple((item, sizes[k]) for k, item in first.items())
 
 
+def _class_walk(
+    sweep: Callable[[Sequence[tuple[Presheaf, int]]], Iterable[tuple[Outcome, int]]],
+    classes: Sequence[tuple[Presheaf, int]],
+    everyone: Iterable[Presheaf],
+) -> tuple[dict | None, int, int]:
+    """`_first_failure` of `sweep(classes)`, `classes` being the first
+    object of each isomorphism class, in order, with its class size; each
+    yielded (outcome, weight) counts as `weight` candidates.  The swept
+    conditions are invariant under isomorphism, and a first-seen object
+    has the least index in its class, so a failure through later members
+    transports to one that the walk over every object reaches no later:
+    the first counterexample and the counts are the full walk's (McKay's
+    isomorph-free walk).  That needs decided verdicts, and fuel can run
+    out differently on isomorphic candidates, so at the first INCONCLUSIVE
+    the sweep walks every object of `everyone` at weight 1, to the end."""
+    yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
+    for objects in (classes, [(X, 1) for X in everyone]):
+        walked = undecided = 0
+        for outcome, weight in sweep(objects):
+            walked += weight
+            if outcome is inconclusive:
+                if objects is classes:
+                    break
+                undecided += 1
+            elif outcome is not yes:
+                return outcome, walked, undecided
+        else:
+            return None, walked, undecided
+
+
 def _combine(check: str, parameters: dict, subchecks: list[VerdictReport]) -> VerdictReport:
     """The first failing subcheck's counterexample, else INCONCLUSIVE when
     any subcheck is, else YES."""
@@ -744,17 +774,12 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
     Every pair (t, c) of a trivial fibration t and a cofibration c out of
     A = t.source counts in `pushouts_checked`.  Both conditions are
     invariant under isomorphism, so a comparison map whose iso class
-    passed them is settled, and an isomorphism t' ~ t carries the pairs of
-    t' onto those of t, comparisons onto isomorphic ones.  So t runs over
-    the hom-sets between `U.cofibrant_classes` alone, as in
-    `_representative_walk`, and only the first t of each `iso_class` walks
-    the cofibrations out of A, their count standing for the m * n trivial
-    fibrations between its ends' classes.  The first counterexample is the
-    full walk's, as in `check_properness_condition`.  At the first
-    INCONCLUSIVE candidate cofibration or purity the sweep starts over
-    with every trivial fibration, keeping the settled classes.  The object
-    lifts run against `U.cofibrant_classes` alone too: a lift against the
-    empty map into V is one against any V' isomorphic to V.
+    passed them is settled, and t' ~ t carries the pairs of t' onto those
+    of t.  So t runs between `U.cofibrant_classes` (`_class_walk`), and
+    only the first t of each `iso_class` walks the cofibrations out of A,
+    standing for the m * n trivial fibrations between its ends' classes;
+    the full walk takes every t on its own, keeping the settled classes.
+    The object lifts run against `U.cofibrant_classes` alone too.
 
     `undecided_membership` sums three counts: the universe's undecided
     memberships (`U.all_undecided()`); the candidate cofibrations whose
@@ -785,47 +810,39 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
             seen.add(comparison)
             k = U.iso_class(comparison)
             if k not in settled:
-                failure = {"trivial-fibration": t, "cofibration": c, "comparison": comparison}
                 purity = is_pure(comparison, U)
                 if purity.verdict is Verdict.NO:
-                    yield True, {**failure, "purity": purity.counterexample}
-                    return
-                bad = _object_square_failure(comparison, cofibrant, U.ctx)
+                    bad = {"purity": purity.counterexample}
+                else:
+                    bad = _object_square_failure(comparison, cofibrant, U.ctx)
                 if bad is not None:
-                    yield True, {**failure, **bad}
+                    pair = {"trivial-fibration": t, "cofibration": c, "comparison": comparison}
+                    yield True, {**pair, **bad}
                     return
                 settled[k] = purity.verdict is inconclusive
             yield True, inconclusive if settled[k] else yes
 
-    def walk(objects: Sequence[tuple[Presheaf, int]], by_class: bool) -> tuple | None:
-        """The pairs of the trivial fibrations t between `objects`, each
-        weighted by t's ends.  By class, only the first t of each `iso_class`
-        walks its pairs, and the walk gives up (None) at an INCONCLUSIVE."""
-        checked = undecided = 0
+    def sweep(objects: Sequence[tuple[Presheaf, int]]) -> Iterator[tuple[Outcome, int]]:
+        """The pairs of the trivial fibrations t between `objects`, weighted
+        by t's ends; over the classes, from the first t of each `iso_class`."""
         seen: set[PresheafMap] = set()
         counts: dict = {}  # t or its iso class -> cofibrations out of t.source
         for A, m in objects:
             for B, n in objects:
                 for t in filter(U.is_triv_fib, U.hom(A, B)):
-                    k = U.iso_class(t) if by_class else t
-                    if k not in counts:
-                        counts[k] = 0
-                        for cofibration, outcome in pairs(t, seen):
-                            counts[k] += cofibration
-                            if outcome is inconclusive:
-                                if by_class:
-                                    return None
-                                undecided += 1
-                            elif outcome is not yes:
-                                return outcome, 0, 0
-                    checked += m * n * counts[k]
-        return None, checked, undecided
+                    k = U.iso_class(t) if objects is U.cofibrant_classes else t
+                    if k in counts:
+                        yield yes, m * n * counts[k]
+                        continue
+                    counts[k] = 0
+                    for cofibration, outcome in pairs(t, seen):
+                        counts[k] += cofibration
+                        yield outcome, m * n * cofibration
 
     try:
-        found = walk(U.cofibrant_classes, True) or walk([(V, 1) for V in U.cofibrant], False)
+        failure, checked, undecided = _class_walk(sweep, U.cofibrant_classes, U.cofibrant)
     except FuelExhausted as stop:
         return _out_of_fuel("appropriate", params, stop)
-    failure, checked, undecided = found
     if failure:
         return _report("appropriate", params, failure)
     undecided += U.all_undecided()
@@ -842,26 +859,31 @@ def check_main_condition(U: BoundedUniverse) -> VerdictReport:
     keep RLP up to homotopy against the generator domains.
 
     Finite generator sources make pushouts of J-maps stand in for all of
-    J-cell here; each attachment stage is itself such a pushout.
+    J-cell here; each attachment stage is itself such a pushout.  They run
+    along the maps into `U.object_classes` (`_class_walk`): the pushouts
+    of j along u and along u followed by an isomorphism are isomorphic.
     """
     I = U.generators
     params = {"generators": I.label, **U.describe()}
     appropriate = check_appropriate(U)
     domains = list(dict.fromkeys(i.source for i in I.maps))
 
-    def pushed_out(J: GeneratingSet) -> Iterator[Outcome]:
+    def pushed_out(objects: Sequence[tuple[Presheaf, int]]) -> Iterator[tuple[Outcome, int]]:
+        """The pushouts of the J-maps along the maps into `objects`."""
         yes = Verdict.YES  # looked up once: this loop runs once per pushout
         for jk, j in enumerate(J.maps):
-            for u in U.maps_from(j.source):
-                pushed = pushout(j, u).right
-                bad = _object_square_failure(pushed, domains, U.ctx)
-                if bad is not None:
-                    yield {"j-generator": jk, "along": u, "pushed": pushed, **bad}
-                else:
-                    yield yes
+            for Y, n in objects:
+                for u in U.hom(j.source, Y):
+                    pushed = pushout(j, u).right
+                    bad = _object_square_failure(pushed, domains, U.ctx)
+                    if bad is not None:
+                        yield {"j-generator": jk, "along": u, "pushed": pushed, **bad}, n
+                    else:
+                        yield yes, n
 
     try:
-        failure, checked, _ = _first_failure(pushed_out(build_jset(U.ctx)))
+        J = build_jset(U.ctx)
+        failure, checked, _ = _class_walk(pushed_out, U.object_classes, U.objects)
     except FuelExhausted as stop:
         cell = _out_of_fuel("jcell-rlp", params, stop)
     else:
@@ -882,16 +904,10 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     and weak-equivalence of the comparison maps between pushouts along
     the generators.
 
-    Both sweeps walk one representative per isomorphism class (McKay's
-    isomorph-free walk): the pairs of `U.trivial_fibration_classes()`,
-    (sum of class sizes)^2 in all, and the comparisons for
-    u : i.source -> X and g : X -> Y with X and Y in `U.object_classes`,
-    each standing for its |class of X| * |class of Y| isomorphic copies.  A first-seen
-    member has the least index in its class, so a failure transports to
-    representatives that the walk reaches no later: the first
-    counterexample is the full walk's.  That needs decided verdicts, so a
-    comparison that `we` answers INCONCLUSIVE sends the sweep back to the
-    full walk, as `per_class` decides an undecided map on its own.
+    Both sweeps walk one representative per isomorphism class: the pairs
+    of `U.trivial_fibration_classes()`, (sum of class sizes)^2 in all, and
+    the comparisons for u : i.source -> X and g : X -> Y with X and Y of
+    `U.object_classes`, weighted by their class sizes (`_class_walk`).
 
     t1 + t2 is isomorphic to t2 + t1 and lifting is invariant under
     isomorphism, so the sums run over the unordered pairs t1 <= t2 of the
@@ -902,7 +918,7 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     I = U.generators
     params = {"generators": I.label, **U.describe()}
     we = WeClass.from_generators(U)
-    yes, no, inconclusive = Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE
+    no = Verdict.NO
 
     def comparisons(objects: Sequence[tuple[Presheaf, int]]) -> Iterator[tuple[Outcome, int]]:
         """Each comparison through X, Y of `objects`, with their weights' product."""
@@ -918,23 +934,9 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
                             induced = po1.mediator(compose(g, po2.left), po2.right)
                             v = we(induced)
                             if v is no:
-                                v = {
-                                    "generator": k,
-                                    "attach": u,
-                                    "trivial-fibration": g,
-                                    "comparison": induced,
-                                }
+                                v = {"generator": k, "attach": u,
+                                     "trivial-fibration": g, "comparison": induced}
                             yield v, mx * my
-
-    def class_walk() -> tuple[dict | None, int, int] | None:
-        checked = 0
-        for outcome, weight in comparisons(U.object_classes):
-            if outcome is inconclusive:
-                return None
-            checked += weight
-            if outcome is not yes:
-                return outcome, checked, 0
-        return None, checked, 0
 
     tfibs = U.trivial_fibration_classes()
     firsts = [t for t, _ in tfibs]
@@ -955,9 +957,7 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
             undecided=U.all_undecided(),
             diagnostics={"pairs_checked": sum(n for _, n in tfibs) ** 2},
         )
-    failure, checked, undecided = class_walk() or _first_failure(
-        v for v, _ in comparisons([(X, 1) for X in U.objects])
-    )
+    failure, checked, undecided = _class_walk(comparisons, U.object_classes, U.objects)
     diagnostics = None if failure else {"comparisons_checked": checked}
     compared = _report("pushout-comparisons", params, failure, undecided, diagnostics)
     return _combine("properness-condition", params, [closed, compared])

@@ -459,6 +459,7 @@ def test_one_bound_up_reports_match_their_goldens(tmp_path):
     plans = (
         ("gph_ig_verify_axioms_bound_v2e3", 1, ["verify-axioms", gph, "IG", "--bound", "v=2,e=3"]),
         ("gph_ig_check_main_bound_v3e2", 1, ["check-main", gph, "IG", "--bound", "v=3,e=2"]),
+        ("gph_ig_check_main_bound_v2e3", 1, ["check-main", gph, "IG", "--bound", "v=2,e=3"]),
         ("gph_ig_classify_bound_v3e2", 0, ["classify", gph, "cA", "IG", "--bound", "v=3,e=2"]),
         ("gph_ig_check_properness_bound_v3e2", 1,
          ["check-properness", gph, "IG", "--bound", "v=3,e=2"]),

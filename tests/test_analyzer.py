@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -866,6 +867,89 @@ def test_main_condition_verdicts():
     assert check_main_condition(gph_universe()).verdict is Verdict.NO
 
 
+def _main_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
+    """check_main_condition with the J-pushouts along every map out of each
+    J-map's source, in universe order."""
+    I = U.generators
+    params = {"generators": I.label, **U.describe()}
+    appropriate = check_appropriate(U)
+    domains = list(dict.fromkeys(i.source for i in I.maps))
+
+    def pushed_out(J):
+        for jk, j in enumerate(J.maps):
+            for u in U.maps_from(j.source):
+                pushed = analyzer.pushout(j, u).right
+                bad = analyzer._object_square_failure(pushed, domains, U.ctx)
+                if bad is not None:
+                    yield {"j-generator": jk, "along": u, "pushed": pushed, **bad}
+                else:
+                    yield Verdict.YES
+
+    try:
+        failure, checked, _ = analyzer._first_failure(pushed_out(build_jset(U.ctx)))
+    except FuelExhausted as stop:
+        cell = analyzer._out_of_fuel("jcell-rlp", params, stop)
+    else:
+        diagnostics = None if failure else {"pushouts_checked": checked}
+        cell = analyzer._report("jcell-rlp", params, failure, diagnostics=diagnostics)
+    return analyzer._combine("main-condition", params, [appropriate, cell])
+
+
+def test_main_condition_walks_representatives_like_the_full_walk():
+    # the J-pushouts run along the maps into one object per class, with the
+    # full walk's report: on the graph fixture at every fuel, one bound up
+    # and with the generator ∅ -> • alone, on FinSet and on reflexive
+    # graphs.  Solver calls fall exactly where some class holds two
+    # objects, so never on FinSet, where every object is alone in its class
+    gph = IG.base_of()
+    cases = [(gph, {"v": 2, "e": 2}, IG, fuel) for fuel in (0, 1, 2, 4, None)]
+    cases += [(gph, bound, IG, 1024) for bound in (
+        {"v": 2, "e": 1}, {"v": 3, "e": 2}, {"v": 2, "e": 3})]
+    cases += [(gph, {"v": 2, "e": 2}, I0, 1024)]
+    cases += [(FS_BASE, bound, gens, 1024) for gens in (I1, I2) for bound in (3, 4)]
+    universes = [functools.partial(BoundedUniverse, *case) for case in cases]
+    for case, fresh in zip(cases + ["RG"], universes + [_rgph_universe]):
+        U = fresh()
+        got, calls = _solver_calls(check_main_condition, U)
+        want, reference_calls = _solver_calls(_main_by_full_walk, fresh())
+        assert got == want, case
+        shared = any(n > 1 for _, n in U.object_classes)
+        assert (calls < reference_calls) is shared and calls <= reference_calls, case
+
+
+def test_a_failing_j_pushout_into_a_class_of_several_objects(monkeypatch):
+    # `jcell-rlp` passes on every fixture, so a stand-in for
+    # `_object_square_failure` refuses J-pushouts along the maps into
+    # objects of classes of two or more: every one of the second J-map,
+    # and those of the first into the last such class.  The other squares
+    # go to the real search.  The first refusal is the full walk's, which
+    # pushes out along every map of the first J-map before the second
+    U = gph_universe()
+    count = Counter(U._representatives)
+    size = {X: count[r] for X, r in zip(U.objects, U._representatives)}
+    last = [X for X, n in U.object_classes if n > 1][-1]
+    second = build_jset(U.ctx).maps[1]
+    domains = list(dict.fromkeys(i.source for i in IG.maps))
+    built = []
+    real_pushout, real = analyzer.pushout, analyzer._object_square_failure
+
+    def refuse(g, objects, ctx):
+        if objects == domains and size[g.source] > 1 and (
+            built[-1] == second or g.source == last
+        ):
+            return {"against": "stand-in"}
+        return real(g, objects, ctx)
+
+    monkeypatch.setattr(analyzer, "pushout", lambda f, g: built.append(f) or real_pushout(f, g))
+    monkeypatch.setattr(analyzer, "_object_square_failure", refuse)
+    got, want = (check(gph_universe()) for check in (check_main_condition, _main_by_full_walk))
+    assert got == want
+    cell = got.subchecks[1]
+    assert cell.verdict is Verdict.NO and cell.counterexample["against"] == "stand-in"
+    assert cell.counterexample["j-generator"] == 0
+    assert cell.counterexample["along"].target == last
+
+
 def _ordered_sums(maps, U: BoundedUniverse):
     """Whether t1 + t2 is a trivial fibration of U, for every ordered pair
     of `maps` in order: Verdict.YES, or the pair and its sum as
@@ -1119,13 +1203,25 @@ def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
         asked.append((f, report.verdict))
         return report
 
-    walks = []
-    first_failure = analyzer._first_failure
+    # `walks` holds what each walk returned, `passes` whether each pass of
+    # a `_class_walk` sweep went over the classes (True) or every object
+    walks, passes = [], []
+    first_failure, class_walk = analyzer._first_failure, analyzer._class_walk
+
+    def spy_walk(sweep, classes, everyone):
+        def recorded(objects):
+            passes.append(objects is classes)
+            return sweep(objects)
+
+        walks.append(class_walk(recorded, classes, everyone))
+        return walks[-1]
+
     monkeypatch.setattr(
         analyzer,
         "_first_failure",
         lambda candidates: walks.append(first_failure(candidates)) or walks[-1],
     )
+    monkeypatch.setattr(analyzer, "_class_walk", spy_walk)
     bound = {"v": 2, "e": 2}
     for gens, verdict in ((IG, Verdict.NO), (I0, Verdict.INCONCLUSIVE)):
         asked.clear()
@@ -1142,12 +1238,16 @@ def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
         results = []
         for check in (check_properness_condition, _properness_by_full_walk):
             walks.clear()
+            passes.clear()
             report = check(BoundedUniverse(IG.base_of(), bound, gens, 1024))
             assert report.verdict is verdict
-            # the class walk of the comparisons has no `_first_failure` of
-            # its own, so a walk shows that it gave up; the reference walks
-            # the ordered coproduct sweep with one too
-            assert len(walks) == (1 if check is check_properness_condition else 2)
+            # the comparisons' class walk gave up and walked every object;
+            # the reference walks the ordered coproduct sweep with a
+            # `_first_failure` of its own, then the comparisons
+            if check is check_properness_condition:
+                assert (len(walks), passes) == (1, [True, False])
+            else:
+                assert (len(walks), passes) == (2, [])
             results.append((report, walks[-1]))
         assert results[0] == results[1]
         failure, _, undecided = results[0][1]
