@@ -133,7 +133,9 @@ def _class_walk(
     the first counterexample and the counts are the full walk's (McKay's
     isomorph-free walk).  That needs decided verdicts, and fuel can run
     out differently on isomorphic candidates, so at the first INCONCLUSIVE
-    the sweep walks every object of `everyone` at weight 1, to the end."""
+    the sweep walks every object of `everyone` at weight 1, to the end.
+    It also serves the universe's class collectors (`_map_classes`), whose
+    sweeps keep the classes they meet and never fail."""
     yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
     for objects in (classes, [(X, 1) for X in everyone]):
         walked = undecided = 0
@@ -278,20 +280,20 @@ class BoundedUniverse:
     fibrations between cofibrant objects by `iso_class`, for `is_pure` and
     `check_properness_condition` to walk one map per class.
 
-    One walker finds both (`_representative_walk`): hom(A, B) alone, for A
-    and B the first cofibrant objects of their classes (`cofibrant_classes`;
-    `object_classes` likewise among all objects), the first accepted map
-    of each `iso_class` kept with its count there times the cofibrant
-    objects of A's class and of B's; `check_appropriate` walks its trivial
-    fibrations so too, lazily.  A first-seen object has the least index in
-    its class, so the first members and their order are the full walk's.
-    The walk gives up at an INCONCLUSIVE verdict.  A map asked while its
-    class was undecided keeps its INCONCLUSIVE in the `is_cof` cache, so
-    `is_cof` raises a universe-wide flag on every INCONCLUSIVE answer;
-    with the flag up, or when the walk gives up, `cofibration_classes()`
-    walks every cofibrant object with weight 1, and `cofibrant` may then
-    not be closed under isomorphism.  `all_undecided()` is 0 while the
-    flag stays down.
+    Both run through `_class_walk` (`_map_classes`): hom(A, B) alone, for
+    A and B the first cofibrant objects of their classes
+    (`cofibrant_classes`; `object_classes` likewise among all objects),
+    the first accepted map of each `iso_class` kept with its count there
+    times the cofibrant objects of A's class and of B's; `check_appropriate`
+    walks its trivial fibrations so too, lazily.  A first-seen object has
+    the least index in its class, so the first members and their order are
+    the full walk's.  At an INCONCLUSIVE verdict `_class_walk` walks every
+    cofibrant object with weight 1 instead.  A map asked while its class
+    was undecided keeps its INCONCLUSIVE in the `is_cof` cache, so `is_cof`
+    raises a universe-wide flag on every INCONCLUSIVE answer, and a flag
+    raised before the cofibration walk counts as one met there; `cofibrant`
+    may then not be closed under isomorphism.  That walk also counts
+    `all_undecided()`.
 
     When every generator is a mono, so is every cofibration, and `is_cof`
     answers NO for a non-mono before it keys f or factors anything.
@@ -306,16 +308,14 @@ class BoundedUniverse:
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
     It caches per instance what the checks ask again (`hom`, `is_cof`,
-    `factors_through`, `cofibration_classes`, `all_undecided`,
-    `_automorphisms`); each answers `cache_info()`.  The per-class memos
-    keep keys and verdicts, class keys of maps between universe objects
-    are kept under object indices and a component table, and `_frames`
-    keeps tables for universe objects alone, so no memo keeps a transient
+    `factors_through`, `_automorphisms`); each answers `cache_info()`, and
+    the cofibration walk is a cached property.  The per-class memos keep
+    keys and verdicts, class keys of maps between universe objects are
+    kept under object indices and a component table, and `_frames` keeps
+    tables for universe objects alone, so no memo keeps a transient
     presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`, and whether
     one map is a retract of another, shared per class only inside
-    `verify_axioms`.  `all_undecided()` counts the INCONCLUSIVE `is_cof`
-    verdicts over every `initial_map(X)`, then every map between cofibrant
-    objects, in the order of `cofibrant` and the full walk.
+    `verify_axioms`.
 
     The hot loops work on component tables, not on maps.  `factors_through`
     returns the component tables of the extending maps, which `is_pure`
@@ -369,8 +369,7 @@ class BoundedUniverse:
         self._cof_undecided = False
         self._triv_fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "is_cof", "factors_through", "cofibration_classes",
-                     "all_undecided", "_automorphisms"):
+        for name in ("hom", "is_cof", "factors_through", "_automorphisms"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -572,53 +571,57 @@ class BoundedUniverse:
         r, index = self._representatives, self._index
         return _first_of_each_class(self.cofibrant, lambda V: r[index[V]])
 
-    def _maps_between_cofibrant(self) -> Iterator[PresheafMap]:
-        for A in self.cofibrant:
-            for B in self.cofibrant:
-                yield from self.hom(A, B)
-
     def cofibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
         """The first-seen cofibration of each `iso_class` among the maps
-        between cofibrant objects, in their order, with its class size: the
-        walker over `cofibrant_classes`, or over every cofibrant object with
-        weight 1 once some `is_cof` call has answered INCONCLUSIVE."""
-        firsts = self.cofibrant_classes  # asks every initial map first
-        walk = self._representative_walk
-        classes = None if self._cof_undecided else walk(self.is_cof, firsts)
-        if classes is None:
-            everyone = [(V, 1) for V in self.cofibrant]
-            classes = walk(lambda f: self.is_cof(f) is Verdict.YES, everyone)
-        return classes
+        between cofibrant objects, in their order, with its class size."""
+        return self._cofibration_walk[0]
 
     def trivial_fibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
         """The trivial fibrations between cofibrant objects, one per
-        `iso_class`, by the walker: `is_triv_fib` is never INCONCLUSIVE."""
-        return self._representative_walk(self.is_triv_fib, self.cofibrant_classes)
+        `iso_class`, with class sizes: `is_triv_fib` is never INCONCLUSIVE."""
+        return self._map_classes(self.is_triv_fib, False)[0]
 
-    def _representative_walk(
-        self,
-        member: Callable[[PresheafMap], Verdict | bool],
-        objects: Sequence[tuple[Presheaf, int]],
-    ) -> tuple[tuple[PresheafMap, int], ...] | None:
+    @functools.cached_property
+    def _cofibration_walk(self) -> tuple[tuple[tuple[PresheafMap, int], ...], int]:
+        """`cofibration_classes()` and `all_undecided()`: the classes of
+        `_map_classes(is_cof)`, begun with any INCONCLUSIVE answered so
+        far, and its INCONCLUSIVE count plus that of the initial maps."""
+        initial = [self.is_cof(initial_map(X)) for X in self.objects]
+        classes, undecided = self._map_classes(self.is_cof, self._cof_undecided)
+        return classes, undecided + initial.count(Verdict.INCONCLUSIVE)
+
+    def _map_classes(
+        self, member: Callable[[PresheafMap], Verdict | bool], undecided: bool
+    ) -> tuple[tuple[tuple[PresheafMap, int], ...], int]:
         """The first map of each `iso_class` that `member` accepts (YES or
-        True) in the hom-sets between `objects`, in order, each with its
-        class size: the sum, over its members there, of the product of
-        their ends' weights.  None at the first map that `member` answers
-        INCONCLUSIVE."""
+        True) between cofibrant objects, in order, each with its class size,
+        and how many maps there `member` answers INCONCLUSIVE.  The sweep
+        hands `_class_walk` one outcome per map, YES or INCONCLUSIVE: over
+        `cofibrant_classes` a map counts the product of its ends' weights,
+        and `undecided` (an INCONCLUSIVE already answered off those
+        hom-sets) gives that pass up at once."""
         yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
+        classes = self.cofibrant_classes
         first: dict[tuple, PresheafMap] = {}
         sizes: Counter = Counter()
-        for A, m in objects:
-            for B, n in objects:
-                for f in self.hom(A, B):
-                    verdict = member(f)
-                    if verdict is inconclusive:
-                        return None
-                    if verdict is yes or verdict is True:
-                        k = self.iso_class(f)
-                        first.setdefault(k, f)
-                        sizes[k] += m * n
-        return tuple((f, sizes[k]) for k, f in first.items())
+
+        def sweep(objects: Sequence[tuple[Presheaf, int]]) -> Iterator[tuple[Outcome, int]]:
+            first.clear()
+            sizes.clear()
+            if undecided and objects is classes:
+                yield inconclusive, 0
+            for A, m in objects:
+                for B, n in objects:
+                    for f in self.hom(A, B):
+                        verdict = member(f)
+                        if verdict is yes or verdict is True:
+                            k = self.iso_class(f)
+                            first.setdefault(k, f)
+                            sizes[k] += m * n
+                        yield inconclusive if verdict is inconclusive else yes, m * n
+
+        _, _, count = _class_walk(sweep, classes, self.cofibrant)
+        return tuple((f, sizes[k]) for k, f in first.items()), count
 
     def factors_through(self, i: PresheafMap, X: Presheaf) -> frozenset[tuple]:
         """The component tables of the maps i.source -> X that extend along i."""
@@ -632,16 +635,16 @@ class BoundedUniverse:
         ) and any(find_retraction(s) is not None for s in self.hom(X, A))
 
     def all_undecided(self) -> int:
-        """The INCONCLUSIVE `is_cof` verdicts over every `initial_map(X)`,
-        then every map between cofibrant objects.  After
-        `cofibration_classes()`, that is 0 without a walk while no `is_cof`
-        call has answered INCONCLUSIVE."""
-        self.cofibration_classes()
-        if not self._cof_undecided:
-            return 0
-        initial = map(initial_map, self.objects)
-        maps = itertools.chain(initial, self._maps_between_cofibrant())
-        return sum(self.is_cof(f) is Verdict.INCONCLUSIVE for f in maps)
+        """The INCONCLUSIVE `is_cof` verdicts over every `initial_map(X)`
+        and every map between cofibrant objects, as the cofibration walk
+        counted them.  `is_cof` keeps each map's verdict, so the count
+        holds whatever is asked later.  When no `is_cof` call had answered
+        INCONCLUSIVE and the class pass met none, every map between
+        cofibrant objects lies in a class that pass decided, so none can be
+        INCONCLUSIVE later and the count is 0.  Otherwise the second pass
+        asked every map between cofibrant objects, in order, and counted
+        them."""
+        return self._cofibration_walk[1]
 
 
 def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
@@ -818,7 +821,6 @@ def check_appropriate(U: BoundedUniverse) -> VerdictReport:
                 if bad is not None:
                     pair = {"trivial-fibration": t, "cofibration": c, "comparison": comparison}
                     yield True, {**pair, **bad}
-                    return
                 settled[k] = purity.verdict is inconclusive
             yield True, inconclusive if settled[k] else yes
 
@@ -1241,10 +1243,7 @@ def classify_map(f: PresheafMap, U: BoundedUniverse) -> MapClassification:
         fib = Verdict.YES if has_rlp(f, build_jset(U.ctx).maps) else Verdict.NO
     except FuelExhausted:
         fib = Verdict.INCONCLUSIVE
-    try:
-        sdr = is_strong_deformation_retract(f, U.ctx).verdict
-    except FuelExhausted:
-        sdr = Verdict.INCONCLUSIVE
+    sdr = is_strong_deformation_retract(f, U.ctx).verdict
     pure = is_pure(f, U).verdict
     tcof = _conj(cof, weq)
     if cof is Verdict.YES and Verdict.INCONCLUSIVE not in (tcof, sdr):

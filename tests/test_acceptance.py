@@ -454,7 +454,8 @@ def test_fuel_starved_reports_match_their_goldens(tmp_path):
 
 def test_one_bound_up_reports_match_their_goldens(tmp_path):
     # the graph fixture one bound up, where the class walks save most:
-    # each report is frozen, `timing` included
+    # each report is frozen, `timing` included.  At fuel 1 the universe's
+    # cofibration walk meets undecided verdicts and walks all 116 objects
     gph = fixture("gph_ig.ws")
     plans = (
         ("gph_ig_verify_axioms_bound_v2e3", 1, ["verify-axioms", gph, "IG", "--bound", "v=2,e=3"]),
@@ -469,6 +470,10 @@ def test_one_bound_up_reports_match_their_goldens(tmp_path):
          ["check-appropriate", gph, "IG", "--bound", "v=3,e=2"]),
         ("gph_ig_check_appropriate_bound_v2e3", 1,
          ["check-appropriate", gph, "IG", "--bound", "v=2,e=3"]),
+        ("gph_ig_check_appropriate_bound_v3e2_fuel1", 2,
+         ["check-appropriate", gph, "IG", "--bound", "v=3,e=2", "--fuel", "1"]),
+        ("gph_ig_check_main_bound_v3e2_fuel1", 2,
+         ["check-main", gph, "IG", "--bound", "v=3,e=2", "--fuel", "1"]),
     )
     for name, code, argv in plans:
         out = tmp_path / f"{name}.json"

@@ -2,12 +2,13 @@
 
 import functools
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
 
-from minmodel import analyzer, lifting
+from minmodel import analyzer, cli, lifting
 from minmodel.analyzer import (
     BoundedUniverse,
     WeClass,
@@ -52,6 +53,7 @@ from helpers import (
     fs,
     fs_to_oracle,
     fsmap,
+    gph,
     gph_to_oracle,
     graph_iso_class,
     i1_set,
@@ -59,6 +61,7 @@ from helpers import (
     ig_set,
     is_bijective,
     map_iso_class,
+    maps_between_cofibrant,
     trivial_fibrations_between_cofibrant,
 )
 
@@ -347,21 +350,43 @@ def _full_walk(U: BoundedUniverse):
     classes = analyzer._first_of_each_class(
         cofibrations_between_cofibrant(U), U.iso_class
     )
-    maps = itertools.chain(map(initial_map, U.objects), U._maps_between_cofibrant())
+    maps = itertools.chain(map(initial_map, U.objects), maps_between_cofibrant(U))
     return classes, sum(U.is_cof(f) is Verdict.INCONCLUSIVE for f in maps)
 
 
 def _walk_gives_up(U: BoundedUniverse) -> bool:
-    """Whether `cofibration_classes()` takes the full walk: some `is_cof`
-    call has answered INCONCLUSIVE, or the representative walk meets one."""
-    return U._cof_undecided or U._representative_walk(U.is_cof, U.cofibrant_classes) is None
+    """Runs `cofibration_classes()` on U and tells whether its `_class_walk`
+    took the full walk: some `is_cof` call had answered INCONCLUSIVE, or
+    the class pass met one."""
+    passes = []
+    class_walk = analyzer._class_walk
+
+    def spy_walk(sweep, classes, everyone):
+        def recorded(objects):
+            passes.append(objects is classes)
+            return sweep(objects)
+
+        return class_walk(recorded, classes, everyone)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyzer, "_class_walk", spy_walk)
+        U.cofibration_classes()
+    assert passes in ([True], [True, False])
+    return passes == [True, False]
 
 
-def test_cofibration_classes_walk_representatives_like_the_full_walk():
+def test_cofibration_classes_walk_representatives_like_the_full_walk(monkeypatch):
     # the representative walk reads the hom-sets between the first
     # cofibrant objects of each class alone and gives each class its
     # full-walk size; a universe with an undecided verdict falls back to
-    # the full walk, so the fuel-starved universes agree too
+    # the full walk, so the fuel-starved universes agree too.  The walk
+    # counts `all_undecided()` as it goes: reading it asks no hom-set and
+    # solves nothing
+    solved = []
+    real = analyzer.in_cof
+    monkeypatch.setattr(
+        analyzer, "in_cof", lambda f, I, fuel=None: solved.append(f) or real(f, I, fuel)
+    )
     gph = IG.base_of()
     cases = (
         (FS_BASE, 3, I1, 1024, False),
@@ -377,15 +402,18 @@ def test_cofibration_classes_walk_representatives_like_the_full_walk():
     for base, bound, gens, fuel, starved in cases:
         case = (bound, gens.label, fuel)
         U = BoundedUniverse(base, bound, gens, fuel)
+        gives_up = _walk_gives_up(U)
+        work = (U.hom.cache_info().misses, len(solved))
         got = (U.cofibration_classes(), U.all_undecided())
+        assert (U.hom.cache_info().misses, len(solved)) == work, case
         if not starved:
             assert U.hom.cache_info().misses == len(U.cofibrant_classes) ** 2
         reference = BoundedUniverse(base, bound, gens, fuel)
         assert got == _full_walk(reference), case
         assert (got[1] > 0) is starved, case
-        assert _walk_gives_up(U) is starved, case
+        assert gives_up is starved, case
         # the walk leaves every later verdict as the full walk has it
-        maps = list(reference._maps_between_cofibrant())
+        maps = maps_between_cofibrant(reference)
         assert list(map(U.is_cof, maps)) == list(map(reference.is_cof, maps)), case
 
 
@@ -394,7 +422,9 @@ def test_an_undecided_cofibration_sends_the_class_walk_to_the_full_walk(monkeypa
     # while its class is undecided stays out of the cofibrations after
     # the class is decided.  Whether that map is asked before the
     # representative walk (where the walk never looks) or during it, both
-    # sweeps then walk every map, and agree with the full walk.
+    # sweeps then walk every map, and agree with the full walk.  One asked
+    # after the walk cannot lie between cofibrant objects, whose classes
+    # the walk decided: the walk's classes and count stand.
     U = gph_universe()
     sizes = {U.iso_class(i): n for i, n in U.cofibration_classes()}
     # the first cofibrant object of each class, with the size of its class
@@ -418,8 +448,8 @@ def test_an_undecided_cofibration_sends_the_class_walk_to_the_full_walk(monkeypa
         if ask_first:
             for V in (got, reference):
                 assert V.is_cof(starved) is Verdict.INCONCLUSIVE
-        classes, undecided = got.cofibration_classes(), got.all_undecided()
         assert _walk_gives_up(got)
+        classes, undecided = got.cofibration_classes(), got.all_undecided()
         assert (classes, undecided) == _full_walk(reference)
         assert undecided == 1
         # the starved map's class lost that one member
@@ -430,6 +460,24 @@ def test_an_undecided_cofibration_sends_the_class_walk_to_the_full_walk(monkeypa
             k: n for k, n in sizes.items() if k != key
         }
         monkeypatch.undo()
+    # the empty graph into three vertices, a map with an end outside the
+    # universe, answers INCONCLUSIVE after the walk
+    starved = initial_map(gph(3, ()))
+    solved = []
+    monkeypatch.setattr(
+        analyzer,
+        "in_cof",
+        lambda f, I, fuel=None: solved.append(f) or (
+            Verdict.INCONCLUSIVE if f == starved else real(f, I, fuel)),
+    )
+    got, reference = gph_universe(), gph_universe()
+    assert not _walk_gives_up(got)
+    assert got.is_cof(starved) is Verdict.INCONCLUSIVE and got._cof_undecided
+    work = (got.hom.cache_info().misses, len(solved))
+    classes, undecided = got.cofibration_classes(), got.all_undecided()
+    assert (got.hom.cache_info().misses, len(solved)) == work
+    assert (classes, undecided) == _full_walk(reference)
+    assert undecided == 0 and {got.iso_class(i): n for i, n in classes} == sizes
 
 
 def test_classify_and_retract_closure_decide_once_per_pair_of_classes(monkeypatch):
@@ -1204,11 +1252,15 @@ def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
         return report
 
     # `walks` holds what each walk returned, `passes` whether each pass of
-    # a `_class_walk` sweep went over the classes (True) or every object
+    # the comparisons' `_class_walk` went over the classes (True) or every
+    # object; the universe's class collectors walk unrecorded
     walks, passes = [], []
     first_failure, class_walk = analyzer._first_failure, analyzer._class_walk
 
     def spy_walk(sweep, classes, everyone):
+        if sweep.__name__ != "comparisons":
+            return class_walk(sweep, classes, everyone)
+
         def recorded(objects):
             passes.append(objects is classes)
             return sweep(objects)
@@ -1481,6 +1533,36 @@ def test_classify_leaves_its_homotopy_work_on_the_universe_context():
     assert lifting.STATS["solver_calls"] == before
     is_strong_deformation_retract(f, HomotopyContext(I1, 1024))
     assert lifting.STATS["solver_calls"] > before
+
+
+def test_a_deformation_retract_search_out_of_fuel_is_inconclusive():
+    # the cylinder rel f runs out of fuel inside the search, which answers
+    # INCONCLUSIVE itself, and classify reports that verdict
+    f = fsmap(1, 2, (0,))
+    search = is_strong_deformation_retract(f, HomotopyContext(I2, 0))
+    assert search.verdict is Verdict.INCONCLUSIVE
+    U = BoundedUniverse(FS_BASE, 3, I2, 0)
+    assert classify_map(f, U).strong_deformation_retract is Verdict.INCONCLUSIVE
+
+
+def test_an_object_lift_out_of_fuel_makes_check_appropriate_inconclusive(monkeypatch, tmp_path):
+    # a stand-in cylinder over the empty map into the point runs out of
+    # fuel, so the first object lift against the point stops the check
+    real = HomotopyContext.cylinder
+
+    def cylinder(ctx, rel):
+        if not rel.source.total_size() and rel.target.total_size() == 1:
+            raise FuelExhausted("stand-in cylinder")
+        return real(ctx, rel)
+
+    monkeypatch.setattr(HomotopyContext, "cylinder", cylinder)
+    report = check_appropriate(finset_universe(I1))
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.diagnostics == {"fuel": "stand-in cylinder"}
+    out = tmp_path / "report.json"
+    argv = ["check-appropriate", fixture("finset_i1.ws"), "I1", "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert json.loads(out.read_text())["verdict"] == "inconclusive"
 
 
 def test_weak_equivalence_and_object_squares_share_one_memo():

@@ -380,6 +380,47 @@ def test_syntax_errors_exit_three(tmp_path, capsys):
     assert not (tmp_path / "folder.tmp").exists()
 
 
+_ONE_SET = b"[base]\nobjects: x\n[presheaf P]\nx: a b\n"
+
+
+@pytest.mark.parametrize(
+    "data, line, message",
+    [
+        (
+            _GRAPH_BASE + b"[presheaf P]\nv: a\ne: p\naction s: p-\n",
+            8,
+            "expected elem->elem pairs, got 'p-'",
+        ),
+        (
+            _ONE_SET + b"[map f : P -> P]\ncomponent x: a->a a->b\n",
+            6,
+            "duplicate assignment for 'a'",
+        ),
+        (b"[base]\nobjects: x\n[config]\ncross-check: maybe\n", 4,
+         "cross-check must be on or off, got 'maybe'"),
+        (_ONE_SET + b"[genset]\nmaps:\n", 5, "genset section without a name"),
+        (
+            _ONE_SET + b"[map f P -> P]\ncomponent x: a->a\n",
+            5,
+            "map header must read NAME : SRC -> DST, got 'f P -> P'",
+        ),
+        (_ONE_SET + b"[map f : P -> P]\ncomponent y: a->a\n", 6, "unknown base object 'y'"),
+        (
+            _ONE_SET + b"[map f : P -> P]\ncomponent x: a->a b->b\ncomponent x: a->b\n",
+            7,
+            "duplicate component for 'x'",
+        ),
+    ],
+    ids=["pair", "assignment", "cross-check", "genset", "header",
+         "object", "component"],
+)
+def test_workspace_parse_errors_exit_three_on_their_line(tmp_path, capsys, data, line, message):
+    ws = tmp_path / "bad.ws"
+    ws.write_bytes(data)
+    assert cli.run(["validate", str(ws)]) == 3
+    assert capsys.readouterr().err == f"error: ParseError: line {line}: {message}\n"
+
+
 def test_oversized_universe_exits_three_at_once(capsys):
     start = time.monotonic()
     assert cli.run(["check-main", GIG, "IG", "--bound", "5"]) == 3
@@ -576,6 +617,19 @@ def test_homotopic_cross_check_flag(tmp_path):
         ["homotopic", FI1, "iota0", "iota1", "I1", "--cross-check"], tmp_path
     )
     assert code == 0
+
+
+def test_a_cross_check_disagreement_is_inconclusive(tmp_path, monkeypatch):
+    # the two cylinder orders never disagree on the fixtures, so a stand-in
+    # reports a disagreement
+    monkeypatch.setattr(cli, "homotopic_cross_check", lambda *args: (None, False))
+    code, report, _ = run_cli(
+        ["homotopic", FI1, "iota0", "iota1", "I1", "--cross-check"], tmp_path
+    )
+    assert code == 2
+    assert report["verdict"] == "inconclusive"
+    assert report["counterexample"] == {"error": "cross-check disagreement"}
+    assert report["details"] == {"cylinder-order-agreement": False}
 
 
 def test_classify_command(tmp_path):
