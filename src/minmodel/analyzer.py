@@ -258,27 +258,25 @@ class BoundedUniverse:
     classes are the carrier sizes (`_representatives`), and no frame is
     built.
 
-    `iso_class(f)` is an exact key of f's isomorphism class of arrows, for
-    any map over the base: the fibre-size profile over a discrete base,
-    and over any other base the class numbers of f's ends with the least
-    table of f's orbit under the automorphisms of their registered
-    presheaves, at most |Aut(R_A)| * |Aut(R_B)| table compositions (16 on
-    graphs at v=2 e=2).  `class_key(f)` is that key for a map between
-    universe objects, and None for a map with an end outside the universe
-    over a base with arrows.
+    `iso_class(f)` is the one exact key of f's isomorphism class of
+    arrows, for any map over the base: the fibre-size profile over a
+    discrete base, and over any other base the class numbers of f's ends
+    with the least table of f's orbit under the automorphisms of their
+    registered presheaves, at most |Aut(R_A)| * |Aut(R_B)| table
+    compositions (16 on graphs at v=2 e=2).
 
     Membership verdicts are invariant under isomorphism, so `per_class`
-    keeps a decided verdict under the key of its map for every map of its
-    class.  An INCONCLUSIVE verdict stays with its map, and so does a map
-    with no key: the fuel a factorization spends can differ between
-    isomorphic maps, and an isomorphic map still gets its own run.
-    `is_cof` shares per `iso_class`; `is_triv_fib`, the weak equivalences
-    of `WeClass.from_generators(U)` and A5's J-fibration test share per
-    `class_key`.  The appropriateness verdict of a comparison map is kept
-    per `iso_class`.  `cofibration_classes()` and
-    `trivial_fibration_classes()` group the cofibrations and the trivial
-    fibrations between cofibrant objects by `iso_class`, for `is_pure` and
-    `check_properness_condition` to walk one map per class.
+    keeps a decided verdict under the `iso_class` of its map for every map
+    of its class, wherever the map's ends lie: `is_cof`, `is_triv_fib`,
+    the weak equivalences of `WeClass.from_generators(U)` and A5's
+    J-fibration test.  An INCONCLUSIVE verdict stays with its map: the
+    fuel a factorization spends can differ between isomorphic maps, and
+    an isomorphic map still gets its own run.  The appropriateness
+    verdict of a comparison map is kept per `iso_class` too.
+    `cofibration_classes()` and `trivial_fibration_classes()` group the
+    cofibrations and the trivial fibrations between cofibrant objects by
+    `iso_class`, for `is_pure` and `check_properness_condition` to walk
+    one map per class.
 
     Both run through `_class_walk` (`_map_classes`): hom(A, B) alone, for
     A and B the first cofibrant objects of their classes
@@ -310,10 +308,11 @@ class BoundedUniverse:
     It caches per instance what the checks ask again (`hom`, `is_cof`,
     `factors_through`, `_automorphisms`); each answers `cache_info()`, and
     the cofibration walk is a cached property.  The per-class memos keep
-    keys and verdicts, class keys of maps between universe objects are
-    kept under object indices and a component table, and `_frames` keeps
-    tables for universe objects alone, so no memo keeps a transient
-    presheaf alive.  A J-fibration is `has_rlp(f, J.maps)`, and whether
+    keys and verdicts, the keys of maps between universe objects are kept
+    under object indices and a component table, and `_frames` keeps
+    tables for universe objects alone, so no memo keeps a map.  The
+    registry keeps the first presheaf of each class it meets, inside the
+    universe or not.  A J-fibration is `has_rlp(f, J.maps)`, and whether
     one map is a retract of another, shared per class only inside
     `verify_axioms`.
 
@@ -361,8 +360,8 @@ class BoundedUniverse:
         # number, and the class numbers per `_invariant` (`_register`)
         self._registered: list[Presheaf] = []
         self._buckets: dict[tuple, list[int]] = {}
-        # (source index, target index, table) -> class key
-        self._class_keys: dict[tuple, tuple] = {}
+        # (source index, target index, table) -> `iso_class` key
+        self._orbit_keys: dict[tuple, tuple] = {}
         # decided verdicts per iso class (`per_class`); never INCONCLUSIVE
         self._cof_by_class: dict[tuple, Verdict] = {}
         # whether any `is_cof` call has answered INCONCLUSIVE
@@ -477,9 +476,9 @@ class BoundedUniverse:
         least = min(_compose_tables(t, right) for t in transported for right in rights)
         return ka, kb, least
 
-    def class_key(self, f: PresheafMap) -> tuple | None:
-        """A key that two maps share exactly when they are isomorphic
-        arrows, or None when f has none.
+    def iso_class(self, f: PresheafMap) -> tuple:
+        """A key that two maps over the base share exactly when they are
+        isomorphic arrows.
 
         Over a discrete base it is a fibre-size profile: the carrier sizes
         of both ends and, per object, the sorted sizes of the non-empty
@@ -489,35 +488,33 @@ class BoundedUniverse:
         a bijection of the targets that sends fibres to fibres of the same
         size, then by bijections between matched fibres.
 
-        Otherwise, when both ends of f : A -> B are universe objects, it is
-        `_orbit_key(f)`: f and f' are isomorphic exactly when their ends
-        lie in the same classes and their transports to R_A -> R_B lie in
-        one orbit of Aut(R_A) x Aut(R_B), and the least table names the
-        orbit.  Any other map has no class key.
+        Otherwise it is `_orbit_key(f)`: f : A -> B and f' are isomorphic
+        exactly when their ends lie in the same classes and their
+        transports to R_A -> R_B lie in one orbit of Aut(R_A) x Aut(R_B),
+        and the least table names the orbit.  A map between universe
+        objects keeps its key under their indices and its table
+        (`_orbit_keys`); the ends of any other map register in the
+        universe's classes, so it shares its key with the universe maps
+        isomorphic to it.
         """
         if not self.base.nonidentity:
             sizes = tuple(len(c) for X in (f.source, f.target) for c in X.carriers)
             return sizes, tuple(tuple(sorted(Counter(c).values())) for c in f._comp)
         a, b = self._index.get(f.source), self._index.get(f.target)
         if a is None or b is None:
-            return None
-        key = self._class_keys.get((a, b, f._comp))
+            return self._orbit_key(f)
+        key = self._orbit_keys.get((a, b, f._comp))
         if key is None:
-            key = self._class_keys[a, b, f._comp] = self._orbit_key(f)
+            key = self._orbit_keys[a, b, f._comp] = self._orbit_key(f)
         return key
 
     def per_class(
-        self,
-        memo: dict,
-        key: tuple | None,
-        f: PresheafMap,
-        decide: Callable[[PresheafMap], object],
+        self, memo: dict, f: PresheafMap, decide: Callable[[PresheafMap], object]
     ) -> object:
-        """decide(f), kept in `memo` under `key` for every map of f's class.
-        A map with no key (None) and an INCONCLUSIVE verdict are decided on
-        their own: fuel can run out differently on isomorphic maps."""
-        if key is None:
-            return decide(f)
+        """decide(f), kept in `memo` under `iso_class(f)` for every map of
+        f's class.  An INCONCLUSIVE verdict is not kept: fuel can run out
+        differently on isomorphic maps."""
+        key = self.iso_class(f)
         verdict = memo.get(key)
         if verdict is None:
             verdict = decide(f)
@@ -525,18 +522,10 @@ class BoundedUniverse:
                 memo[key] = verdict
         return verdict
 
-    def iso_class(self, f: PresheafMap) -> tuple:
-        """An exact key of f's isomorphism class of arrows: `class_key(f)`,
-        or `_orbit_key(f)` for a map with none, whose ends then register
-        in the universe's classes.  So a map with an end outside the
-        universe shares its key with the universe maps isomorphic to it."""
-        key = self.class_key(f)
-        return self._orbit_key(f) if key is None else key
-
     def is_cof(self, f: PresheafMap) -> Verdict:
         if self.monic_generators and not is_mono(f):
             return Verdict.NO
-        verdict = self.per_class(self._cof_by_class, self.iso_class(f), f, self._in_cof)
+        verdict = self.per_class(self._cof_by_class, f, self._in_cof)
         if verdict is Verdict.INCONCLUSIVE:
             self._cof_undecided = True
         return verdict
@@ -545,8 +534,7 @@ class BoundedUniverse:
         return in_cof(f, self.generators, self.fuel)
 
     def is_triv_fib(self, f: PresheafMap) -> bool:
-        key = self.class_key(f)
-        return self.per_class(self._triv_fib_by_class, key, f, self._in_inj)
+        return self.per_class(self._triv_fib_by_class, f, self._in_inj)
 
     def _in_inj(self, f: PresheafMap) -> bool:
         return in_inj(f, self.generators)
@@ -734,7 +722,8 @@ class WeClass:
     @classmethod
     def from_generators(cls, U: BoundedUniverse) -> "WeClass":
         """`is_weak_equivalence` over `U.ctx`, each decided verdict serving
-        every map of its class key (`BoundedUniverse.per_class`)."""
+        every map of its `iso_class`, universe map or not
+        (`BoundedUniverse.per_class`)."""
         ctx = U.ctx
         shared: dict[tuple, Verdict] = {}
 
@@ -743,7 +732,7 @@ class WeClass:
 
         return cls(
             f"rlp-up-to-homotopy({ctx.generators.label})",
-            lambda f: U.per_class(shared, U.class_key(f), f, decide),
+            lambda f: U.per_class(shared, f, decide),
         )
 
 
@@ -978,27 +967,28 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     needs.  A1 is a finiteness note; the rest quantify over U.
 
     `we` is asked once per map of `U.all_maps()`, in that order, and A2
-    reads the verdicts per hom-set; `WeClass.from_generators(U)`
-    decides each class key once.  A3 reads `U.is_triv_fib`, and A5 tests
-    J-fibrations once per class key, so every sweep of a map decides one
-    member of its class.  Two-out-of-three goes one run at a time: a
-    map f of hom(a, b) with every g of hom(b, c).  A run is skipped whole
-    when f's verdict is INCONCLUSIVE or every map of hom(a, c) is.  It
-    passes whole when every map of hom(a, c) has one decided verdict and
-    hom(b, c) holds no g with the verdict that fails against f's and that
-    one (NO when both are YES, YES when they differ, none when both are
-    NO); its INCONCLUSIVE g count as skipped.  Only the other runs compose
-    the tables of their pairs, in order, and look each composite up in the
-    table of hom(a, c), building the composite map only for a
-    counterexample.  A run decided whole holds no failure, so the runs
-    keep the order of the pairwise sweep over `all_maps()`, add the counts
-    it would add, and stop at its first counterexample.  Retract closure
-    searches only the hom-sets between objects that the ends of the map
-    are object retracts of, in the order of the pairwise sweep, and asks
-    `is_retract_of` once per pair of class keys: f is a retract of g
-    exactly when any arrow isomorphic to f is one of any arrow isomorphic
-    to g.  Every pair still counts in `pairs_searched`, and the first
-    pair found is the sweep's counterexample.
+    reads the verdicts per hom-set; `WeClass.from_generators(U)` decides
+    each `iso_class` once, A4's pushed maps included.  A3 reads
+    `U.is_triv_fib`, and A5 tests J-fibrations once per `iso_class`, so
+    every sweep of a map decides one member of its class.
+    Two-out-of-three goes one run at a time: a map f of hom(a, b) with
+    every g of hom(b, c).  A run is skipped whole when f's verdict is
+    INCONCLUSIVE or every map of hom(a, c) is.  It passes whole when every
+    map of hom(a, c) has one decided verdict and hom(b, c) holds no g with
+    the verdict that fails against f's and that one (NO when both are YES,
+    YES when they differ, none when both are NO); its INCONCLUSIVE g count
+    as skipped.  Only the other runs compose the tables of their pairs, in
+    order, and look each composite up in the table of hom(a, c), building
+    the composite map only for a counterexample.  A run decided whole
+    holds no failure, so the runs keep the order of the pairwise sweep
+    over `all_maps()`, add the counts it would add, and stop at its first
+    counterexample.  Retract closure searches only the hom-sets between
+    objects that the ends of the map are object retracts of, in the order
+    of the pairwise sweep, and asks `is_retract_of` once per pair of
+    `iso_class` keys: f is a retract of g exactly when any arrow
+    isomorphic to f is one of any arrow isomorphic to g.  Every pair still
+    counts in `pairs_searched`, and the first pair found is the sweep's
+    counterexample.
     """
     params = {
         "generators": U.generators.label,
@@ -1087,11 +1077,11 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     # it can violate closure, so the retract search runs on those pairs,
     # and only on hom-sets between objects that f's ends are retracts of.
     skipped = sum(v is inconclusive for line in rows for row in line for *_, v in row)
-    # small numbers for the class keys, so the pair loop hashes no key
+    # small numbers for the iso classes, so the pair loop hashes no key
     numbers: dict[tuple, int] = {}
 
     def number(f: PresheafMap) -> int:
-        return numbers.setdefault(U.class_key(f), len(numbers))
+        return numbers.setdefault(U.iso_class(f), len(numbers))
 
     @functools.cache  # numbers each hom-set's members once
     def members(c: int, d: int) -> list[tuple[PresheafMap, int]]:
@@ -1180,7 +1170,7 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
 
     def jinjective_weak_equivalences() -> Iterator[Outcome]:
         for f in U.all_maps():
-            if not U.per_class(jfibrations, U.class_key(f), f, jfibration):
+            if not U.per_class(jfibrations, f, jfibration):
                 continue
             v = we(f)
             if v is yes:

@@ -151,7 +151,8 @@ def test_iso_class_is_exact_on_each_kind_of_map():
     # objects, are all keyed by their orbit over the universe's registered
     # classes.  Two maps of any kinds share a key exactly when a brute-force
     # search over every carrier permutation finds them isomorphic, so a
-    # copy gets its original's key.
+    # copy gets its original's key, and a copy or sum isomorphic to a
+    # universe map gets that map's key.
     U = gph_universe()
     rng = random.Random(7)
     maps = list(U.all_maps())
@@ -159,7 +160,7 @@ def test_iso_class_is_exact_on_each_kind_of_map():
     copies = [_renamed(f, rng) for f in originals]
     small = [f for f in maps if 0 < f.target.total_size() <= 2]
     sums = [_coproduct_map(t1, t2) for k, t1 in enumerate(small) for t2 in small[k:]]
-    assert all(U.class_key(f) is None for f in copies + sums)
+    assert all(U.index(f.target) is None for f in copies + sums)
     universe, copied, summed = (
         [(U.iso_class(f), graph_iso_class(gph_to_oracle(f))) for f in kind]
         for kind in (maps, copies, sums)
@@ -175,6 +176,9 @@ def test_iso_class_is_exact_on_each_kind_of_map():
         keys, classes = zip(*pairs)
         assert len(set(keys)) == len(set(classes)) == len(set(pairs)) == count
     assert [k for k, _ in copied] == [U.iso_class(f) for f in originals]
+    by_class = {c: k for k, c in universe}
+    matched = [(k, by_class[c]) for k, c in copied + summed if c in by_class]
+    assert len(matched) == 295 and all(k == u for k, u in matched)
 
 
 def test_representatives_match_brute_force_one_bound_up():
@@ -499,7 +503,7 @@ def test_classify_and_retract_closure_decide_once_per_pair_of_classes(monkeypatc
     report = verify_axioms(build_jset(U.ctx), WeClass.from_generators(U), U)
     retracts = {s.check: s for s in report.subchecks}["A2-retracts"]
     assert len(calls) == 78
-    assert len({(U.class_key(f), U.class_key(g)) for f, g in calls}) == 78
+    assert len({(U.iso_class(f), U.iso_class(g)) for f, g in calls}) == 78
     assert retracts.verdict is Verdict.YES
     assert retracts.diagnostics == {"pairs_searched": 2030, "skipped": 0}
 
@@ -880,31 +884,37 @@ def test_a_failure_through_a_class_of_several_trivial_fibrations(monkeypatch):
 
 
 def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
-    # over FinSet a map's class key is its fibre-size profile and an
-    # object's class its carrier sizes, so the maps check_appropriate keys
-    # at bound 4 start no isomorphism search and build no frame.  Over
-    # graphs every key is an orbit over the registered classes.  Every
-    # comparison apex is isomorphic to a universe object, so the registry
-    # holds the 13 first-seen objects alone, and the searches are its
-    # lookups, made once per universe object, and one automorphism list
-    # per class.  The properness sweeps key universe maps only.
+    # over FinSet a map's `iso_class` is its fibre-size profile and an
+    # object's class its carrier sizes, so the maps check_appropriate and
+    # check_properness_condition key at bound 4 start no isomorphism
+    # search and build no frame.  Over graphs every key is an orbit over
+    # the registered classes.  Every appropriateness comparison apex is
+    # isomorphic to a universe object, so there the registry holds the 13
+    # first-seen objects alone, and the searches are its lookups, made
+    # once per universe object, and one automorphism list per class.  The
+    # properness comparisons are keyed too, and their apexes add 10
+    # classes outside the universe.
     searches = []
     real = analyzer._isos
     monkeypatch.setattr(
         analyzer, "_isos", lambda X, Y: searches.append((X, Y)) or real(X, Y)
     )
-    U = finset_universe(I1, bound=4)
-    assert check_appropriate(U).verdict is Verdict.YES
-    assert searches == []
-    assert U._automorphisms.cache_info().misses == 0
-    assert "_frames" not in vars(U)
-    for check, count in ((check_appropriate, 134), (check_properness_condition, 27)):
+    for check in (check_appropriate, check_properness_condition):
+        U = finset_universe(I1, bound=4)
+        assert check(U).verdict is Verdict.YES
+        assert searches == []
+        assert U._automorphisms.cache_info().misses == 0
+        assert "_frames" not in vars(U)
+    for check, count, classes in (
+        (check_appropriate, 134, 13),
+        (check_properness_condition, 89, 23),
+    ):
         searches.clear()
         U = gph_universe()
         assert check(U).verdict is Verdict.NO
-        assert (len(searches), len(U._registered)) == (count, 13)
-        assert all(U.index(R) is not None for R in U._registered)
-        assert U._automorphisms.cache_info().misses == 13
+        assert (len(searches), len(U._registered)) == (count, classes)
+        assert [U.index(R) is not None for R in U._registered].count(True) == 13
+        assert U._automorphisms.cache_info().misses == classes
 
 
 def test_main_condition_verdicts():
@@ -1086,7 +1096,10 @@ def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
     # on the universe would keep its coproducts and their extension tables
     # alive as long as the universe.  The universe's per-class memos and
     # its frames keep class keys and object indices, which hold no
-    # presheaf or map, and no presheaf outside the universe registers.
+    # presheaf or map.  The registry keeps the first presheaf of each
+    # class it meets: over graphs the comparisons' apexes join the
+    # universe objects there, no two of them isomorphic, and no sum is
+    # keyed, so none of the sums' ends registers.
     def leaves(key):
         if isinstance(key, tuple):
             for part in key:
@@ -1095,18 +1108,35 @@ def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
             yield key
 
     for U in (finset_universe(I2), gph_universe()):
-        asked = []
-        shared = U.is_triv_fib
+        asked, keyed, registered = [], [], []
+        shared, keying, register = U.is_triv_fib, U.iso_class, U._register
         U.is_triv_fib = lambda f: asked.append(f) or shared(f)
-        check_properness_condition(U)
-        assert asked and U._triv_fib_by_class
+        U.iso_class = lambda f: keyed.append(f) or keying(f)
+        U._register = lambda X: registered.append(X) or register(X)
+        sums = []
+
+        def summed(t1, t2):
+            sums.append(_coproduct_map(t1, t2))
+            return sums[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analyzer, "_coproduct_map", summed)
+            check_properness_condition(U)
+        assert asked and U._triv_fib_by_class and sums
         for f in asked:
             assert U.index(f.source) is not None and U.index(f.target) is not None
-        memos = (U._triv_fib_by_class, U._class_keys, U._cof_by_class, U._frames)
+        memos = (U._triv_fib_by_class, U._orbit_keys, U._cof_by_class, U._frames)
         kept = [x for memo in memos for key in memo for x in leaves(key)]
         assert not any(isinstance(x, (Presheaf, PresheafMap)) for x in kept)
-        # the registry of isomorphism classes holds universe objects alone
-        assert all(U.index(R) is not None for R in U._registered)
+        assert not any(f is t for f in keyed for t in sums)
+        ends = [X for t in sums for X in (t.source, t.target)]
+        assert not any(X is Y for X in registered for Y in ends)
+        outside = [R for R in U._registered if U.index(R) is None]
+        assert len(outside) == (10 if U.base.nonidentity else 0)
+        for k, R in enumerate(U._registered):
+            for S in U._registered[k + 1:]:
+                sizes = [tuple(map(len, X.carriers)) for X in (R, S)]
+                assert sizes[0] != sizes[1] or next(_isos(R, S), None) is None
 
 
 def test_properness_condition_verdicts():
@@ -1339,6 +1369,51 @@ def test_axioms_fail_on_graphs_with_a_real_counterexample():
     flags = [og.weak_equivalence(gph_to_oracle(f)) for f in trio]
     assert sum(flags) == 2
     assert compose(ce["first"], ce["second"]) == ce["composite"]
+
+
+def test_weak_equivalences_are_decided_once_per_iso_class_wherever_their_ends_lie(
+    monkeypatch,
+):
+    # A4's pushed maps and the properness comparisons have ends outside
+    # the universe.  `WeClass.from_generators` decides one map of each
+    # `iso_class` among the maps it is asked with a decided verdict, and
+    # each shared verdict is the one the map gets decided alone
+    real_we, real_from = analyzer.is_weak_equivalence, WeClass.from_generators
+    decided, asked = [], []
+
+    def deciding(f, ctx):
+        decided.append(f)
+        return real_we(f, ctx)
+
+    def recording(U):
+        we = real_from(U)
+
+        def verdict(f):
+            asked.append((f, we(f)))
+            return asked[-1][1]
+
+        return WeClass(we.label, verdict)
+
+    monkeypatch.setattr(analyzer, "is_weak_equivalence", deciding)
+    monkeypatch.setattr(WeClass, "from_generators", recording)
+    for run, runs, outside_count in (
+        (lambda U: verify_axioms(build_jset(U.ctx), WeClass.from_generators(U), U), 186, 84),
+        (check_properness_condition, 22, 29),
+    ):
+        decided.clear()
+        asked.clear()
+        U = gph_universe()
+        assert run(U).verdict is Verdict.NO
+        keys = {U.iso_class(f) for f, v in asked if v is not Verdict.INCONCLUSIVE}
+        assert {U.iso_class(f) for f in decided} == keys
+        outside = [
+            (f, v) for f, v in asked if None in (U.index(f.source), U.index(f.target))
+        ]
+        assert len(decided) == len(keys) == runs
+        assert len(outside) == outside_count
+        ctx = HomotopyContext(IG, 1024)
+        for f, v in outside:
+            assert v is real_we(f, ctx).verdict
 
 
 def _pairwise_a2(we, U):
@@ -1690,7 +1765,7 @@ def _rgph_universe():
     return BoundedUniverse(RGPH, {"v": 2, "e": 2}, gens, 1024)
 
 
-def test_class_keys_share_verdicts_exactly_within_isomorphism_classes():
+def test_iso_class_shares_verdicts_exactly_within_isomorphism_classes():
     # the orbit key over a base with arrows, the fibre profile over a
     # discrete one; each sharing verdict is checked against the per-map
     # procedure on every map
@@ -1703,13 +1778,12 @@ def test_class_keys_share_verdicts_exactly_within_isomorphism_classes():
         maps = list(U.all_maps())
         assert len(maps) == count
         keys = [map_iso_class(f) for f in maps]
-        shared = [U.class_key(f) for f in maps]
-        assert None not in shared
-        # the class keys induce the brute-force partition
+        shared = [U.iso_class(f) for f in maps]
+        # the keys induce the brute-force partition
         assert len(set(keys)) == len(set(zip(keys, shared))) == classes
         assert len(set(shared)) == classes
-        # a universe map's iso class is its class key
-        assert [U.iso_class(f) for f in maps] == shared
+        # a universe map's key is kept under its ends' indices and table
+        assert len(U._orbit_keys) == (count if U.base.nonidentity else 0)
         ctx, gens = U.ctx, U.generators
         J = build_jset(ctx)
         we = WeClass.from_generators(U)
@@ -1717,13 +1791,19 @@ def test_class_keys_share_verdicts_exactly_within_isomorphism_classes():
         for f in maps:
             assert U.is_triv_fib(f) == in_inj(f, gens)
             assert we(f) is is_weak_equivalence(f, ctx).verdict
-            key = U.class_key(f)
-            jfib = U.per_class(jfibrations, key, f, lambda g: has_rlp(g, J.maps))
+            jfib = U.per_class(jfibrations, f, lambda g: has_rlp(g, J.maps))
             assert jfib == has_rlp(f, J.maps)
-    # a map whose ends are not universe objects has no key over graphs
+    # a map whose ends are not universe objects is keyed like a relabelled
+    # copy of it, and shares its decided verdict
     U = gph_universe()
     A = U.objects[3]
-    assert U.class_key(_coproduct_map(U.hom(A, A)[0], U.hom(A, A)[0])) is None
+    both = _coproduct_map(U.hom(A, A)[0], U.hom(A, A)[0])
+    copy = _renamed(both, random.Random(3))
+    assert U.index(both.target) is None and U.index(copy.target) is None
+    assert U.iso_class(both) == U.iso_class(copy)
+    assert U.is_triv_fib(both) == in_inj(both, U.generators)
+    assert U.is_triv_fib(copy) == in_inj(copy, U.generators)
+    assert len(U._triv_fib_by_class) == 1
 
 
 def test_oversized_universes_are_refused_before_enumeration(monkeypatch):
