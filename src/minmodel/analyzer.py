@@ -250,13 +250,14 @@ class BoundedUniverse:
     with arrows and keeps the first presheaf registered in each
     (`_register`): a presheaf joins the first registered one with its
     `_invariant` that `_isos` finds an isomorphism to, or else starts a
-    class.  The universe objects register first, in order (`_frames`), so
+    class.  `_register` and `_frame` are cached, so each presheaf is
+    searched against the registry once.  The universe objects register
+    first, in order (`_representatives`, which `_frame` reads first), so
     each of their classes is represented by its first-seen object.  A
     presheaf that no universe object is isomorphic to, such as one of A4's
-    pushout apexes, registers when a map ending at it is keyed, and stays
-    registered as long as the universe.  Over a discrete base the object
-    classes are the carrier sizes (`_representatives`), and no frame is
-    built.
+    pushout apexes, registers when a map ending at it is first keyed, and
+    stays registered as long as the universe.  Over a discrete base the
+    object classes are the carrier sizes, and nothing registers.
 
     `iso_class(f)` is the one exact key of f's isomorphism class of
     arrows, for any map over the base: the fibre-size profile over a
@@ -306,15 +307,15 @@ class BoundedUniverse:
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
     It caches per instance what the checks ask again (`hom`, `is_cof`,
-    `factors_through`, `_automorphisms`); each answers `cache_info()`, and
-    the cofibration walk is a cached property.  The per-class memos keep
-    keys and verdicts, the keys of maps between universe objects are kept
-    under object indices and a component table, and `_frames` keeps
-    tables for universe objects alone, so no memo keeps a map.  The
-    registry keeps the first presheaf of each class it meets, inside the
-    universe or not.  A J-fibration is `has_rlp(f, J.maps)`, and whether
-    one map is a retract of another, shared per class only inside
-    `verify_axioms`.
+    `factors_through`, `_automorphisms`, `_register`, `_frame`); each
+    answers `cache_info()`, and the cofibration walk is a cached property.
+    The per-class memos keep keys and verdicts, the keys of maps between
+    universe objects are kept under object indices and a component table,
+    and a frame keeps a class number and tables, so no memo keeps a map.
+    The registry keeps the first presheaf of each class it meets, and the
+    caches of `_register` and `_frame` every presheaf asked about.  A
+    J-fibration is `has_rlp(f, J.maps)`, and whether one map is a retract
+    of another, shared per class only inside `verify_axioms`.
 
     The hot loops work on component tables, not on maps.  `factors_through`
     returns the component tables of the extending maps, which `is_pure`
@@ -368,7 +369,8 @@ class BoundedUniverse:
         self._cof_undecided = False
         self._triv_fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "is_cof", "factors_through", "_automorphisms"):
+        for name in ("hom", "is_cof", "factors_through", "_automorphisms",
+                     "_register", "_frame"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -407,21 +409,14 @@ class BoundedUniverse:
             yield from self.maps_from(X)
 
     @functools.cached_property
-    def _frames(self) -> list[tuple[int, list[Components], list[Components]]]:
-        """`_frame` of each universe object, by index.  The universe objects
-        register first, in order, so the representative of each of their
-        classes is its first-seen object.  Read over a base with arrows
-        alone."""
-        return [self._new_frame(*self._register(X)) for X in self.objects]
-
-    @functools.cached_property
     def _representatives(self) -> list[int]:
-        """Per object index x, r(x): the class number of objects[x].  Over
-        a discrete base two presheaves are isomorphic exactly when their
-        carriers have equal sizes, so the classes are numbered by carrier
-        sizes, in order of first appearance, and no frame is built."""
+        """Per object index x, r(x): the class number of objects[x].  The
+        objects register in order, so each class's representative is its
+        first-seen object.  Over a discrete base two presheaves are
+        isomorphic exactly when their carriers have equal sizes, and the
+        classes are numbered by carrier sizes, in order of first appearance."""
         if self.base.nonidentity:
-            return [k for k, _, _ in self._frames]
+            return [self._register(X)[0] for X in self.objects]
         numbers: dict[tuple[int, ...], int] = {}
         return [
             numbers.setdefault(tuple(map(len, X.carriers)), len(numbers))
@@ -445,14 +440,10 @@ class BoundedUniverse:
     def _frame(self, X: Presheaf) -> tuple[int, list[Components], list[Components]]:
         """X's class number k and, for R its registered presheaf and phi
         the iso of `_register`, the component tables of alpha;phi^-1 : R -> X
-        and of phi;beta : X -> R over alpha, beta in Aut(R).  Kept for
-        universe objects alone (`_frames`), which register first."""
-        frames = self._frames
-        x = self._index.get(X)
-        return self._new_frame(*self._register(X)) if x is None else frames[x]
-
-    def _new_frame(self, k: int, phi: Components) -> tuple:
-        """The frame of a presheaf whose `_register` answer is (k, phi)."""
+        and of phi;beta : X -> R over alpha, beta in Aut(R).  The universe
+        objects register first (`_representatives`), whoever asks first."""
+        self._representatives
+        k, phi = self._register(X)
         inverse = tuple(
             tuple(sorted(range(len(col)), key=col.__getitem__)) for col in phi
         )

@@ -146,6 +146,22 @@ def _renamed(f: PresheafMap, rng: random.Random) -> PresheafMap:
     return PresheafMap(renamed(f.source), renamed(f.target), components)
 
 
+def _relabelled(X: Presheaf) -> PresheafMap:
+    """An isomorphism from X onto a copy with its elements renamed and in
+    reverse order, so that the copy is no universe object."""
+    copy = Presheaf(
+        X.base,
+        {o: [f"r{x}" for x in reversed(X.carrier(o))] for o in X.base.objects},
+        {
+            m: {f"r{x}": f"r{y}" for x, y in X.action(m).items()}
+            for m in X.base.nonidentity
+        },
+    )
+    return PresheafMap(
+        X, copy, {o: {x: f"r{x}" for x in X.carrier(o)} for o in X.base.objects}
+    )
+
+
 def test_iso_class_is_exact_on_each_kind_of_map():
     # universe maps, renamed copies and sums, whose targets are no universe
     # objects, are all keyed by their orbit over the universe's registered
@@ -184,15 +200,21 @@ def test_iso_class_is_exact_on_each_kind_of_map():
 def test_representatives_match_brute_force_one_bound_up():
     # no golden reaches these bounds: the registry partitions the objects
     # as the brute-force classes of their identities do, each class is
-    # represented by its first-seen object even when a later object is
-    # keyed first, and every table of a frame is a natural bijection
+    # represented by its first-seen object even when a map between
+    # relabelled copies of the last object is keyed first, the copy shares
+    # its original's key, and every table of a frame is a natural bijection
     for bound, count, classes in (
         ({"v": 3, "e": 2}, 116, 26),
         ({"v": 2, "e": 3}, 90, 24),
     ):
         U = BoundedUniverse(IG.base_of(), bound, GeneratingSet("none", ()))
-        U._frame(U.objects[-1])
+        last = identity_map(U.objects[-1])
+        copy = _renamed(last, random.Random(3))
+        assert U.index(copy.source) is U.index(copy.target) is None
+        key = U.iso_class(copy)
         r = U._representatives
+        assert key == U.iso_class(last)
+        assert all(U.index(R) is not None for R in U._registered)
         brute = [graph_iso_class(gph_to_oracle(identity_map(X))) for X in U.objects]
         assert (len(U.objects), len(set(r))) == (count, classes)
         assert len(set(zip(r, brute))) == len(set(brute)) == classes
@@ -887,13 +909,13 @@ def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
     # over FinSet a map's `iso_class` is its fibre-size profile and an
     # object's class its carrier sizes, so the maps check_appropriate and
     # check_properness_condition key at bound 4 start no isomorphism
-    # search and build no frame.  Over graphs every key is an orbit over
-    # the registered classes.  Every appropriateness comparison apex is
-    # isomorphic to a universe object, so there the registry holds the 13
-    # first-seen objects alone, and the searches are its lookups, made
-    # once per universe object, and one automorphism list per class.  The
-    # properness comparisons are keyed too, and their apexes add 10
-    # classes outside the universe.
+    # search, register nothing and build no frame.  Over graphs every key
+    # is an orbit over the registered classes.  Every appropriateness
+    # comparison apex is isomorphic to a universe object, so there the
+    # registry holds the 13 first-seen objects alone, and the searches are
+    # its lookups, made once per presheaf keyed, and one automorphism list
+    # per class.  The properness comparisons are keyed too, and their
+    # apexes add 10 classes outside the universe.
     searches = []
     real = analyzer._isos
     monkeypatch.setattr(
@@ -904,10 +926,10 @@ def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
         assert check(U).verdict is Verdict.YES
         assert searches == []
         assert U._automorphisms.cache_info().misses == 0
-        assert "_frames" not in vars(U)
+        assert U._register.cache_info().misses == U._frame.cache_info().misses == 0
     for check, count, classes in (
-        (check_appropriate, 134, 13),
-        (check_properness_condition, 89, 23),
+        (check_appropriate, 126, 13),
+        (check_properness_condition, 45, 23),
     ):
         searches.clear()
         U = gph_universe()
@@ -915,6 +937,29 @@ def test_iso_classes_over_a_discrete_base_need_no_labelling_search(monkeypatch):
         assert (len(searches), len(U._registered)) == (count, classes)
         assert [U.index(R) is not None for R in U._registered].count(True) == 13
         assert U._automorphisms.cache_info().misses == classes
+
+
+def test_a_presheaf_outside_the_universe_is_searched_against_the_registry_once(
+    monkeypatch,
+):
+    # every map into a relabelled copy of a universe object reads the
+    # copy's frame to be keyed; the copy is searched against the registry
+    # when the first of them is keyed, and never again
+    U = gph_universe()
+    iso = _relabelled(U.objects[-1])
+    copy = iso.target
+    maps = [(f, compose(f, iso)) for A in U.objects for f in U.hom(A, iso.source)]
+    assert len(maps) > 1 and U.index(copy) is None
+    searches = []
+    real = analyzer._isos
+    monkeypatch.setattr(
+        analyzer, "_isos", lambda X, Y: searches.append(X) or real(X, Y)
+    )
+    counts = []
+    for f, g in maps:
+        assert U.iso_class(g) == U.iso_class(f)
+        counts.append(searches.count(copy))
+    assert counts[0] >= 1 and set(counts) == {counts[0]}
 
 
 def test_main_condition_verdicts():
@@ -1094,14 +1139,14 @@ def test_a_failing_sum_of_trivial_fibrations_is_the_ordered_walks_first(monkeypa
 def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
     # the sweep decides each pair of classes once on its own; a sum cached
     # on the universe would keep its coproducts and their extension tables
-    # alive as long as the universe.  The universe's per-class memos and
-    # its frames keep class keys and object indices, which hold no
-    # presheaf or map.  The registry keeps the first presheaf of each
-    # class it meets: over graphs the comparisons' apexes join the
-    # universe objects there, no two of them isomorphic, and no sum is
-    # keyed, so none of the sums' ends registers.
+    # alive as long as the universe.  The universe's per-class memos keep
+    # class keys and object indices, and its frames class numbers and
+    # tables, which hold no presheaf or map.  The registry keeps the first
+    # presheaf of each class it meets: over graphs the comparisons' apexes
+    # join the universe objects there, no two of them isomorphic, and no
+    # sum is keyed, so none of the sums' ends registers.
     def leaves(key):
-        if isinstance(key, tuple):
+        if isinstance(key, (tuple, list)):
             for part in key:
                 yield from leaves(part)
         else:
@@ -1125,8 +1170,9 @@ def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
         assert asked and U._triv_fib_by_class and sums
         for f in asked:
             assert U.index(f.source) is not None and U.index(f.target) is not None
-        memos = (U._triv_fib_by_class, U._orbit_keys, U._cof_by_class, U._frames)
+        memos = (U._triv_fib_by_class, U._orbit_keys, U._cof_by_class)
         kept = [x for memo in memos for key in memo for x in leaves(key)]
+        kept += [x for R in U._registered for x in leaves(U._frame(R))]
         assert not any(isinstance(x, (Presheaf, PresheafMap)) for x in kept)
         assert not any(f is t for f in keyed for t in sums)
         ends = [X for t in sums for X in (t.source, t.target)]
