@@ -4,7 +4,8 @@ Quantifiers like "every cofibrant object" or "every cofibration" are cut
 down to a BoundedUniverse: the deterministically enumerated family of all
 presheaves whose carriers stay within a per-object size bound.  The
 universe owns the generating set, the fuel and the one HomotopyContext of
-the question, so each checker takes the universe alone.  Verdicts
+the question, and it decides the memberships (`is_cof`, `is_triv_fib`,
+`is_we`), so each checker takes the universe alone.  Verdicts
 are three-valued.  A Pass means "holds within the bound", never an
 unconditional theorem; a Fail carries a counterexample bundle complete
 enough to re-validate standalone; Inconclusive reports what could not be
@@ -269,8 +270,8 @@ class BoundedUniverse:
     Membership verdicts are invariant under isomorphism, so `per_class`
     keeps a decided verdict under the `iso_class` of its map for every map
     of its class, wherever the map's ends lie: `is_cof`, `is_triv_fib`,
-    the weak equivalences of `WeClass.from_generators(U)` and A5's
-    J-fibration test.  An INCONCLUSIVE verdict stays with its map: the
+    `is_we` and A5's J-fibration test, so the checks run on one universe
+    share their verdicts.  An INCONCLUSIVE verdict stays with its map: the
     fuel a factorization spends can differ between isomorphic maps, and
     an isomorphic map still gets its own run.  The appropriateness
     verdict of a comparison map is kept per `iso_class` too.
@@ -307,8 +308,9 @@ class BoundedUniverse:
     The universe owns the context of its question: the generating set, the
     fuel and `ctx`, the one HomotopyContext that every check on it shares.
     It caches per instance what the checks ask again (`hom`, `is_cof`,
-    `factors_through`, `_automorphisms`, `_register`, `_frame`); each
-    answers `cache_info()`, and the cofibration walk is a cached property.
+    `is_we`, `factors_through`, `_automorphisms`, `_register`, `_frame`);
+    each answers `cache_info()`, and the cofibration walk is a cached
+    property.
     The per-class memos keep keys and verdicts, the keys of maps between
     universe objects are kept under object indices and a component table,
     and a frame keeps a class number and tables, so no memo keeps a map.
@@ -368,9 +370,10 @@ class BoundedUniverse:
         # whether any `is_cof` call has answered INCONCLUSIVE
         self._cof_undecided = False
         self._triv_fib_by_class: dict[tuple, bool] = {}
+        self._we_by_class: dict[tuple, Verdict] = {}
         # memos on the instance, so that they end with the universe
-        for name in ("hom", "is_cof", "factors_through", "_automorphisms",
-                     "_register", "_frame"):
+        for name in ("hom", "is_cof", "is_we", "factors_through",
+                     "_automorphisms", "_register", "_frame"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     def _enumerate(self) -> Iterator[Presheaf]:
@@ -529,6 +532,12 @@ class BoundedUniverse:
 
     def _in_inj(self, f: PresheafMap) -> bool:
         return in_inj(f, self.generators)
+
+    def is_we(self, f: PresheafMap) -> Verdict:
+        return self.per_class(self._we_by_class, f, self._is_weak_equivalence)
+
+    def _is_weak_equivalence(self, f: PresheafMap) -> Verdict:
+        return is_weak_equivalence(f, self.ctx).verdict
 
     @functools.cached_property
     def cofibrant(self) -> tuple[Presheaf, ...]:
@@ -694,37 +703,6 @@ def is_weak_equivalence(f: PresheafMap, ctx: HomotopyContext) -> VerdictReport:
     return _report(
         "weak-equivalence", params, diagnostics={"generators_checked": len(I.maps)}
     )
-
-
-class WeClass:
-    """A named weak-equivalence predicate with memoized verdicts.
-
-    The canonical one delegates to is_weak_equivalence; ad-hoc classes
-    (used to probe axiom failures) wrap any map predicate.
-    """
-
-    def __init__(self, label: str, predicate: Callable[[PresheafMap], Verdict]):
-        self.label = label
-        self._verdict = functools.cache(predicate)
-
-    def __call__(self, f: PresheafMap) -> Verdict:
-        return self._verdict(f)
-
-    @classmethod
-    def from_generators(cls, U: BoundedUniverse) -> "WeClass":
-        """`is_weak_equivalence` over `U.ctx`, each decided verdict serving
-        every map of its `iso_class`, universe map or not
-        (`BoundedUniverse.per_class`)."""
-        ctx = U.ctx
-        shared: dict[tuple, Verdict] = {}
-
-        def decide(f: PresheafMap) -> Verdict:
-            return is_weak_equivalence(f, ctx).verdict
-
-        return cls(
-            f"rlp-up-to-homotopy({ctx.generators.label})",
-            lambda f: U.per_class(shared, f, decide),
-        )
 
 
 def build_jset(ctx: HomotopyContext) -> GeneratingSet:
@@ -899,7 +877,6 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     """
     I = U.generators
     params = {"generators": I.label, **U.describe()}
-    we = WeClass.from_generators(U)
     no = Verdict.NO
 
     def comparisons(objects: Sequence[tuple[Presheaf, int]]) -> Iterator[tuple[Outcome, int]]:
@@ -914,7 +891,7 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
                                 continue
                             po2 = pushout(compose(u, g), i)
                             induced = po1.mediator(compose(g, po2.left), po2.right)
-                            v = we(induced)
+                            v = U.is_we(induced)
                             if v is no:
                                 v = {"generator": k, "attach": u,
                                      "trivial-fibration": g, "comparison": induced}
@@ -953,15 +930,17 @@ def _conj(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictReport:
+def verify_axioms(U: BoundedUniverse) -> VerdictReport:
     """Bounded run over the five closure conditions a minimal structure
-    needs.  A1 is a finiteness note; the rest quantify over U.
+    needs, for the trivial cofibrations J of `build_jset` and the weak
+    equivalences of `U.is_we`.  A1 is a finiteness note; the rest
+    quantify over U.
 
-    `we` is asked once per map of `U.all_maps()`, in that order, and A2
-    reads the verdicts per hom-set; `WeClass.from_generators(U)` decides
-    each `iso_class` once, A4's pushed maps included.  A3 reads
-    `U.is_triv_fib`, and A5 tests J-fibrations once per `iso_class`, so
-    every sweep of a map decides one member of its class.
+    `U.is_we` is asked once per map of `U.all_maps()`, in that order, and
+    decides each `iso_class` once, A4's pushed maps included.  A2 reads
+    those verdicts per hom-set, and A3 and A5 map by map in that order; A3
+    reads `U.is_triv_fib`, and A5 tests J-fibrations once per `iso_class`,
+    so every sweep of a map decides one member of its class.
     Two-out-of-three goes one run at a time: a map f of hom(a, b) with
     every g of hom(b, c).  A run is skipped whole when f's verdict is
     INCONCLUSIVE or every map of hom(a, c) is.  It passes whole when every
@@ -981,10 +960,12 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     counts in `pairs_searched`, and the first pair found is the sweep's
     counterexample.
     """
+    J = build_jset(U.ctx)
+    I = U.generators
     params = {
-        "generators": U.generators.label,
+        "generators": I.label,
         "trivial-generators": J.label,
-        "weak-equivalences": we.label,
+        "weak-equivalences": f"rlp-up-to-homotopy({I.label})",
         **U.describe(),
     }
     note = "finite carriers; every factorization run is fuel-guarded"
@@ -992,16 +973,17 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
         _report("A1-permits-factorizations", params, diagnostics={"note": note})
     ]
 
-    # One `we` verdict per map, in all_maps() order.  rows[a][b] holds the
-    # (map, component table, verdict) triples of hom(objects[a], objects[b]),
-    # and verdict[a][b] maps each component table of that hom-set to its
-    # verdict.
+    # One `is_we` verdict per map, in all_maps() order.  rows[a][b] holds
+    # the (map, component table, verdict) triples of hom(objects[a],
+    # objects[b]), and verdict[a][b] maps each component table of that
+    # hom-set to its verdict; swept holds the (map, verdict) pairs in order.
     objects = U.objects
     n = len(objects)
     rows = [
-        [[(f, f._comp, we(f)) for f in U.hom(X, Y)] for Y in objects]
+        [[(f, f._comp, U.is_we(f)) for f in U.hom(X, Y)] for Y in objects]
         for X in objects
     ]
+    swept = [(f, v) for line in rows for row in line for f, _, v in row]
     verdict = [[{fc: v for _, fc, v in row} for row in line] for line in rows]
     yes, no, inconclusive = Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE
 
@@ -1067,7 +1049,7 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     # A2: retract closure.  Only a pair with g in the class and f outside
     # it can violate closure, so the retract search runs on those pairs,
     # and only on hom-sets between objects that f's ends are retracts of.
-    skipped = sum(v is inconclusive for line in rows for row in line for *_, v in row)
+    skipped = sum(t[inconclusive] for line in tally for t in line)
     # small numbers for the iso classes, so the pair loop hashes no key
     numbers: dict[tuple, int] = {}
 
@@ -1113,13 +1095,10 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
     )
 
     # A3: trivial fibrations are weak equivalences
-    def trivial_fibrations() -> Iterator[Outcome]:
-        for f in U.all_maps():
-            if U.is_triv_fib(f):
-                v = we(f)
-                yield {"map": f} if v is no else v
-
-    failure, count, skipped = _first_failure(trivial_fibrations())
+    trivial_fibrations = (
+        {"map": f} if v is no else v for f, v in swept if U.is_triv_fib(f)
+    )
+    failure, count, skipped = _first_failure(trivial_fibrations)
     subchecks.append(
         _report(
             "A3-trivial-fibrations",
@@ -1135,7 +1114,7 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
         for jk, j in enumerate(J.maps):
             for u in U.maps_from(j.source):
                 pushed = pushout(j, u).right
-                v = _conj(we(pushed), U.is_cof(pushed))
+                v = _conj(U.is_we(pushed), U.is_cof(pushed))
                 if v is no:
                     yield {"j-generator": jk, "along": u, "pushed": pushed}
                 else:
@@ -1160,10 +1139,9 @@ def verify_axioms(J: GeneratingSet, we: WeClass, U: BoundedUniverse) -> VerdictR
         return has_rlp(f, J.maps)
 
     def jinjective_weak_equivalences() -> Iterator[Outcome]:
-        for f in U.all_maps():
+        for f, v in swept:
             if not U.per_class(jfibrations, f, jfibration):
                 continue
-            v = we(f)
             if v is yes:
                 yield yes if U.is_triv_fib(f) else {"map": f}
             elif v is inconclusive:
@@ -1218,7 +1196,7 @@ def classify_map(f: PresheafMap, U: BoundedUniverse) -> MapClassification:
     """All membership verdicts for one map, with the trivial-cofibration
     versus strong-deformation-retract cross-check."""
     cof = U.is_cof(f)
-    weq = is_weak_equivalence(f, U.ctx).verdict
+    weq = U.is_we(f)
     tfib = Verdict.YES if U.is_triv_fib(f) else Verdict.NO
     try:
         fib = Verdict.YES if has_rlp(f, build_jset(U.ctx).maps) else Verdict.NO
@@ -1237,14 +1215,13 @@ def classify_map(f: PresheafMap, U: BoundedUniverse) -> MapClassification:
 def enumerate_weak_equivalences(U: BoundedUniverse) -> VerdictReport:
     """Every map between universe objects in the decided class, as
     witnesses, in enumeration order."""
-    we = WeClass.from_generators(U)
     params = {"generators": U.generators.label, **U.describe()}
     found = []
     undecided = 0
     total = 0
     for f in U.all_maps():
         total += 1
-        v = we(f)
+        v = U.is_we(f)
         if v is Verdict.YES:
             found.append(f)
         elif v is Verdict.INCONCLUSIVE:

@@ -41,8 +41,6 @@ from .analyzer import (
     BoundedUniverse,
     MapClassification,
     VerdictReport,
-    WeClass,
-    build_jset,
     check_appropriate,
     check_main_condition,
     check_properness_condition,
@@ -349,6 +347,7 @@ _CHECKERS = {
     "check-appropriate": check_appropriate,
     "check-main": check_main_condition,
     "check-properness": check_properness_condition,
+    "verify-axioms": verify_axioms,
     "enumerate-we": enumerate_weak_equivalences,
 }
 
@@ -357,12 +356,7 @@ def _cmd_checker(run):
     ws = run.load()
     if len(run.arguments) != 1:
         raise UsageError(f"{run.command} takes GENSET")
-    U = _universe(run, ws.genset(run.arguments[0]))
-    if run.command == "verify-axioms":
-        J, we = build_jset(U.ctx), WeClass.from_generators(U)
-        outcome = verify_axioms(J, we, U)
-    else:
-        outcome = _CHECKERS[run.command](U)
+    outcome = _CHECKERS[run.command](_universe(run, ws.genset(run.arguments[0])))
     return run.report(
         _VERDICT[outcome.verdict],
         witnesses=outcome.witnesses,

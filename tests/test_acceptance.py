@@ -14,7 +14,6 @@ import time
 from minmodel import cli
 from minmodel.analyzer import (
     BoundedUniverse,
-    WeClass,
     build_jset,
     check_appropriate,
     check_main_condition,
@@ -105,9 +104,7 @@ def test_criterion_02_finset_i2_bijections_and_axioms():
     assert got == want
     assert len(got) == 10
     assert check_main_condition(U).passed
-    J = build_jset(U.ctx)
-    we = WeClass.from_generators(U)
-    outcome = verify_axioms(J, we, U)
+    outcome = verify_axioms(U)
     assert outcome.passed
     assert len(outcome.subchecks) == 6
     assert all(sub.verdict is Verdict.YES for sub in outcome.subchecks)
@@ -121,9 +118,7 @@ def test_criterion_03_main_condition_implies_axioms():
         main = check_main_condition(U)
         if not main.passed:
             continue
-        J = build_jset(U.ctx)
-        we = WeClass.from_generators(U)
-        assert verify_axioms(J, we, U).passed, I.label
+        assert verify_axioms(U).passed, I.label
         exercised += 1
     assert exercised >= 2
 
@@ -132,12 +127,11 @@ def test_criterion_04_trivial_cofibration_iff_strong_deformation_retract():
     for ws, I in ((WS_I1, I1), (WS_I2, I2)):
         U = universe(ws, I)
         assert check_main_condition(U).passed
-        we = WeClass.from_generators(U)
         cofs = 0
         for f in U.all_maps():
             if U.is_cof(f) is not Verdict.YES:
                 continue
-            tcof = we(f)
+            tcof = U.is_we(f)
             sdr = is_strong_deformation_retract(f, U.ctx).verdict
             assert tcof in (Verdict.YES, Verdict.NO)
             assert tcof is sdr, (I.label, fs_to_oracle(f))

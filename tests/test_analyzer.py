@@ -11,7 +11,6 @@ import pytest
 from minmodel import analyzer, cli, lifting
 from minmodel.analyzer import (
     BoundedUniverse,
-    WeClass,
     _coproduct_map,
     _isos,
     _object_square_failure,
@@ -522,7 +521,7 @@ def test_classify_and_retract_closure_decide_once_per_pair_of_classes(monkeypatc
         analyzer, "is_retract_of", lambda f, g: calls.append((f, g)) or real(f, g)
     )
     U = gph_universe()
-    report = verify_axioms(build_jset(U.ctx), WeClass.from_generators(U), U)
+    report = verify_axioms(U)
     retracts = {s.check: s for s in report.subchecks}["A2-retracts"]
     assert len(calls) == 78
     assert len({(U.iso_class(f), U.iso_class(g)) for f, g in calls}) == 78
@@ -598,21 +597,33 @@ def test_jset_shapes():
     assert sizes == [(2, 0), (2, 2)]
 
 
-def test_we_class_memoizes():
-    calls = []
+def test_is_we_memoizes_per_map_and_per_class(monkeypatch):
+    # `U.is_we` decides a map once, and a decided verdict once for every
+    # map of its `iso_class`; an INCONCLUSIVE one stays with its map
+    decided = []
+    real = analyzer.is_weak_equivalence
 
-    def probe(f):
-        calls.append(f)
-        return Verdict.YES
+    def spy(f, ctx):
+        decided.append(f)
+        return real(f, ctx)
 
-    wc = WeClass("probe", probe)
-    f = fsmap(1, 1, (0,))
-    assert wc(f) is Verdict.YES
-    assert wc(f) is Verdict.YES
-    assert len(calls) == 1
-    canonical = WeClass.from_generators(finset_universe(I1))
-    assert canonical.label == "rlp-up-to-homotopy(I1)"
-    assert canonical(fsmap(0, 1, ())) is Verdict.NO
+    monkeypatch.setattr(analyzer, "is_weak_equivalence", spy)
+    U = finset_universe(I1)
+    f, g = fsmap(1, 2, (0,)), fsmap(1, 2, (1,))
+    assert U.iso_class(f) == U.iso_class(g)
+    assert U.is_we(f) is Verdict.YES
+    assert U.is_we(f) is Verdict.YES
+    assert U.is_we.cache_info().misses == 1 and decided == [f]
+    assert U.is_we(g) is Verdict.YES
+    assert U.is_we.cache_info().misses == 2 and decided == [f]
+    assert U.is_we(fsmap(0, 1, ())) is Verdict.NO
+    assert len(decided) == len(U._we_by_class) == 2
+    report = verify_axioms(U)
+    assert report.parameters["weak-equivalences"] == "rlp-up-to-homotopy(I1)"
+    decided.clear()
+    starved = BoundedUniverse(FS_BASE, 3, I2, 0)
+    assert starved.is_we(f) is starved.is_we(g) is Verdict.INCONCLUSIVE
+    assert decided == [f, g] and not starved._we_by_class
 
 
 def test_appropriateness_passes_on_finite_sets():
@@ -1170,7 +1181,9 @@ def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
         assert asked and U._triv_fib_by_class and sums
         for f in asked:
             assert U.index(f.source) is not None and U.index(f.target) is not None
-        memos = (U._triv_fib_by_class, U._orbit_keys, U._cof_by_class)
+        memos = (
+            U._triv_fib_by_class, U._orbit_keys, U._cof_by_class, U._we_by_class
+        )
         kept = [x for memo in memos for key in memo for x in leaves(key)]
         kept += [x for R in U._registered for x in leaves(U._frame(R))]
         assert not any(isinstance(x, (Presheaf, PresheafMap)) for x in kept)
@@ -1211,7 +1224,6 @@ def _properness_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
     every pair of universe objects."""
     I = U.generators
     params = {"generators": I.label, **U.describe()}
-    we = WeClass.from_generators(U)
     tfibs = list(trivial_fibrations_between_cofibrant(U))
 
     def comparisons():
@@ -1223,7 +1235,7 @@ def _properness_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
                         continue
                     po2 = pushout(compose(u, g), i)
                     induced = po1.mediator(compose(g, po2.left), po2.right)
-                    v = we(induced)
+                    v = U.is_we(induced)
                     if v is Verdict.NO:
                         yield {
                             "generator": k,
@@ -1385,10 +1397,7 @@ def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
 
 def test_axioms_pass_on_finite_sets():
     for gens in (I1, I2):
-        U = finset_universe(gens)
-        J = build_jset(U.ctx)
-        we = WeClass.from_generators(U)
-        report = verify_axioms(J, we, U)
+        report = verify_axioms(finset_universe(gens))
         assert report.verdict is Verdict.YES, gens.label
         assert [s.check for s in report.subchecks] == [
             "A1-permits-factorizations",
@@ -1402,10 +1411,7 @@ def test_axioms_pass_on_finite_sets():
 
 
 def test_axioms_fail_on_graphs_with_a_real_counterexample():
-    U = gph_universe()
-    J = build_jset(U.ctx)
-    we = WeClass.from_generators(U)
-    report = verify_axioms(J, we, U)
+    report = verify_axioms(gph_universe())
     assert report.verdict is Verdict.NO
     by_name = {s.check: s for s in report.subchecks}
     two_three = by_name["A2-two-out-of-three"]
@@ -1421,39 +1427,34 @@ def test_weak_equivalences_are_decided_once_per_iso_class_wherever_their_ends_li
     monkeypatch,
 ):
     # A4's pushed maps and the properness comparisons have ends outside
-    # the universe.  `WeClass.from_generators` decides one map of each
-    # `iso_class` among the maps it is asked with a decided verdict, and
-    # each shared verdict is the one the map gets decided alone
-    real_we, real_from = analyzer.is_weak_equivalence, WeClass.from_generators
-    decided, asked = [], []
+    # the universe.  `U.is_we` decides one map of each `iso_class` among
+    # the maps it is asked with a decided verdict, and each shared verdict
+    # is the one the map gets decided alone
+    real_we = analyzer.is_weak_equivalence
+    decided, asked = [], {}  # asked: each map asked, with its verdict
 
     def deciding(f, ctx):
         decided.append(f)
         return real_we(f, ctx)
 
-    def recording(U):
-        we = real_from(U)
-
-        def verdict(f):
-            asked.append((f, we(f)))
-            return asked[-1][1]
-
-        return WeClass(we.label, verdict)
-
     monkeypatch.setattr(analyzer, "is_weak_equivalence", deciding)
-    monkeypatch.setattr(WeClass, "from_generators", recording)
     for run, runs, outside_count in (
-        (lambda U: verify_axioms(build_jset(U.ctx), WeClass.from_generators(U), U), 186, 84),
+        (verify_axioms, 186, 84),
         (check_properness_condition, 22, 29),
     ):
         decided.clear()
         asked.clear()
         U = gph_universe()
+        is_we = U.is_we
+        U.is_we = lambda f: asked.setdefault(f, is_we(f))
         assert run(U).verdict is Verdict.NO
-        keys = {U.iso_class(f) for f, v in asked if v is not Verdict.INCONCLUSIVE}
+        keys = {
+            U.iso_class(f) for f, v in asked.items() if v is not Verdict.INCONCLUSIVE
+        }
         assert {U.iso_class(f) for f in decided} == keys
         outside = [
-            (f, v) for f, v in asked if None in (U.index(f.source), U.index(f.target))
+            (f, v) for f, v in asked.items()
+            if None in (U.index(f.source), U.index(f.target))
         ]
         assert len(decided) == len(keys) == runs
         assert len(outside) == outside_count
@@ -1462,11 +1463,39 @@ def test_weak_equivalences_are_decided_once_per_iso_class_wherever_their_ends_li
             assert v is real_we(f, ctx).verdict
 
 
-def _pairwise_a2(we, U):
+def test_checks_run_on_one_universe_share_weak_equivalence_verdicts(monkeypatch):
+    # check-properness and then verify-axioms on one universe decide one
+    # map per decided `iso_class` between them, where each decides 22 and
+    # 186 on a universe of its own, and they report as on fresh universes
+    real_we = analyzer.is_weak_equivalence
+    decided = []
+
+    def deciding(f, ctx):
+        report = real_we(f, ctx)
+        decided.append((f, report.verdict))
+        return report
+
+    monkeypatch.setattr(analyzer, "is_weak_equivalence", deciding)
+    checks = (check_properness_condition, verify_axioms)
+    U = gph_universe()
+    reports = [check(U) for check in checks]
+    keys = [U.iso_class(f) for f, v in decided if v is not Verdict.INCONCLUSIVE]
+    assert len(keys) == len(set(keys)) == len(decided)
+    alone = []
+    for check, report in zip(checks, reports):
+        decided.clear()
+        assert check(gph_universe()) == report
+        alone.append(len(decided))
+    assert alone == [22, 186]
+    assert len(keys) < sum(alone)
+
+
+def _pairwise_a2(U):
     """The A2 sweeps written pairwise, map by map: the reference for the
     hom-set verdict tables of verify_axioms.  Per subcheck, its
     counterexample and its counts; and the kinds of run (f, hom(b, c))
     that two-out-of-three walked, up to its first failure."""
+    we = U.is_we
     yes, no, inconclusive = Verdict.YES, Verdict.NO, Verdict.INCONCLUSIVE
     branches = set()
 
@@ -1558,16 +1587,16 @@ def test_a2_verdict_tables_match_the_pairwise_sweeps():
     seen = {}
     reached = {"per map": set(), "per hom-set": set()}
     for U in universes:
-        J = build_jset(U.ctx)
         probes = [(name, name, predicate) for name, predicate in fixed.items()]
         for seed in range(12):
             for family in reached:
                 predicate = _seeded(U, seed, family == "per hom-set")
                 probes.append((f"{family} {seed}", family, predicate))
         for name, family, predicate in probes:
-            report = verify_axioms(J, WeClass(name, predicate), U)
+            U.is_we = functools.cache(predicate)
+            report = verify_axioms(U)
             by_name = {s.check: s for s in report.subchecks}
-            reference, branches = _pairwise_a2(WeClass(name, predicate), U)
+            reference, branches = _pairwise_a2(U)
             for check, (failure, counts) in reference.items():
                 sub = by_name[check]
                 assert sub.counterexample == failure, (name, check)
@@ -1600,8 +1629,7 @@ def test_two_out_of_three_composes_no_table_where_every_hom_set_is_uniform(
 
     compose_tables = analyzer._compose_tables
     monkeypatch.setattr(analyzer, "_compose_tables", counting)
-    U = finset_universe(I1, bound=4)
-    report = verify_axioms(build_jset(U.ctx), WeClass.from_generators(U), U)
+    report = verify_axioms(finset_universe(I1, bound=4))
     by_name = {s.check: s for s in report.subchecks}
     two_three = by_name["A2-two-out-of-three"]
     assert two_three.verdict is Verdict.YES
@@ -1615,8 +1643,8 @@ def test_axiom_five_fails_when_every_map_is_declared_invertible():
     U = finset_universe(I1)
     ctx = HomotopyContext(I1)
     J = build_jset(ctx)
-    everything = WeClass("all", lambda f: Verdict.YES)
-    report = verify_axioms(J, everything, U)
+    U.is_we = lambda f: Verdict.YES
+    report = verify_axioms(U)
     assert report.verdict is Verdict.NO
     by_name = {s.check: s for s in report.subchecks}
     assert by_name["A5-first-disjunct"].verdict is Verdict.NO
@@ -1832,11 +1860,10 @@ def test_iso_class_shares_verdicts_exactly_within_isomorphism_classes():
         assert len(U._orbit_keys) == (count if U.base.nonidentity else 0)
         ctx, gens = U.ctx, U.generators
         J = build_jset(ctx)
-        we = WeClass.from_generators(U)
         jfibrations: dict = {}
         for f in maps:
             assert U.is_triv_fib(f) == in_inj(f, gens)
-            assert we(f) is is_weak_equivalence(f, ctx).verdict
+            assert U.is_we(f) is is_weak_equivalence(f, ctx).verdict
             jfib = U.per_class(jfibrations, f, lambda g: has_rlp(g, J.maps))
             assert jfib == has_rlp(f, J.maps)
     # a map whose ends are not universe objects is keyed like a relabelled
