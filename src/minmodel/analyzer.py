@@ -4,12 +4,13 @@ Quantifiers like "every cofibrant object" or "every cofibration" are cut
 down to a BoundedUniverse: the deterministically enumerated family of all
 presheaves whose carriers stay within a per-object size bound.  The
 universe owns the generating set, the fuel and the one HomotopyContext of
-the question, and it decides the memberships (`is_cof`, `is_triv_fib`,
-`is_we`), so each checker takes the universe alone.  Verdicts
-are three-valued.  A Pass means "holds within the bound", never an
-unconditional theorem; a Fail carries a counterexample bundle complete
-enough to re-validate standalone; Inconclusive reports what could not be
-decided (fuel exhaustion, undecided cofibrancy) and how much.
+the question, with the trivial generators J built from them, and it
+decides the memberships (`is_cof`, `is_triv_fib`, `is_we`, `is_fib`), so
+each checker takes the universe alone.  Verdicts are three-valued.  A
+Pass means "holds within the bound", never an unconditional theorem; a
+Fail carries a counterexample bundle complete enough to re-validate
+standalone; Inconclusive reports what could not be decided (fuel
+exhaustion, undecided cofibrancy) and how much.
 """
 
 from __future__ import annotations
@@ -270,10 +271,10 @@ class BoundedUniverse:
     Membership verdicts are invariant under isomorphism, so `per_class`
     keeps a decided verdict under the `iso_class` of its map for every map
     of its class, wherever the map's ends lie: `is_cof`, `is_triv_fib`,
-    `is_we` and A5's J-fibration test, so the checks run on one universe
-    share their verdicts.  An INCONCLUSIVE verdict stays with its map: the
-    fuel a factorization spends can differ between isomorphic maps, and
-    an isomorphic map still gets its own run.  The appropriateness
+    `is_we` and the J-fibration test `is_fib`, so the checks run on one
+    universe share their verdicts.  An INCONCLUSIVE verdict stays with its
+    map: the fuel a factorization spends can differ between isomorphic
+    maps, and an isomorphic map still gets its own run.  The appropriateness
     verdict of a comparison map is kept per `iso_class` too.
     `cofibration_classes()` and `trivial_fibration_classes()` group the
     cofibrations and the trivial fibrations between cofibrant objects by
@@ -306,7 +307,8 @@ class BoundedUniverse:
     to `in_cof`.
 
     The universe owns the context of its question: the generating set, the
-    fuel and `ctx`, the one HomotopyContext that every check on it shares.
+    fuel, `ctx`, the one HomotopyContext that every check on it shares, and
+    `J`, the trivial generators of `build_jset` (a cached property).
     It caches per instance what the checks ask again (`hom`, `is_cof`,
     `is_we`, `factors_through`, `_automorphisms`, `_register`, `_frame`);
     each answers `cache_info()`, and the cofibration walk is a cached
@@ -316,8 +318,10 @@ class BoundedUniverse:
     and a frame keeps a class number and tables, so no memo keeps a map.
     The registry keeps the first presheaf of each class it meets, and the
     caches of `_register` and `_frame` every presheaf asked about.  A
-    J-fibration is `has_rlp(f, J.maps)`, and whether one map is a retract
-    of another, shared per class only inside `verify_axioms`.
+    J-fibration is `has_rlp(f, U.J.maps)`, decided per class by `is_fib`,
+    which is never INCONCLUSIVE and so needs no per-map cache.  Whether one
+    map is a retract of another is shared per class only inside
+    `verify_axioms`.
 
     The hot loops work on component tables, not on maps.  `factors_through`
     returns the component tables of the extending maps, which `is_pure`
@@ -371,6 +375,7 @@ class BoundedUniverse:
         self._cof_undecided = False
         self._triv_fib_by_class: dict[tuple, bool] = {}
         self._we_by_class: dict[tuple, Verdict] = {}
+        self._fib_by_class: dict[tuple, bool] = {}
         # memos on the instance, so that they end with the universe
         for name in ("hom", "is_cof", "is_we", "factors_through",
                      "_automorphisms", "_register", "_frame"):
@@ -538,6 +543,18 @@ class BoundedUniverse:
 
     def _is_weak_equivalence(self, f: PresheafMap) -> Verdict:
         return is_weak_equivalence(f, self.ctx).verdict
+
+    @functools.cached_property
+    def J(self) -> GeneratingSet:
+        """The trivial generators of `build_jset`.  A cylinder that runs out
+        of fuel raises FuelExhausted at every read: no exception is cached."""
+        return build_jset(self.ctx)
+
+    def is_fib(self, f: PresheafMap) -> bool:
+        return self.per_class(self._fib_by_class, f, self._in_jinj)
+
+    def _in_jinj(self, f: PresheafMap) -> bool:
+        return has_rlp(f, self.J.maps)
 
     @functools.cached_property
     def cofibrant(self) -> tuple[Presheaf, ...]:
@@ -842,7 +859,7 @@ def check_main_condition(U: BoundedUniverse) -> VerdictReport:
                         yield yes, n
 
     try:
-        J = build_jset(U.ctx)
+        J = U.J
         failure, checked, _ = _class_walk(pushed_out, U.object_classes, U.objects)
     except FuelExhausted as stop:
         cell = _out_of_fuel("jcell-rlp", params, stop)
@@ -932,15 +949,15 @@ def _conj(a: Verdict, b: Verdict) -> Verdict:
 
 def verify_axioms(U: BoundedUniverse) -> VerdictReport:
     """Bounded run over the five closure conditions a minimal structure
-    needs, for the trivial cofibrations J of `build_jset` and the weak
-    equivalences of `U.is_we`.  A1 is a finiteness note; the rest
-    quantify over U.
+    needs, for the trivial cofibrations `U.J` and the weak equivalences of
+    `U.is_we`.  A1 is a finiteness note; the rest quantify over U.
 
     `U.is_we` is asked once per map of `U.all_maps()`, in that order, and
     decides each `iso_class` once, A4's pushed maps included.  A2 reads
     those verdicts per hom-set, and A3 and A5 map by map in that order; A3
-    reads `U.is_triv_fib`, and A5 tests J-fibrations once per `iso_class`,
-    so every sweep of a map decides one member of its class.
+    reads `U.is_triv_fib`, and A5 asks `U.is_fib` only of the maps whose
+    verdict is not NO, which alone can yield anything, so every sweep of a
+    map decides one member of its class.
     Two-out-of-three goes one run at a time: a map f of hom(a, b) with
     every g of hom(b, c).  A run is skipped whole when f's verdict is
     INCONCLUSIVE or every map of hom(a, c) is.  It passes whole when every
@@ -960,7 +977,7 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
     counts in `pairs_searched`, and the first pair found is the sweep's
     counterexample.
     """
-    J = build_jset(U.ctx)
+    J = U.J
     I = U.generators
     params = {
         "generators": I.label,
@@ -972,6 +989,11 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
     subchecks = [
         _report("A1-permits-factorizations", params, diagnostics={"note": note})
     ]
+
+    def counted(check: str, count_name: str, failure: dict | None, count: int,
+                skipped: int, **more) -> None:
+        diagnostics = {count_name: count, "skipped": skipped, **more}
+        subchecks.append(_report(check, params, failure, skipped, diagnostics))
 
     # One `is_we` verdict per map, in all_maps() order.  rows[a][b] holds
     # the (map, component table, verdict) triples of hom(objects[a],
@@ -1035,16 +1057,7 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
                                 return failure, walked, skipped
         return None, walked, skipped
 
-    failure, pairs, skipped = two_out_of_three()
-    subchecks.append(
-        _report(
-            "A2-two-out-of-three",
-            params,
-            failure,
-            skipped,
-            {"composable_pairs": pairs, "skipped": skipped},
-        )
-    )
+    counted("A2-two-out-of-three", "composable_pairs", *two_out_of_three())
 
     # A2: retract closure.  Only a pair with g in the class and f outside
     # it can violate closure, so the retract search runs on those pairs,
@@ -1084,30 +1097,13 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
                                 yield {"map": f, "of": g} if found else yes
 
     failure, searched, _ = _first_failure(retract_candidates())
-    subchecks.append(
-        _report(
-            "A2-retracts",
-            params,
-            failure,
-            skipped,
-            {"pairs_searched": searched, "skipped": skipped},
-        )
-    )
+    counted("A2-retracts", "pairs_searched", failure, searched, skipped)
 
     # A3: trivial fibrations are weak equivalences
     trivial_fibrations = (
         {"map": f} if v is no else v for f, v in swept if U.is_triv_fib(f)
     )
-    failure, count, skipped = _first_failure(trivial_fibrations)
-    subchecks.append(
-        _report(
-            "A3-trivial-fibrations",
-            params,
-            failure,
-            skipped,
-            {"trivial_fibrations": count, "skipped": skipped},
-        )
-    )
+    counted("A3-trivial-fibrations", "trivial_fibrations", *_first_failure(trivial_fibrations))
 
     # A4: pushouts of J-maps are trivial cofibrations
     def pushouts_of_j() -> Iterator[Outcome]:
@@ -1120,48 +1116,24 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
                 else:
                     yield v
 
-    failure, count, skipped = _first_failure(pushouts_of_j())
-    subchecks.append(
-        _report(
-            "A4-pushouts-of-j",
-            params,
-            failure,
-            skipped,
-            {"pushouts_checked": count, "skipped": skipped},
-        )
-    )
+    counted("A4-pushouts-of-j", "pushouts_checked", *_first_failure(pushouts_of_j()))
 
     # A5, first disjunct: J-injective weak equivalences are I-injective.
     # The other disjunct needs I-cof inter we inside J-cof; not evaluated.
-    jfibrations: dict[tuple, bool] = {}
-
-    def jfibration(f: PresheafMap) -> bool:
-        return has_rlp(f, J.maps)
-
+    # A map whose verdict is NO yields nothing, so it is never tested.
     def jinjective_weak_equivalences() -> Iterator[Outcome]:
         for f, v in swept:
-            if not U.per_class(jfibrations, f, jfibration):
+            if v is no or not U.is_fib(f):
                 continue
-            if v is yes:
-                yield yes if U.is_triv_fib(f) else {"map": f}
-            elif v is inconclusive:
+            if v is inconclusive:
                 yield v
+            else:
+                yield yes if U.is_triv_fib(f) else {"map": f}
 
     failure, walked, skipped = _first_failure(jinjective_weak_equivalences())
-    subchecks.append(
-        _report(
-            "A5-first-disjunct",
-            params,
-            failure,
-            skipped,
-            {
-                # only the YES weak equivalences count
-                "jinj_weak_equivalences": walked - skipped,
-                "skipped": skipped,
-                "second-disjunct": "not-evaluated",
-            },
-        )
-    )
+    # only the YES weak equivalences count
+    counted("A5-first-disjunct", "jinj_weak_equivalences", failure, walked - skipped,
+            skipped, **{"second-disjunct": "not-evaluated"})
 
     return _combine("axioms", params, subchecks)
 
@@ -1199,7 +1171,7 @@ def classify_map(f: PresheafMap, U: BoundedUniverse) -> MapClassification:
     weq = U.is_we(f)
     tfib = Verdict.YES if U.is_triv_fib(f) else Verdict.NO
     try:
-        fib = Verdict.YES if has_rlp(f, build_jset(U.ctx).maps) else Verdict.NO
+        fib = Verdict.YES if U.is_fib(f) else Verdict.NO
     except FuelExhausted:
         fib = Verdict.INCONCLUSIVE
     sdr = is_strong_deformation_retract(f, U.ctx).verdict

@@ -1000,7 +1000,7 @@ def _main_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
                     yield Verdict.YES
 
     try:
-        failure, checked, _ = analyzer._first_failure(pushed_out(build_jset(U.ctx)))
+        failure, checked, _ = analyzer._first_failure(pushed_out(U.J))
     except FuelExhausted as stop:
         cell = analyzer._out_of_fuel("jcell-rlp", params, stop)
     else:
@@ -1042,7 +1042,7 @@ def test_a_failing_j_pushout_into_a_class_of_several_objects(monkeypatch):
     count = Counter(U._representatives)
     size = {X: count[r] for X, r in zip(U.objects, U._representatives)}
     last = [X for X, n in U.object_classes if n > 1][-1]
-    second = build_jset(U.ctx).maps[1]
+    second = U.J.maps[1]
     domains = list(dict.fromkeys(i.source for i in IG.maps))
     built = []
     real_pushout, real = analyzer.pushout, analyzer._object_square_failure
@@ -1182,7 +1182,8 @@ def test_coproduct_sweep_leaves_no_transient_map_in_the_universe_cache():
         for f in asked:
             assert U.index(f.source) is not None and U.index(f.target) is not None
         memos = (
-            U._triv_fib_by_class, U._orbit_keys, U._cof_by_class, U._we_by_class
+            U._triv_fib_by_class, U._orbit_keys, U._cof_by_class, U._we_by_class,
+            U._fib_by_class,
         )
         kept = [x for memo in memos for key in memo for x in leaves(key)]
         kept += [x for R in U._registered for x in leaves(U._frame(R))]
@@ -1490,6 +1491,33 @@ def test_checks_run_on_one_universe_share_weak_equivalence_verdicts(monkeypatch)
     assert len(keys) < sum(alone)
 
 
+def test_jfibration_verdicts_are_shared_per_class_on_one_universe(monkeypatch):
+    # verify-axioms decides the J-fibration test once per `iso_class`, and
+    # only for maps whose weak-equivalence verdict is not NO; classify on
+    # the same universe then decides nothing again, and each of its
+    # `fibration` verdicts is the test decided alone
+    real_rlp = analyzer.has_rlp
+    decided = []
+
+    def deciding(f, maps):
+        decided.append(f)
+        return real_rlp(f, maps)
+
+    monkeypatch.setattr(analyzer, "has_rlp", deciding)
+    U = gph_universe()
+    verify_axioms(U)
+    asked = {U.iso_class(f) for f in U.all_maps() if U.is_we(f) is not Verdict.NO}
+    assert len(decided) == len({U.iso_class(f) for f in decided}) == len(asked) == 54
+    assert {U.iso_class(f) for f in decided} == asked
+    J = build_jset(U.ctx)
+    weak_equivalences = [f for f in U.all_maps() if U.is_we(f) is Verdict.YES][:40]
+    assert len(weak_equivalences) == 40
+    for f in weak_equivalences:
+        fibration = classify_map(f, U).fibration
+        assert fibration is (Verdict.YES if has_rlp(f, J.maps) else Verdict.NO)
+    assert len(decided) == 54
+
+
 def _pairwise_a2(U):
     """The A2 sweeps written pairwise, map by map: the reference for the
     hom-set verdict tables of verify_axioms.  Per subcheck, its
@@ -1734,8 +1762,9 @@ def test_universe_caches_fibration_verdicts_and_lifting_keeps_none():
     assert U.is_triv_fib(f)
     assert lifting.STATS["solver_calls"] == before
     assert len(U._triv_fib_by_class) == 1
-    # a rebuilt J is equal and reuses the context's cylinder
-    assert build_jset(U.ctx) == build_jset(U.ctx)
+    # the universe keeps its J; a rebuilt one is equal and reuses the
+    # context's cylinder
+    assert U.J is U.J == build_jset(U.ctx)
     info = U.ctx.cylinder.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     # the lifting layer itself remembers nothing: each query solves again
@@ -1860,12 +1889,10 @@ def test_iso_class_shares_verdicts_exactly_within_isomorphism_classes():
         assert len(U._orbit_keys) == (count if U.base.nonidentity else 0)
         ctx, gens = U.ctx, U.generators
         J = build_jset(ctx)
-        jfibrations: dict = {}
         for f in maps:
             assert U.is_triv_fib(f) == in_inj(f, gens)
             assert U.is_we(f) is is_weak_equivalence(f, ctx).verdict
-            jfib = U.per_class(jfibrations, f, lambda g: has_rlp(g, J.maps))
-            assert jfib == has_rlp(f, J.maps)
+            assert U.is_fib(f) == has_rlp(f, J.maps)
     # a map whose ends are not universe objects is keyed like a relabelled
     # copy of it, and shares its decided verdict
     U = gph_universe()
