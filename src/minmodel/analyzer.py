@@ -88,36 +88,43 @@ def _out_of_fuel(check: str, parameters: dict, stop: FuelExhausted) -> VerdictRe
 Outcome = dict | Verdict
 
 
-def _first_failure(candidates: Iterable[Outcome]) -> tuple[dict | None, int, int]:
-    """Walk candidates up to the first failure.
+def _walk(
+    outcomes: Iterable[tuple[Outcome, int]], give_up: bool = False
+) -> tuple[dict | None, int, int] | None:
+    """Walk (outcome, weight) pairs up to the first failure.
 
-    Each candidate yields Verdict.YES, Verdict.INCONCLUSIVE, or the
-    counterexample of a failure.  Returns that counterexample (None when
-    nothing fails), the number of candidates walked, and how many of them
-    were inconclusive.
+    Each outcome is Verdict.YES, Verdict.INCONCLUSIVE, or the
+    counterexample of a failure, and stands for `weight` candidates.
+    Returns that counterexample (None when nothing fails), the weights
+    walked, and how many outcomes were INCONCLUSIVE, whatever their
+    weights: a weight-0 one counts too.  With `give_up`, returns None at
+    the first INCONCLUSIVE, reading no further.
     """
     # enum members are looked up once: this loop runs once per candidate
     yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
     walked = undecided = 0
-    for outcome in candidates:
-        walked += 1
+    for outcome, weight in outcomes:
+        walked += weight
         if outcome is yes:
             continue
         if outcome is not inconclusive:
             return outcome, walked, undecided
+        if give_up:
+            return None
         undecided += 1
     return None, walked, undecided
 
 
 def _first_of_each_class(items: Iterable, key: Callable) -> tuple[tuple[object, int], ...]:
-    """The first item of each class of `items` under `key`, in walk order,
-    each with the number of items in its class."""
+    """The first item of each class of the (item, weight) pairs `items`
+    under `key`, in walk order, each with its class's weights summed, as
+    `_walk` sums the weights walked."""
     first: dict = {}
     sizes: Counter = Counter()
-    for item in items:
+    for item, weight in items:
         k = key(item)
         first.setdefault(k, item)
-        sizes[k] += 1
+        sizes[k] += weight
     return tuple((item, sizes[k]) for k, item in first.items())
 
 
@@ -126,31 +133,19 @@ def _class_walk(
     classes: Sequence[tuple[Presheaf, int]],
     everyone: Iterable[Presheaf],
 ) -> tuple[dict | None, int, int]:
-    """`_first_failure` of `sweep(classes)`, `classes` being the first
-    object of each isomorphism class, in order, with its class size; each
-    yielded (outcome, weight) counts as `weight` candidates.  The swept
+    """`_walk` of `sweep(classes)`, `classes` being the first object of
+    each isomorphism class, in order, with its class size; each yielded
+    (outcome, weight) counts as `weight` candidates walked.  The swept
     conditions are invariant under isomorphism, and a first-seen object
     has the least index in its class, so a failure through later members
     transports to one that the walk over every object reaches no later:
     the first counterexample and the counts are the full walk's (McKay's
     isomorph-free walk).  That needs decided verdicts, and fuel can run
     out differently on isomorphic candidates, so at the first INCONCLUSIVE
-    the sweep walks every object of `everyone` at weight 1, to the end.
-    It also serves the universe's class collectors (`_map_classes`), whose
-    sweeps keep the classes they meet and never fail."""
-    yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
-    for objects in (classes, [(X, 1) for X in everyone]):
-        walked = undecided = 0
-        for outcome, weight in sweep(objects):
-            walked += weight
-            if outcome is inconclusive:
-                if objects is classes:
-                    break
-                undecided += 1
-            elif outcome is not yes:
-                return outcome, walked, undecided
-        else:
-            return None, walked, undecided
+    the walk gives up and `_walk`s the sweep of every object of `everyone`
+    at weight 1, to the end.  It also serves the universe's class
+    collectors (`_map_classes`), whose sweeps never fail."""
+    return _walk(sweep(classes), give_up=True) or _walk(sweep([(X, 1) for X in everyone]))
 
 
 def _combine(check: str, parameters: dict, subchecks: list[VerdictReport]) -> VerdictReport:
@@ -284,9 +279,12 @@ class BoundedUniverse:
     Both run through `_class_walk` (`_map_classes`): hom(A, B) alone, for
     A and B the first cofibrant objects of their classes
     (`cofibrant_classes`; `object_classes` likewise among all objects),
-    the first accepted map of each `iso_class` kept with its count there
-    times the cofibrant objects of A's class and of B's; `check_appropriate`
-    walks its trivial fibrations so too, lazily.  A first-seen object has
+    each map weighing the cofibrant objects of A's class times those of
+    B's, and `_first_of_each_class` keeps the first accepted map of each
+    `iso_class` with the weights of its class; `check_appropriate`
+    walks its trivial fibrations so too, lazily.  `_walk` reads every
+    sweep: weights are walked, and each INCONCLUSIVE outcome counts once
+    as undecided, whatever its weight.  A first-seen object has
     the least index in its class, so the first members and their order are
     the full walk's.  At an INCONCLUSIVE verdict `_class_walk` walks every
     cofibrant object with weight 1 instead.  A map asked while its class
@@ -566,7 +564,7 @@ class BoundedUniverse:
         """The first universe object of each isomorphism class, in universe
         order, each with the size of its class."""
         r, index = self._representatives, self._index
-        return _first_of_each_class(self.objects, lambda X: r[index[X]])
+        return _first_of_each_class(((X, 1) for X in self.objects), lambda X: r[index[X]])
 
     @functools.cached_property
     def cofibrant_classes(self) -> tuple[tuple[Presheaf, int], ...]:
@@ -574,7 +572,7 @@ class BoundedUniverse:
         universe order, each with the number of cofibrant objects in its
         class."""
         r, index = self._representatives, self._index
-        return _first_of_each_class(self.cofibrant, lambda V: r[index[V]])
+        return _first_of_each_class(((V, 1) for V in self.cofibrant), lambda V: r[index[V]])
 
     def cofibration_classes(self) -> tuple[tuple[PresheafMap, int], ...]:
         """The first-seen cofibration of each `iso_class` among the maps
@@ -601,18 +599,18 @@ class BoundedUniverse:
         """The first map of each `iso_class` that `member` accepts (YES or
         True) between cofibrant objects, in order, each with its class size,
         and how many maps there `member` answers INCONCLUSIVE.  The sweep
-        hands `_class_walk` one outcome per map, YES or INCONCLUSIVE: over
-        `cofibrant_classes` a map counts the product of its ends' weights,
-        and `undecided` (an INCONCLUSIVE already answered off those
-        hom-sets) gives that pass up at once."""
+        hands `_class_walk` one outcome per map, YES or INCONCLUSIVE, and
+        keeps the accepted maps: over `cofibrant_classes` a map weighs the
+        product of its ends' weights, and `undecided` (an INCONCLUSIVE
+        already answered off those hom-sets) gives that pass up at once.
+        `_first_of_each_class` groups the accepted maps of the pass that
+        ran to the end."""
         yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
         classes = self.cofibrant_classes
-        first: dict[tuple, PresheafMap] = {}
-        sizes: Counter = Counter()
+        accepted: list[tuple[PresheafMap, int]] = []
 
         def sweep(objects: Sequence[tuple[Presheaf, int]]) -> Iterator[tuple[Outcome, int]]:
-            first.clear()
-            sizes.clear()
+            accepted.clear()
             if undecided and objects is classes:
                 yield inconclusive, 0
             for A, m in objects:
@@ -620,13 +618,11 @@ class BoundedUniverse:
                     for f in self.hom(A, B):
                         verdict = member(f)
                         if verdict is yes or verdict is True:
-                            k = self.iso_class(f)
-                            first.setdefault(k, f)
-                            sizes[k] += m * n
+                            accepted.append((f, m * n))
                         yield inconclusive if verdict is inconclusive else yes, m * n
 
         _, _, count = _class_walk(sweep, classes, self.cofibrant)
-        return tuple((f, sizes[k]) for k, f in first.items()), count
+        return _first_of_each_class(accepted, self.iso_class), count
 
     def factors_through(self, i: PresheafMap, X: Presheaf) -> frozenset[tuple]:
         """The component tables of the maps i.source -> X that extend along i."""
@@ -665,8 +661,9 @@ def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
     hom-sets between first-seen cofibrant objects, with each class's
     full size.  An isomorphism of cofibrations i' ~ i
     carries the squares against i' one-to-one onto those against i, tops
-    that extend onto tops that extend, so a class of n cofibrations adds
-    n * |hom(i.source, X)| to `squares_considered`.  A failing square
+    that extend onto tops that extend, so against a class of n
+    cofibrations each square weighs n, and `_walk` adds the weights up to
+    `squares_considered`; no square is INCONCLUSIVE.  A failing square
     against a later member transports to one against its class's first
     member, which the full walk reaches earlier, so the first failure
     always lies at a first member and the counterexample is the full
@@ -674,28 +671,25 @@ def is_pure(f: PresheafMap, U: BoundedUniverse) -> VerdictReport:
     """
     X = f.source
     params = {"map": f, **U.describe()}
-    classes = U.cofibration_classes()
 
-    def squares() -> Iterator[Outcome]:
-        yes = Verdict.YES  # looked up once: this loop runs once per square
-        for i, _ in classes:
+    def squares() -> Iterator[tuple[Outcome, int]]:
+        for i, n in U.cofibration_classes():
+            extends = (Verdict.YES, n)  # built once: yielded once per square
             factorable = U.factors_through(i, X)
             for u in U.hom(i.source, X):
                 if u._comp in factorable:
-                    yield yes
+                    yield extends
                     continue
                 w = _compose_tables(u._comp, f._comp)
                 v = _first_map(i.target, f.target, _pin((i._comp, w)))
                 if v is None:
-                    yield yes
+                    yield extends
                 else:
-                    yield {"cofibration": i, "top": u, "bottom": v}
+                    yield {"cofibration": i, "top": u, "bottom": v}, n
 
-    failure, _, _ = _first_failure(squares())
+    failure, checked, _ = _walk(squares())
     if failure:
         return _report("pure", params, failure)
-    # isomorphic cofibrations have sources with hom-sets of equal size
-    checked = sum(n * len(U.hom(i.source, X)) for i, n in classes)
     undecided = U.all_undecided()
     return _report(
         "pure",
@@ -882,15 +876,19 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
     the generators.
 
     Both sweeps walk one representative per isomorphism class: the pairs
-    of `U.trivial_fibration_classes()`, (sum of class sizes)^2 in all, and
-    the comparisons for u : i.source -> X and g : X -> Y with X and Y of
-    `U.object_classes`, weighted by their class sizes (`_class_walk`).
+    of `U.trivial_fibration_classes()`, and the comparisons for
+    u : i.source -> X and g : X -> Y with X and Y of `U.object_classes`,
+    weighted by their class sizes (`_class_walk`).
 
     t1 + t2 is isomorphic to t2 + t1 and lifting is invariant under
     isomorphism, so the sums run over the unordered pairs t1 <= t2 of the
     representatives, in order, up to the first that `in_inj` refuses.
     The ordered walk stops at the (least, greatest) form of that pair,
-    having decided the same sums, so the counterexample is its.
+    having decided the same sums, so the counterexample is its.  A pair
+    of classes of n1 and n2 maps weighs n1 * n2 on the diagonal and
+    2 * n1 * n2 off it, so the weights that `_walk` adds up to
+    `pairs_checked` count every ordered pair of trivial fibrations; no sum
+    is INCONCLUSIVE, and `U.all_undecided()` is asked only when none fails.
     """
     I = U.generators
     params = {"generators": I.label, **U.describe()}
@@ -914,16 +912,19 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
                                      "trivial-fibration": g, "comparison": induced}
                             yield v, mx * my
 
-    tfibs = U.trivial_fibration_classes()
-    firsts = [t for t, _ in tfibs]
-    sums = (
-        (t1, t2, _coproduct_map(t1, t2)) for k, t1 in enumerate(firsts) for t2 in firsts[k:]
-    )
-    failure = next(
-        ({"first": t1, "second": t2, "coproduct": both}
-         for t1, t2, both in sums if not in_inj(both, I)),
-        None,
-    )
+    def sums() -> Iterator[tuple[Outcome, int]]:
+        """Each unordered pair of trivial fibration classes, with its weight."""
+        tfibs = U.trivial_fibration_classes()
+        for k, (t1, n1) in enumerate(tfibs):
+            for t2, n2 in tfibs[k:]:
+                both = _coproduct_map(t1, t2)
+                weight = n1 * n2 if t2 is t1 else 2 * n1 * n2
+                if in_inj(both, I):
+                    yield Verdict.YES, weight
+                else:
+                    yield {"first": t1, "second": t2, "coproduct": both}, weight
+
+    failure, checked, _ = _walk(sums())
     if failure:
         closed = _report("tfib-coproducts", params, failure)
     else:
@@ -931,7 +932,7 @@ def check_properness_condition(U: BoundedUniverse) -> VerdictReport:
             "tfib-coproducts",
             params,
             undecided=U.all_undecided(),
-            diagnostics={"pairs_checked": sum(n for _, n in tfibs) ** 2},
+            diagnostics={"pairs_checked": checked},
         )
     failure, checked, undecided = _class_walk(comparisons, U.object_classes, U.objects)
     diagnostics = None if failure else {"comparisons_checked": checked}
@@ -958,23 +959,27 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
     reads `U.is_triv_fib`, and A5 asks `U.is_fib` only of the maps whose
     verdict is not NO, which alone can yield anything, so every sweep of a
     map decides one member of its class.
+    `_walk` reads every counted subcheck, adding up the weights walked and
+    counting each INCONCLUSIVE outcome once as skipped.
     Two-out-of-three goes one run at a time: a map f of hom(a, b) with
-    every g of hom(b, c).  A run is skipped whole when f's verdict is
-    INCONCLUSIVE or every map of hom(a, c) is.  It passes whole when every
-    map of hom(a, c) has one decided verdict and hom(b, c) holds no g with
-    the verdict that fails against f's and that one (NO when both are YES,
-    YES when they differ, none when both are NO); its INCONCLUSIVE g count
-    as skipped.  Only the other runs compose the tables of their pairs, in
-    order, and look each composite up in the table of hom(a, c), building
-    the composite map only for a counterexample.  A run decided whole
-    holds no failure, so the runs keep the order of the pairwise sweep
-    over `all_maps()`, add the counts it would add, and stop at its first
-    counterexample.  Retract closure searches only the hom-sets between
-    objects that the ends of the map are object retracts of, in the order
-    of the pairwise sweep, and asks `is_retract_of` once per pair of
-    `iso_class` keys: f is a retract of g exactly when any arrow
-    isomorphic to f is one of any arrow isomorphic to g.  Every pair still
-    counts in `pairs_searched`, and the first pair found is the sweep's
+    every g of hom(b, c).  A run is skipped whole, one INCONCLUSIVE per
+    pair, when f's verdict is INCONCLUSIVE or every map of hom(a, c) is.
+    It passes whole, one YES weighing its decided pairs and one
+    INCONCLUSIVE per undecided g, when every map of hom(a, c) has one
+    decided verdict and hom(b, c) holds no g with the verdict that fails
+    against f's and that one (NO when both are YES, YES when they differ,
+    none when both are NO).  Only the other runs compose the tables of
+    their pairs, one outcome each, in order, and look each composite up in
+    the table of hom(a, c), building the composite map only for a
+    counterexample.  A run decided whole holds no failure, so the runs
+    keep the order of the pairwise sweep over `all_maps()`, add the counts
+    it would add, and stop at its first counterexample.
+    Retract closure searches only the hom-sets between objects that the
+    ends of the map are object retracts of, in the order of the pairwise
+    sweep, and asks `is_retract_of` once per pair of `iso_class` keys:
+    f is a retract of g exactly when any arrow isomorphic to f is one of
+    any arrow isomorphic to g.  Every pair still counts in
+    `pairs_searched`, and the first pair found is the sweep's
     counterexample.
     """
     J = U.J
@@ -1019,45 +1024,40 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
     # the verdict of g that fails against decided verdicts of f and g;f
     failing = {(yes, yes): no, (yes, no): yes, (no, yes): yes, (no, no): None}
 
-    def composable_pairs(f, fc, vf, composites, row) -> Iterator[Outcome]:
+    # one candidate each, built once: the sweeps below yield them per pair
+    passed, undecided = (yes, 1), (inconclusive, 1)
+
+    def composable_pairs(f, fc, vf, composites, row) -> Iterator[tuple[Outcome, int]]:
         for g, gc, vg in row:
             trio = (vf, vg, composites[_compose_tables(fc, gc)])
             if inconclusive in trio:
-                yield inconclusive
+                yield undecided
             elif trio.count(yes) == 2:
                 yield {
                     "first": f,
                     "second": g,
                     "composite": compose(f, g),
                     "memberships": [v.name for v in trio],
-                }
+                }, 1
             else:
-                yield yes
+                yield passed
 
-    def two_out_of_three() -> tuple[dict | None, int, int]:
-        walked = skipped = 0
+    def two_out_of_three() -> Iterator[tuple[Outcome, int]]:
         for a in range(n):
             for b in range(n):
                 for f, fc, vf in rows[a][b]:
                     for c in range(n):
                         row, vc = rows[b][c], uniform[a][c]
                         if vf is inconclusive or vc is inconclusive:
-                            walked += len(row)
-                            skipped += len(row)
+                            yield from itertools.repeat(undecided, len(row))
                         elif vc is not None and not tally[b][c][failing[vf, vc]]:
-                            walked += len(row)
-                            skipped += tally[b][c][inconclusive]
+                            k = tally[b][c][inconclusive]
+                            yield yes, len(row) - k
+                            yield from itertools.repeat(undecided, k)
                         else:
-                            failure, w, s = _first_failure(
-                                composable_pairs(f, fc, vf, verdict[a][c], row)
-                            )
-                            walked += w
-                            skipped += s
-                            if failure is not None:
-                                return failure, walked, skipped
-        return None, walked, skipped
+                            yield from composable_pairs(f, fc, vf, verdict[a][c], row)
 
-    counted("A2-two-out-of-three", "composable_pairs", *two_out_of_three())
+    counted("A2-two-out-of-three", "composable_pairs", *_walk(two_out_of_three()))
 
     # A2: retract closure.  Only a pair with g in the class and f outside
     # it can violate closure, so the retract search runs on those pairs,
@@ -1081,7 +1081,7 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
     # retract is invariant under isomorphism of arrows
     retracts: dict[tuple[int, int], bool] = {}
 
-    def retract_candidates() -> Iterator[Outcome]:
+    def retract_candidates() -> Iterator[tuple[Outcome, int]]:
         for a in range(n):
             for b in range(n):
                 for f, _, vf in rows[a][b]:
@@ -1094,43 +1094,43 @@ def verify_axioms(U: BoundedUniverse) -> VerdictReport:
                                 found = retracts.get((kf, kg))
                                 if found is None:
                                     found = retracts[kf, kg] = is_retract_of(f, g) is not None
-                                yield {"map": f, "of": g} if found else yes
+                                yield ({"map": f, "of": g}, 1) if found else passed
 
-    failure, searched, _ = _first_failure(retract_candidates())
+    failure, searched, _ = _walk(retract_candidates())
     counted("A2-retracts", "pairs_searched", failure, searched, skipped)
 
     # A3: trivial fibrations are weak equivalences
     trivial_fibrations = (
-        {"map": f} if v is no else v for f, v in swept if U.is_triv_fib(f)
+        ({"map": f} if v is no else v, 1) for f, v in swept if U.is_triv_fib(f)
     )
-    counted("A3-trivial-fibrations", "trivial_fibrations", *_first_failure(trivial_fibrations))
+    counted("A3-trivial-fibrations", "trivial_fibrations", *_walk(trivial_fibrations))
 
     # A4: pushouts of J-maps are trivial cofibrations
-    def pushouts_of_j() -> Iterator[Outcome]:
+    def pushouts_of_j() -> Iterator[tuple[Outcome, int]]:
         for jk, j in enumerate(J.maps):
             for u in U.maps_from(j.source):
                 pushed = pushout(j, u).right
                 v = _conj(U.is_we(pushed), U.is_cof(pushed))
                 if v is no:
-                    yield {"j-generator": jk, "along": u, "pushed": pushed}
+                    yield {"j-generator": jk, "along": u, "pushed": pushed}, 1
                 else:
-                    yield v
+                    yield v, 1
 
-    counted("A4-pushouts-of-j", "pushouts_checked", *_first_failure(pushouts_of_j()))
+    counted("A4-pushouts-of-j", "pushouts_checked", *_walk(pushouts_of_j()))
 
     # A5, first disjunct: J-injective weak equivalences are I-injective.
     # The other disjunct needs I-cof inter we inside J-cof; not evaluated.
     # A map whose verdict is NO yields nothing, so it is never tested.
-    def jinjective_weak_equivalences() -> Iterator[Outcome]:
+    def jinjective_weak_equivalences() -> Iterator[tuple[Outcome, int]]:
         for f, v in swept:
             if v is no or not U.is_fib(f):
                 continue
             if v is inconclusive:
-                yield v
+                yield undecided
             else:
-                yield yes if U.is_triv_fib(f) else {"map": f}
+                yield passed if U.is_triv_fib(f) else ({"map": f}, 1)
 
-    failure, walked, skipped = _first_failure(jinjective_weak_equivalences())
+    failure, walked, skipped = _walk(jinjective_weak_equivalences())
     # only the YES weak equivalences count
     counted("A5-first-disjunct", "jinj_weak_equivalences", failure, walked - skipped,
             skipped, **{"second-disjunct": "not-evaluated"})
@@ -1188,20 +1188,12 @@ def enumerate_weak_equivalences(U: BoundedUniverse) -> VerdictReport:
     """Every map between universe objects in the decided class, as
     witnesses, in enumeration order."""
     params = {"generators": U.generators.label, **U.describe()}
-    found = []
-    undecided = 0
-    total = 0
-    for f in U.all_maps():
-        total += 1
-        v = U.is_we(f)
-        if v is Verdict.YES:
-            found.append(f)
-        elif v is Verdict.INCONCLUSIVE:
-            undecided += 1
+    swept = [(f, U.is_we(f)) for f in U.all_maps()]
+    undecided = sum(v is Verdict.INCONCLUSIVE for _, v in swept)
     return _report(
         "enumerate-we",
         params,
         undecided=undecided,
-        diagnostics={"maps_considered": total, "undecided": undecided},
-        witnesses=tuple(found),
+        diagnostics={"maps_considered": len(swept), "undecided": undecided},
+        witnesses=tuple(f for f, v in swept if v is Verdict.YES),
     )

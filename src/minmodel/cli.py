@@ -371,11 +371,7 @@ _COMMANDS = {
     "cylinder": _cmd_cylinder,
     "homotopic": _cmd_homotopic,
     "classify": _cmd_classify,
-    "check-appropriate": _cmd_checker,
-    "check-main": _cmd_checker,
-    "check-properness": _cmd_checker,
-    "verify-axioms": _cmd_checker,
-    "enumerate-we": _cmd_checker,
+    **dict.fromkeys(_CHECKERS, _cmd_checker),
 }
 
 

@@ -205,3 +205,17 @@ def trivial_fibrations_between_cofibrant(U):
     """The maps of `maps_between_cofibrant(U)` that are trivial fibrations,
     decided lazily, one at a time as the caller walks them."""
     return (f for f in maps_between_cofibrant(U) if U.is_triv_fib(f))
+
+
+def first_failure(outcomes):
+    """The reference walk, one candidate per outcome: the first outcome
+    that is neither Verdict.YES nor Verdict.INCONCLUSIVE (None when there
+    is none), the outcomes walked up to it, and the INCONCLUSIVE ones."""
+    walked = undecided = 0
+    for outcome in outcomes:
+        walked += 1
+        if outcome is Verdict.INCONCLUSIVE:
+            undecided += 1
+        elif outcome is not Verdict.YES:
+            return outcome, walked, undecided
+    return None, walked, undecided

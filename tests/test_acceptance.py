@@ -434,6 +434,14 @@ def test_fuel_starved_reports_match_their_goldens(tmp_path):
             2,
             ["check-appropriate", i1, "I1", "--bound", "4", "--fuel", "0"],
         ),
+        # A4 leaves every pushout of J undecided: 6 of 6, and 84 of 84
+        # behind A2's failure, so each pins an INCONCLUSIVE count walked
+        ("finset_i1_verify_axioms_fuel0", 2, ["verify-axioms", i1, "I1", "--fuel", "0"]),
+        (
+            "gph_ig_verify_axioms_fuel0",
+            1,
+            ["verify-axioms", fixture("gph_ig.ws"), "IG", "--fuel", "0"],
+        ),
         (
             "gph_ig_verify_axioms_fuel1",
             1,

@@ -48,6 +48,7 @@ import oracle_gph as og
 from helpers import (
     FS_BASE,
     cofibrations_between_cofibrant,
+    first_failure,
     fixture,
     fs,
     fs_to_oracle,
@@ -367,13 +368,40 @@ def test_cofibration_classes_partition_the_cofibrations_in_walk_order():
         assert members == sizes
 
 
+def test_walk_adds_weights_and_counts_each_undecided_outcome():
+    # `walked` sums the weights; `undecided` counts INCONCLUSIVE outcomes
+    # one each, whatever their weights, a weight-0 one included
+    yes, inconclusive = Verdict.YES, Verdict.INCONCLUSIVE
+    bad = {"map": "stand-in"}
+
+    def guarded(outcomes):
+        """The outcomes, then a failure of the test if read any further."""
+        yield from outcomes
+        raise AssertionError("the walk read past where it should stop")
+
+    stream = [(yes, 3), (inconclusive, 0), (yes, 0), (inconclusive, 2), (yes, 1)]
+    assert analyzer._walk(iter(stream)) == (None, 6, 2)
+    assert analyzer._walk(iter([])) == (None, 0, 0)
+    assert analyzer._walk(iter([(inconclusive, 0)] * 3)) == (None, 0, 3)
+    # at a failure, its counterexample with the counts so far, the failing
+    # outcome's weight included, and nothing read after it
+    failure, walked, undecided = analyzer._walk(guarded(stream[:2] + [(bad, 4)]))
+    assert failure is bad and (walked, undecided) == (7, 1)
+    # with `give_up`, None at the first INCONCLUSIVE, read no further, a
+    # weight-0 one included; a failure or the end before it is as without
+    assert analyzer._walk(guarded([(yes, 5), (inconclusive, 0)]), give_up=True) is None
+    assert analyzer._walk(guarded([(yes, 2), (inconclusive, 3)]), give_up=True) is None
+    assert analyzer._walk(guarded([(yes, 2), (bad, 1)]), give_up=True) == (bad, 3, 0)
+    assert analyzer._walk(iter([(yes, 2), (yes, 3)]), give_up=True) == (None, 5, 0)
+
+
 def _full_walk(U: BoundedUniverse):
     """`cofibration_classes()` and `all_undecided()` as the full walk gives
     them: every map between cofibrant objects in order, grouped by
     `iso_class`, and the INCONCLUSIVE verdicts over every initial map and
     every map between cofibrant objects."""
     classes = analyzer._first_of_each_class(
-        cofibrations_between_cofibrant(U), U.iso_class
+        ((i, 1) for i in cofibrations_between_cofibrant(U)), U.iso_class
     )
     maps = itertools.chain(map(initial_map, U.objects), maps_between_cofibrant(U))
     return classes, sum(U.is_cof(f) is Verdict.INCONCLUSIVE for f in maps)
@@ -1000,7 +1028,7 @@ def _main_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
                     yield Verdict.YES
 
     try:
-        failure, checked, _ = analyzer._first_failure(pushed_out(U.J))
+        failure, checked, _ = first_failure(pushed_out(U.J))
     except FuelExhausted as stop:
         cell = analyzer._out_of_fuel("jcell-rlp", params, stop)
     else:
@@ -1105,7 +1133,7 @@ def test_coproduct_sweep_shares_verdicts_across_isomorphic_pairs():
         # pair of maps isomorphic to them, the first failing one is the
         # full ordered walk's first counterexample, and the class sizes
         # count every pair
-        classes = analyzer._first_of_each_class(maps, U.iso_class)
+        classes = analyzer._first_of_each_class(((t, 1) for t in maps), U.iso_class)
         firsts = [t for t, _ in classes]
         assert len(firsts) < len(maps)
         shared = {
@@ -1247,7 +1275,7 @@ def _properness_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
                     else:
                         yield v
 
-    failure, checked, _ = analyzer._first_failure(_ordered_sums(tfibs, U))
+    failure, checked, _ = first_failure(_ordered_sums(tfibs, U))
     if failure:
         closed = analyzer._report("tfib-coproducts", params, failure)
     else:
@@ -1257,7 +1285,7 @@ def _properness_by_full_walk(U: BoundedUniverse) -> analyzer.VerdictReport:
             undecided=U.all_undecided(),
             diagnostics={"pairs_checked": checked},
         )
-    failure, checked, undecided = analyzer._first_failure(comparisons())
+    failure, checked, undecided = first_failure(comparisons())
     diagnostics = None if failure else {"comparisons_checked": checked}
     compared = analyzer._report(
         "pushout-comparisons", params, failure, undecided, diagnostics
@@ -1295,7 +1323,7 @@ def test_properness_sweeps_walk_representatives_like_the_full_walk():
         assert calls <= reference_calls, case
         saved += calls < reference_calls
         assert U.trivial_fibration_classes() == analyzer._first_of_each_class(
-            trivial_fibrations_between_cofibrant(U), U.iso_class
+            ((t, 1) for t in trivial_fibrations_between_cofibrant(U)), U.iso_class
         ), case
     assert saved
 
@@ -1342,9 +1370,10 @@ def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
 
     # `walks` holds what each walk returned, `passes` whether each pass of
     # the comparisons' `_class_walk` went over the classes (True) or every
-    # object; the universe's class collectors walk unrecorded
+    # object; the universe's class collectors walk unrecorded, and so do
+    # the `_walk`s that `_class_walk` and the check's coproduct sums make
     walks, passes = [], []
-    first_failure, class_walk = analyzer._first_failure, analyzer._class_walk
+    reference_walk, class_walk = first_failure, analyzer._class_walk
 
     def spy_walk(sweep, classes, everyone):
         if sweep.__name__ != "comparisons":
@@ -1357,10 +1386,10 @@ def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
         walks.append(class_walk(recorded, classes, everyone))
         return walks[-1]
 
-    monkeypatch.setattr(
-        analyzer,
-        "_first_failure",
-        lambda candidates: walks.append(first_failure(candidates)) or walks[-1],
+    monkeypatch.setitem(
+        globals(),
+        "first_failure",
+        lambda candidates: walks.append(reference_walk(candidates)) or walks[-1],
     )
     monkeypatch.setattr(analyzer, "_class_walk", spy_walk)
     bound = {"v": 2, "e": 2}
@@ -1384,7 +1413,7 @@ def test_an_undecided_comparison_sends_the_sweep_to_the_full_walk(monkeypatch):
             assert report.verdict is verdict
             # the comparisons' class walk gave up and walked every object;
             # the reference walks the ordered coproduct sweep with a
-            # `_first_failure` of its own, then the comparisons
+            # `first_failure` of its own, then the comparisons
             if check is check_properness_condition:
                 assert (len(walks), passes) == (1, [True, False])
             else:
@@ -1568,9 +1597,9 @@ def _pairwise_a2(U):
                     yield yes if is_retract_of(f, g) is None else {"map": f, "of": g}
 
     skipped = sum(we(f) is inconclusive for f in U.all_maps())
-    failure, pairs, undecided = analyzer._first_failure(composable_pairs())
+    failure, pairs, undecided = first_failure(composable_pairs())
     two_three = (failure, {"composable_pairs": pairs, "skipped": undecided})
-    failure, searched, _ = analyzer._first_failure(retract_candidates())
+    failure, searched, _ = first_failure(retract_candidates())
     retracts = (failure, {"pairs_searched": searched, "skipped": skipped})
     return {"A2-two-out-of-three": two_three, "A2-retracts": retracts}, branches
 
